@@ -1,109 +1,24 @@
 """Controllable two-qubit open-system models: decoherence trajectories,
-information-backflow measures, and remote-state-preparation fidelity."""
+information-backflow measures, and remote-state-preparation fidelity.
+
+The top level re-exports each library module's ``__all__``; the figure
+runners stay in ``backflow.experiments``.
+"""
 
 __version__ = "0.1.0"
 
-from .channels import (
-    AmplitudeDampingChannel,
-    ChannelFamily,
-    DephasingChannel,
-    SingularIntermediateMapError,
-    apply_amplitude_damping,
-    apply_dephasing,
-    choi_state,
-    intermediate_choi,
-    maximally_entangled,
-)
-from .decoherence import (
-    DephasingSpec,
-    LorentzSpec,
-    NoTransitionError,
-    QuadratureError,
-    analytic_blp_dephasing,
-    chi,
-    kappa_abs,
-    kappa_complex,
-    kappa_quadrature,
-    transition_thetas,
-)
-from .linalg import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    PAULIS,
-    assert_density_matrix,
-    hermitian_eigenvalues,
-    is_density_matrix,
-    negativity,
-    partial_trace,
-    partial_transpose,
-    tensor_product,
-    trace_distance,
-    trace_norm,
-    von_neumann_entropy,
-)
-from .measures import (
-    MeasureReport,
-    StatePair,
-    Trajectory,
-    blp_integral,
-    blp_search,
-    divisibility_measure,
-    entanglement_measure,
-    mutual_info_measure,
-    optimal_pair,
-    sample_random_pair,
-    trace_distance_trajectory,
-)
-from .rsp import bell_diagonal, correlation_matrix, rsp_fidelity
+from . import channels, decoherence, linalg, measures, rsp
+from .channels import *  # noqa: F401,F403
+from .decoherence import *  # noqa: F401,F403
+from .linalg import *  # noqa: F401,F403
+from .measures import *  # noqa: F401,F403
+from .rsp import *  # noqa: F401,F403
 
 __all__ = [
     "__version__",
-    "AmplitudeDampingChannel",
-    "ChannelFamily",
-    "DephasingChannel",
-    "DephasingSpec",
-    "LorentzSpec",
-    "MeasureReport",
-    "NoTransitionError",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "PAULIS",
-    "QuadratureError",
-    "SingularIntermediateMapError",
-    "StatePair",
-    "Trajectory",
-    "analytic_blp_dephasing",
-    "apply_amplitude_damping",
-    "apply_dephasing",
-    "assert_density_matrix",
-    "bell_diagonal",
-    "blp_integral",
-    "blp_search",
-    "chi",
-    "choi_state",
-    "correlation_matrix",
-    "divisibility_measure",
-    "entanglement_measure",
-    "hermitian_eigenvalues",
-    "intermediate_choi",
-    "is_density_matrix",
-    "kappa_abs",
-    "kappa_complex",
-    "kappa_quadrature",
-    "maximally_entangled",
-    "mutual_info_measure",
-    "negativity",
-    "optimal_pair",
-    "partial_trace",
-    "partial_transpose",
-    "rsp_fidelity",
-    "sample_random_pair",
-    "tensor_product",
-    "trace_distance",
-    "trace_distance_trajectory",
-    "trace_norm",
-    "transition_thetas",
-    "von_neumann_entropy",
+    *channels.__all__,
+    *decoherence.__all__,
+    *linalg.__all__,
+    *measures.__all__,
+    *rsp.__all__,
 ]

@@ -41,61 +41,18 @@ class SingularIntermediateMapError(ArithmeticError):
         self.t = float(t)
 
 
-def _blocks(rho: np.ndarray, rest: int) -> np.ndarray:
+def _blocks(m: np.ndarray) -> np.ndarray:
+    """View (..., d, d) as the first qubit's 2x2 grid of (d/2)x(d/2) blocks."""
+    r = m.shape[-1] // 2
+    return m.reshape(m.shape[:-2] + (2, r, 2, r))
+
+
+def _operands(rho: np.ndarray, f, dtype):
+    """Blocks of ``rho`` (..., d, d), ``f`` shaped to broadcast against one
+    block, and an empty (..., d, d) output over both leading shapes."""
     rho = np.asarray(rho, dtype=complex)
-    d = 2 * rest
-    if rho.shape != (d, d):
-        raise ValueError(f"expected a {d}x{d} matrix, got shape {rho.shape}")
-    return rho.reshape(2, rest, 2, rest)
-
-
-def _dephase(rho: np.ndarray, kappa: complex, rest: int) -> np.ndarray:
-    """Multiply the 0-1 coherence blocks of the first qubit by kappa, kappa*."""
-    b = _blocks(rho, rest).copy()
-    b[0, :, 1, :] *= kappa
-    b[1, :, 0, :] *= np.conj(kappa)
-    return b.reshape(2 * rest, 2 * rest)
-
-
-def _amp_damp(rho: np.ndarray, x: float, rest: int) -> np.ndarray:
-    """Amplitude-damping action with amplitude x on the first qubit.
-
-    Linear in rho and well-defined for any real x; it is a physical (CPTP)
-    map only for |x| <= 1.  Basis order of the damped qubit: (ground, excited).
-    """
-    b = _blocks(rho, rest)
-    out = np.empty_like(b)
-    out[0, :, 0, :] = b[0, :, 0, :] + (1.0 - x * x) * b[1, :, 1, :]
-    out[0, :, 1, :] = x * b[0, :, 1, :]
-    out[1, :, 0, :] = x * b[1, :, 0, :]
-    out[1, :, 1, :] = (x * x) * b[1, :, 1, :]
-    return out.reshape(2 * rest, 2 * rest)
-
-
-def apply_dephasing(rho: np.ndarray, kappa: complex) -> np.ndarray:
-    """Dephase the first qubit of a two-qubit state by the complex factor kappa.
-
-    The four coherence entries between the qubit's 0 and 1 sectors are
-    multiplied by kappa (conjugate block by kappa*); diagonal blocks are
-    untouched.  Rejects |kappa| > 1 (not a contraction).
-    """
-    kappa = complex(kappa)
-    if abs(kappa) > 1.0 + _CONTRACTION_SLACK:
-        raise ValueError(f"|kappa| = {abs(kappa):.12g} > 1: not a valid dephasing factor")
-    return _dephase(rho, kappa, 2)
-
-
-def apply_amplitude_damping(rho: np.ndarray, chi_value: float) -> np.ndarray:
-    """Amplitude-damp the first qubit of a two-qubit state.
-
-    Kraus pair K0 = diag(1, chi) in (ground, excited) order and
-    K1 = sqrt(1 - chi^2) |ground><excited|, tensored with the identity on the
-    second qubit.  Rejects |chi| > 1.
-    """
-    x = float(chi_value)
-    if abs(x) > 1.0 + _CONTRACTION_SLACK:
-        raise ValueError(f"|chi| = {abs(x):.12g} > 1: not a valid damping amplitude")
-    return _amp_damp(rho, x, 2)
+    out = np.empty(np.broadcast_shapes(rho.shape[:-2], np.shape(f)) + rho.shape[-2:], dtype=complex)
+    return _blocks(rho), np.asarray(f, dtype=dtype)[..., None, None], out
 
 
 @dataclass(frozen=True)
@@ -110,6 +67,23 @@ class DephasingChannel:
     def apply(self, rho: np.ndarray, t: float) -> np.ndarray:
         return apply_dephasing(rho, self.decoherence(t))
 
+    @staticmethod
+    def act(rho: np.ndarray, kappa) -> np.ndarray:
+        """Multiply the 0-1 coherence blocks of the first qubit by kappa, kappa*.
+
+        ``rho`` has shape (..., d, d) with the qubit as the slow factor, and
+        ``kappa`` broadcasts against its leading axes.  kappa stays the left
+        operand: numpy's vectorized complex product is not bit-symmetric, so
+        swapping the operands can move results by an ulp.
+        """
+        b, k, out = _operands(rho, kappa, complex)
+        o = _blocks(out)
+        o[..., 0, :, 0, :] = b[..., 0, :, 0, :]
+        o[..., 1, :, 1, :] = b[..., 1, :, 1, :]
+        o[..., 0, :, 1, :] = k * b[..., 0, :, 1, :]
+        o[..., 1, :, 0, :] = np.conj(k) * b[..., 1, :, 0, :]
+        return out
+
 
 @dataclass(frozen=True)
 class AmplitudeDampingChannel:
@@ -123,6 +97,55 @@ class AmplitudeDampingChannel:
     def apply(self, rho: np.ndarray, t: float) -> np.ndarray:
         return apply_amplitude_damping(rho, self.decoherence(t))
 
+    @staticmethod
+    def act(rho: np.ndarray, x) -> np.ndarray:
+        """Amplitude-damping action with amplitude x on the first qubit.
+
+        Shapes as in ``DephasingChannel.act``.  Linear in rho and well-defined
+        for any real x; it is a physical (CPTP) map only for |x| <= 1.  Basis
+        order of the damped qubit: (ground, excited).
+        """
+        b, x, out = _operands(rho, x, float)
+        o = _blocks(out)
+        o[..., 0, :, 0, :] = b[..., 0, :, 0, :] + (1.0 - x * x) * b[..., 1, :, 1, :]
+        o[..., 0, :, 1, :] = x * b[..., 0, :, 1, :]
+        o[..., 1, :, 0, :] = x * b[..., 1, :, 0, :]
+        o[..., 1, :, 1, :] = (x * x) * b[..., 1, :, 1, :]
+        return out
+
+
+def _two_qubit_state(rho: np.ndarray) -> np.ndarray:
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    return rho
+
+
+def apply_dephasing(rho: np.ndarray, kappa: complex) -> np.ndarray:
+    """Dephase the first qubit of a two-qubit state by the complex factor kappa.
+
+    The four coherence entries between the qubit's 0 and 1 sectors are
+    multiplied by kappa (conjugate block by kappa*); diagonal blocks are
+    untouched.  Rejects |kappa| > 1 (not a contraction).
+    """
+    kappa = complex(kappa)
+    if abs(kappa) > 1.0 + _CONTRACTION_SLACK:
+        raise ValueError(f"|kappa| = {abs(kappa):.12g} > 1: not a valid dephasing factor")
+    return DephasingChannel.act(_two_qubit_state(rho), kappa)
+
+
+def apply_amplitude_damping(rho: np.ndarray, chi_value: float) -> np.ndarray:
+    """Amplitude-damp the first qubit of a two-qubit state.
+
+    Kraus pair K0 = diag(1, chi) in (ground, excited) order and
+    K1 = sqrt(1 - chi^2) |ground><excited|, tensored with the identity on the
+    second qubit.  Rejects |chi| > 1.
+    """
+    x = float(chi_value)
+    if abs(x) > 1.0 + _CONTRACTION_SLACK:
+        raise ValueError(f"|chi| = {abs(x):.12g} > 1: not a valid damping amplitude")
+    return AmplitudeDampingChannel.act(_two_qubit_state(rho), x)
+
 
 ChannelFamily = DephasingChannel | AmplitudeDampingChannel
 
@@ -131,12 +154,6 @@ def maximally_entangled(d: int) -> np.ndarray:
     """|Psi><Psi| with |Psi> = sum_j |j>|j> / sqrt(d), system factor first."""
     psi = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
     return np.outer(psi, psi.conj())
-
-
-def _apply_on_first_qubit(family: ChannelFamily, rho: np.ndarray, value, rest: int) -> np.ndarray:
-    if isinstance(family, DephasingChannel):
-        return _dephase(rho, complex(value), rest)
-    return _amp_damp(rho, float(value), rest)
 
 
 def choi_state(family: ChannelFamily, t: float, system_dim: int) -> np.ndarray:
@@ -150,9 +167,7 @@ def choi_state(family: ChannelFamily, t: float, system_dim: int) -> np.ndarray:
         raise ValueError(f"system_dim must be 2 or 4, got {system_dim}")
     if t < 0.0:
         raise ValueError(f"t={t} must be non-negative")
-    bell = maximally_entangled(system_dim)
-    rest = system_dim * system_dim // 2
-    return _apply_on_first_qubit(family, bell, family.decoherence(t), rest)
+    return family.act(maximally_entangled(system_dim), family.decoherence(t))
 
 
 def intermediate_choi(family: ChannelFamily, t: float, eps: float) -> np.ndarray:
@@ -169,6 +184,4 @@ def intermediate_choi(family: ChannelFamily, t: float, eps: float) -> np.ndarray
     f_t = family.decoherence(t)
     if abs(f_t) <= SINGULARITY_TOL:
         raise SingularIntermediateMapError(t)
-    ratio = family.decoherence(t + eps) / f_t
-    bell = maximally_entangled(2)
-    return _apply_on_first_qubit(family, bell, ratio, 2)
+    return family.act(maximally_entangled(2), family.decoherence(t + eps) / f_t)

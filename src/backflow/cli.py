@@ -7,9 +7,8 @@ import sys
 
 from .channels import AmplitudeDampingChannel, DephasingChannel, apply_dephasing
 from .decoherence import DephasingSpec, LorentzSpec, chi, kappa_abs, transition_thetas
-from .experiments import FIGURES, resolve_config, run_figure, write_csv, write_metadata
+from .experiments import FIGURES, resolve_config, rsp_fidelity_after, run_figure, write_csv, write_metadata
 from .measures import blp_search, divisibility_measure, entanglement_measure, mutual_info_measure
-from .rsp import bell_diagonal, correlation_matrix, rsp_fidelity
 
 
 def _fmt(x: float) -> str:
@@ -91,9 +90,7 @@ def _run_fidelity(args: argparse.Namespace) -> int:
     c = tuple(float(x) for x in args.c.split(","))
     if len(c) != 3:
         raise ValueError("--c expects three comma-separated values, e.g. 1,-1,1")
-    kappa = complex(args.kappa)
-    rho = apply_dephasing(bell_diagonal(c), kappa)
-    print(_fmt(rsp_fidelity(correlation_matrix(rho))))
+    print(_fmt(rsp_fidelity_after(c, apply_dephasing, complex(args.kappa))))
     return 0
 
 

@@ -126,7 +126,7 @@ def _two_peak_density(spec: DephasingSpec, omega: float) -> float:
     return norm * (c2 * g1 + s2 * g2)
 
 
-def _simpson(f, a: float, fa: complex, b: float, fb: complex, fm: complex) -> complex:
+def _simpson(a: float, fa: complex, b: float, fb: complex, fm: complex) -> complex:
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
@@ -136,8 +136,8 @@ def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
     rm = 0.5 * (m + b)
     flm = f(lm)
     frm = f(rm)
-    left = _simpson(f, a, fa, m, fm, flm)
-    right = _simpson(f, m, fm, b, fb, frm)
+    left = _simpson(a, fa, m, fm, flm)
+    right = _simpson(m, fm, b, fb, frm)
     delta = left + right - whole
     if abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0
@@ -175,7 +175,7 @@ def kappa_quadrature(
     fa = integrand(a)
     fb = integrand(b)
     fm = integrand(0.5 * (a + b))
-    whole = _simpson(integrand, a, fa, b, fb, fm)
+    whole = _simpson(a, fa, b, fb, fm)
     return _adaptive_simpson(integrand, a, b, fa, fm, fb, whole, abs_tol, max_depth)
 
 

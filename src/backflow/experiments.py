@@ -30,6 +30,7 @@ __all__ = [
     "FIGURES",
     "default_config",
     "resolve_config",
+    "rsp_fidelity_after",
     "run_figure",
     "write_csv",
     "write_metadata",
@@ -93,6 +94,8 @@ _FIGURE_DEFAULTS = {
 
 FIGURES = tuple(_FIGURE_DEFAULTS)
 
+_KNOWN_KEYS = set(_SHARED_DEFAULTS).union(*_FIGURE_DEFAULTS.values())
+
 
 def default_config(figure: str) -> dict:
     if figure not in _FIGURE_DEFAULTS:
@@ -106,7 +109,8 @@ def resolve_config(figure: str, config_path: str | None = None, overrides: dict 
     """Merge defaults, config-file values and CLI overrides (highest wins).
 
     The config file is JSON: flat keys apply to every figure, and an optional
-    nested section named after the figure overrides the flat keys.
+    nested section named after the figure overrides the flat keys.  A key
+    that no figure knows, flat or in any section, is rejected by name.
     """
     cfg = default_config(figure)
     if config_path:
@@ -115,6 +119,10 @@ def resolve_config(figure: str, config_path: str | None = None, overrides: dict 
             raise ValueError(f"config file {config_path} must hold a JSON object")
         nested = {k: v for k, v in loaded.items() if k in _FIGURE_DEFAULTS}
         flat = {k: v for k, v in loaded.items() if k not in _FIGURE_DEFAULTS}
+        for section in (flat, *nested.values()):
+            unknown = sorted(set(section) - _KNOWN_KEYS)
+            if unknown:
+                raise ValueError(f"unknown option {unknown[0]!r} in config file {config_path}")
         _apply_known(cfg, flat)
         if figure in nested:
             _apply_known(cfg, nested[figure])
@@ -299,8 +307,11 @@ def run_fig2(cfg: dict):
     return header, rows
 
 
-def _fidelity_after_dephasing(c, kappa: complex) -> float:
-    return rsp_fidelity(correlation_matrix(apply_dephasing(bell_diagonal(c), kappa)))
+def rsp_fidelity_after(c, apply, value) -> float:
+    """RSP fidelity of the Bell-diagonal state with triple ``c`` after the
+    channel ``apply(rho, value)`` (``apply_dephasing`` or
+    ``apply_amplitude_damping``)."""
+    return rsp_fidelity(correlation_matrix(apply(bell_diagonal(c), value)))
 
 
 def run_fig3(cfg: dict, variant: str):
@@ -324,8 +335,8 @@ def run_fig3(cfg: dict, variant: str):
         n_value = analytic_blp_dephasing(spec, tau_c)
         kappa = kappa_complex(spec, tau_c)
         rows.append(
-            (theta, n_value, _fidelity_after_dephasing(_STATE_A, kappa),
-             _fidelity_after_dephasing(_STATE_B, kappa))
+            (theta, n_value, rsp_fidelity_after(_STATE_A, apply_dephasing, kappa),
+             rsp_fidelity_after(_STATE_B, apply_dephasing, kappa))
         )
     return header, rows
 
@@ -350,8 +361,8 @@ def run_fig5(cfg: dict):
         t_c = 2.0 * math.pi / spec.epsilon
         n_value = math.exp(-math.pi * spec.width / spec.epsilon)
         chi_tc = chi(spec, t_c)
-        f1 = rsp_fidelity(correlation_matrix(apply_amplitude_damping(bell_diagonal(_STATE_A), chi_tc)))
-        f2 = rsp_fidelity(correlation_matrix(apply_amplitude_damping(bell_diagonal(_STATE_B), chi_tc)))
+        f1 = rsp_fidelity_after(_STATE_A, apply_amplitude_damping, chi_tc)
+        f2 = rsp_fidelity_after(_STATE_B, apply_amplitude_damping, chi_tc)
         rows.append((ratio, n_value, f1, f2))
     return header, rows
 

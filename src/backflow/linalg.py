@@ -157,14 +157,11 @@ def is_density_matrix(
     eig_floor: float = -1e-10,
 ) -> bool:
     """True if ``m`` is Hermitian, unit-trace and PSD within the tolerances."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    try:
+        assert_density_matrix(m, herm_tol, trace_tol, eig_floor)
+    except ValueError:
         return False
-    if float(np.max(np.abs(m - m.conj().T))) > herm_tol:
-        return False
-    if abs(complex(np.trace(m)) - 1.0) > trace_tol:
-        return False
-    return float(np.min(np.linalg.eigvalsh(hermitian_part(m)))) >= eig_floor
+    return True
 
 
 def assert_density_matrix(

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    ChannelFamily,
-    DephasingChannel,
-    SINGULARITY_TOL,
-    choi_state,
-    intermediate_choi,
-)
+from .channels import ChannelFamily, SINGULARITY_TOL, choi_state, intermediate_choi
 from .linalg import assert_density_matrix, negativity, partial_trace, trace_norm, von_neumann_entropy
 
 __all__ = [
@@ -172,48 +166,38 @@ def sample_random_pair(seed: int, index: int = 0) -> StatePair:
     return StatePair(np.outer(k1, k1.conj()), np.outer(k2, k2.conj()))
 
 
-def _evolved_difference(family: ChannelFamily, delta: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Channel action on a Hermitian difference matrix, batched over the
-    decoherence samples ``values`` (channels are linear, so evolving the
-    difference equals the difference of the evolved states)."""
-    n = values.shape[0]
-    out = np.empty((n, 4, 4), dtype=complex)
-    if isinstance(family, DephasingChannel):
-        k = np.asarray(values, dtype=complex)[:, None, None]
-        out[:, :2, :2] = delta[:2, :2]
-        out[:, 2:, 2:] = delta[2:, 2:]
-        out[:, :2, 2:] = k * delta[:2, 2:]
-        out[:, 2:, :2] = np.conj(k) * delta[2:, :2]
-    else:
-        x = np.asarray(values, dtype=float)[:, None, None]
-        out[:, :2, :2] = delta[:2, :2] + (1.0 - x * x) * delta[2:, 2:]
-        out[:, :2, 2:] = x * delta[:2, 2:]
-        out[:, 2:, :2] = x * delta[2:, :2]
-        out[:, 2:, 2:] = (x * x) * delta[2:, 2:]
-    return out
+def _trace_distances(family: ChannelFamily, deltas: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Half the trace norm of each evolved difference matrix.
+
+    ``deltas`` (..., 4, 4) and the decoherence samples ``f`` broadcast as in
+    the family's ``act``; channels are linear, so evolving the difference
+    equals the difference of the evolved states.
+    """
+    return 0.5 * np.abs(np.linalg.eigvalsh(family.act(deltas, f))).sum(axis=-1)
 
 
-def trace_distance_trajectory(
-    family: ChannelFamily,
-    pair: StatePair,
-    times,
-    chunk: int = 65536,
-) -> Trajectory:
+def _positive_increments(values: np.ndarray, cut_indices=None) -> np.ndarray:
+    """Sum of positive increments along the last axis.
+
+    Over the whole series, or, when ``cut_indices`` is given (each >= 1), the
+    prefix sums over values[..., :cut + 1] stacked along the last axis.
+    """
+    pos = np.clip(np.diff(values, axis=-1), 0.0, None)
+    if cut_indices is None:
+        return pos.sum(axis=-1)
+    return np.cumsum(pos, axis=-1)[..., np.asarray(cut_indices, dtype=int) - 1]
+
+
+def trace_distance_trajectory(family: ChannelFamily, pair: StatePair, times) -> Trajectory:
     """Trace distance of the evolved pair at each grid time."""
     times = np.asarray(times, dtype=float)
-    delta = pair.difference()
-    values = np.empty(times.shape, dtype=float)
-    for lo in range(0, times.size, chunk):
-        block = slice(lo, min(lo + chunk, times.size))
-        f = np.asarray(family.decoherence(times[block]))
-        w = np.linalg.eigvalsh(_evolved_difference(family, delta, f))
-        values[block] = 0.5 * np.abs(w).sum(axis=1)
-    return Trajectory(times, values)
+    f = np.asarray(family.decoherence(times))
+    return Trajectory(times, _trace_distances(family, pair.difference(), f))
 
 
 def blp_integral(traj: Trajectory) -> float:
     """Sum of positive increments of the trajectory values."""
-    return float(np.clip(np.diff(traj.values), 0.0, None).sum())
+    return float(_positive_increments(traj.values))
 
 
 def _pair_backflows(
@@ -226,38 +210,26 @@ def _pair_backflows(
 
     Returns shape (P,) for the full window, or (P, len(cut_indices)) of
     prefix integrals over [times[0], times[cut]] when ``cut_indices`` is
-    given (each cut index must be >= 1).
+    given (each cut index must be >= 1).  Pairs go through in chunks of about
+    4e6 evolved entries; each chunk's evolved stack is dropped as soon as its
+    spectrum is taken, before the next one is built.
     """
     deltas = np.asarray(deltas, dtype=complex)
-    n = times.size
     f = np.asarray(family.decoherence(times))
-    pair_chunk = max(1, 4_000_000 // (16 * n))
-    rows = []
-    for lo in range(0, deltas.shape[0], pair_chunk):
-        sub = deltas[lo : lo + pair_chunk]
-        p = sub.shape[0]
-        ev = np.empty((p, n, 4, 4), dtype=complex)
-        if isinstance(family, DephasingChannel):
-            k = f.astype(complex)[None, :, None, None]
-            ev[:, :, :2, :2] = sub[:, None, :2, :2]
-            ev[:, :, 2:, 2:] = sub[:, None, 2:, 2:]
-            ev[:, :, :2, 2:] = k * sub[:, None, :2, 2:]
-            ev[:, :, 2:, :2] = np.conj(k) * sub[:, None, 2:, :2]
-        else:
-            x = f.astype(float)[None, :, None, None]
-            ev[:, :, :2, :2] = sub[:, None, :2, :2] + (1.0 - x * x) * sub[:, None, 2:, 2:]
-            ev[:, :, :2, 2:] = x * sub[:, None, :2, 2:]
-            ev[:, :, 2:, :2] = x * sub[:, None, 2:, :2]
-            ev[:, :, 2:, 2:] = (x * x) * sub[:, None, 2:, 2:]
-        w = np.linalg.eigvalsh(ev.reshape(-1, 4, 4)).reshape(p, n, 4)
-        d = 0.5 * np.abs(w).sum(axis=2)
-        pos = np.clip(np.diff(d, axis=1), 0.0, None)
-        if cut_indices is None:
-            rows.append(pos.sum(axis=1))
-        else:
-            prefix = np.cumsum(pos, axis=1)
-            rows.append(prefix[:, np.asarray(cut_indices, dtype=int) - 1])
-    return np.concatenate(rows, axis=0)
+    pair_chunk = max(1, 4_000_000 // (16 * times.size))
+    return np.concatenate([
+        _positive_increments(
+            _trace_distances(family, deltas[lo : lo + pair_chunk, None], f), cut_indices
+        )
+        for lo in range(0, deltas.shape[0], pair_chunk)
+    ])
+
+
+def _window_times(window: tuple[float, float], grid_size: int) -> np.ndarray:
+    t0, t1 = float(window[0]), float(window[1])
+    if not t1 > t0 >= 0.0:
+        raise ValueError(f"invalid window {window}")
+    return np.linspace(t0, t1, int(grid_size))
 
 
 def _optimal_candidates(alpha_count: int, phase_count: int) -> list[StatePair]:
@@ -289,10 +261,7 @@ def blp_search(
     """
     if n_pairs < 0:
         raise ValueError("n_pairs must be >= 0")
-    t0, t1 = float(window[0]), float(window[1])
-    if not t1 > t0 >= 0.0:
-        raise ValueError(f"invalid window {window}")
-    times = np.linspace(t0, t1, int(grid_size))
+    times = _window_times(window, grid_size)
     pairs = _optimal_candidates(alpha_count, phase_count)
     pairs.extend(sample_random_pair(seed, i) for i in range(n_pairs))
     deltas = np.stack([p.difference() for p in pairs])
@@ -304,13 +273,6 @@ def blp_search(
         grid_size=int(grid_size),
         witness=pairs[best],
     )
-
-
-def _window_times(window: tuple[float, float], grid_size: int) -> np.ndarray:
-    t0, t1 = float(window[0]), float(window[1])
-    if not t1 > t0 >= 0.0:
-        raise ValueError(f"invalid window {window}")
-    return np.linspace(t0, t1, int(grid_size))
 
 
 def divisibility_measure(
@@ -361,7 +323,7 @@ def entanglement_measure(
     values = np.array(
         [negativity(choi_state(family, float(t), 4), subsystem=1, dims=(4, 4)) for t in times]
     )
-    total = float(np.clip(np.diff(values), 0.0, None).sum())
+    total = float(_positive_increments(values))
     return MeasureReport(value=total, kind="entanglement", grid_size=int(grid_size))
 
 
@@ -381,5 +343,5 @@ def mutual_info_measure(
     evolved maximally entangled state (system = both qubits)."""
     times = _window_times(window, grid_size)
     values = np.array([_mutual_information(choi_state(family, float(t), 4)) for t in times])
-    total = float(np.clip(np.diff(values), 0.0, None).sum())
+    total = float(_positive_increments(values))
     return MeasureReport(value=total, kind="mutual-info", grid_size=int(grid_size))

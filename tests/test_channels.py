@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from backflow import (
     AmplitudeDampingChannel,
@@ -19,6 +21,7 @@ from backflow import (
     maximally_entangled,
     negativity,
     partial_trace,
+    trace_distance,
     trace_norm,
 )
 
@@ -116,6 +119,76 @@ class TestAmplitudeDampingMap:
     def test_rejects_expanding_amplitude(self):
         with pytest.raises(ValueError, match="chi"):
             apply_amplitude_damping(random_state(11), -1.0 - 1e-6)
+
+
+def _random_stack(rng, shape, d):
+    states = [random_density_matrix(rng, d) for _ in range(math.prod(shape))]
+    return np.stack(states).reshape(shape + (d, d))
+
+
+@st.composite
+def _action_cases(draw, value):
+    """Two (P, n, d, d) stacks of random states and n decoherence values."""
+    p, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    d = draw(st.sampled_from([4, 16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    return _random_stack(rng, (p, n), d), _random_stack(rng, (p, n), d), values
+
+
+_KAPPAS = st.builds(
+    lambda r, phase: r * complex(math.cos(phase), math.sin(phase)),
+    st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi),
+)
+
+
+def _dephasing_entrywise(rho, kappa):
+    d = rho.shape[0]
+    out = rho.copy()
+    for i in range(d):
+        for j in range(d):
+            if i < d // 2 <= j:
+                out[i, j] = rho[i, j] * kappa
+            elif j < d // 2 <= i:
+                out[i, j] = rho[i, j] * np.conj(kappa)
+    return out
+
+
+def _damping_kraus(rho, x):
+    eye = np.eye(rho.shape[0] // 2)
+    k0 = np.kron(np.diag([1.0, x]), eye).astype(complex)
+    k1 = np.zeros((2, 2), dtype=complex)
+    k1[0, 1] = math.sqrt(1.0 - x * x)
+    k1 = np.kron(k1, eye)
+    return k0 @ rho @ k0.conj().T + k1 @ rho @ k1.conj().T
+
+
+class TestFamilyActionProperties:
+    """The batched action broadcasts one decoherence value per grid column
+    over a (P, n, d, d) stack, agrees matrix by matrix with a definition
+    built here, and never increases the trace distance."""
+
+    @staticmethod
+    def check(family, reference, case):
+        rho1, rho2, values = case
+        out1, out2 = family.act(rho1, values), family.act(rho2, values)
+        assert out1.shape == rho1.shape
+        for p in range(rho1.shape[0]):
+            for k, f in enumerate(values):
+                expected = reference(rho1[p, k], f)
+                assert np.max(np.abs(out1[p, k] - expected)) <= 1e-14
+                before = trace_distance(rho1[p, k], rho2[p, k])
+                assert trace_distance(out1[p, k], out2[p, k]) <= before + 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(_action_cases(_KAPPAS))
+    def test_dephasing(self, case):
+        self.check(DEPHASING, _dephasing_entrywise, case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_action_cases(st.floats(-1.0, 1.0)))
+    def test_amplitude_damping(self, case):
+        self.check(LORENTZ, _damping_kraus, case)
 
 
 class TestChoiState:

@@ -48,9 +48,17 @@ class TestConfigResolution:
         cfg = resolve_config("fig1", str(cfg_file), {})
         assert cfg["pairs"] == 11  # nested section wins over default
 
-    def test_unknown_override_is_rejected(self):
+    def test_unknown_override_is_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown option"):
             resolve_config("fig1", None, {"bogus": 1})
+        cfg_file = tmp_path / "cfg.json"
+        for loaded in ({"sigmaa": 2}, {"fig5": {"sigmaa": 2}}, {"fig1": {"sigmaa": 2}}):
+            cfg_file.write_text(json.dumps(loaded))
+            with pytest.raises(ValueError, match="unknown option 'sigmaa'"):
+                resolve_config("fig5", str(cfg_file))
+        # A key another figure knows still passes.
+        cfg_file.write_text(json.dumps({"theta": 0.5, "fig1": {"rows": 3}}))
+        assert resolve_config("fig5", str(cfg_file)) == default_config("fig5")
 
     def test_degenerate_counts_are_rejected(self):
         with pytest.raises(ValueError, match="rows"):
@@ -314,6 +322,16 @@ class TestCli:
         assert arr.shape == (4, 4)
         assert (tmp_path / "fig5.csv.meta.json").exists()
 
+    def test_unknown_config_key_exits_with_one_error_line(self, tmp_path):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"sigmaa": 2}))
+        out = run_cli("fig3a", "--config", str(cfg_file), "--out", str(tmp_path / "f.csv"))
+        assert out.returncode == 1
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:") and "'sigmaa'" in lines[0]
+        assert not (tmp_path / "f.csv").exists()
+
     def test_figure_command_respects_config_file(self, tmp_path):
         cfg_file = tmp_path / "c.json"
         cfg_file.write_text(json.dumps({"fig5": {"ratio_count": 3}}))
@@ -322,3 +340,31 @@ class TestCli:
         assert out.returncode == 0
         _, arr = read_table(out_path)
         assert arr.shape == (3, 4)
+
+
+class TestPackage:
+    # The top-level names before __all__ was derived from the submodules.
+    EXPORTS = {
+        "__version__", "AmplitudeDampingChannel", "ChannelFamily", "DephasingChannel",
+        "DephasingSpec", "LorentzSpec", "MeasureReport", "NoTransitionError", "PAULI_X",
+        "PAULI_Y", "PAULI_Z", "PAULIS", "QuadratureError", "SingularIntermediateMapError",
+        "StatePair", "Trajectory", "analytic_blp_dephasing", "apply_amplitude_damping",
+        "apply_dephasing", "assert_density_matrix", "bell_diagonal", "blp_integral",
+        "blp_search", "chi", "choi_state", "correlation_matrix", "divisibility_measure",
+        "entanglement_measure", "hermitian_eigenvalues", "intermediate_choi",
+        "is_density_matrix", "kappa_abs", "kappa_complex", "kappa_quadrature",
+        "maximally_entangled", "mutual_info_measure", "negativity", "optimal_pair",
+        "partial_trace", "partial_transpose", "rsp_fidelity", "sample_random_pair",
+        "tensor_product", "trace_distance", "trace_distance_trajectory", "trace_norm",
+        "transition_thetas", "von_neumann_entropy",
+    }
+
+    def test_top_level_exports(self):
+        import backflow
+
+        names = backflow.__all__
+        assert len(names) == len(set(names))
+        assert set(names) - self.EXPORTS == {"hermitian_part"}
+        assert self.EXPORTS <= set(names)
+        assert all(hasattr(backflow, name) for name in names)
+        assert not hasattr(backflow, "run_figure")

@@ -22,6 +22,7 @@ from backflow import (
     trace_distance_trajectory,
 )
 
+from backflow.measures import _pair_backflows
 from oracles import binary_entropy, golden_max
 
 DEPHASING = DephasingChannel(DephasingSpec(math.pi / 4))
@@ -203,6 +204,25 @@ class TestBlpSearch:
         report = blp_search(DEPHASING, (0.0, 0.9 * math.pi / 10), 40, 801, 3,
                             alpha_count=2, phase_count=2)
         assert report.value == 0.0
+
+
+class TestPairBackflows:
+    def test_prefix_cuts_match_trajectory_integrals(self):
+        # 40001 points put 6 pairs in a chunk, so the 7 pairs span two chunks.
+        pairs = [optimal_pair(0.3, 1.0, "eta")] + [sample_random_pair(5, i) for i in range(6)]
+        deltas = np.stack([p.difference() for p in pairs])
+        cuts = np.array([1, 2, 5000, 23457, 40000])
+        for family, horizon in ((DEPHASING, 2.5 * REVIVAL), (LORENTZ, 30.0)):
+            times = np.linspace(0.0, horizon, 40001)
+            prefix = _pair_backflows(family, deltas, times, cuts)
+            full = _pair_backflows(family, deltas, times)
+            assert prefix.shape == (len(pairs), len(cuts))
+            for i, pair in enumerate(pairs):
+                for j, cut in enumerate(cuts):
+                    direct = blp_integral(trace_distance_trajectory(family, pair, times[: cut + 1]))
+                    assert abs(prefix[i, j] - direct) <= 1e-12
+                assert abs(full[i] - direct) <= 1e-12
+            assert np.all(prefix[:, -1] > 0.0)
 
 
 class TestDivisibility:
