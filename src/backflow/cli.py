@@ -173,9 +173,25 @@ _COMMANDS = {
 }
 
 
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Write ``--c -0.5,0.4,0.8`` as ``--c=-0.5,0.4,0.8``.
+
+    argparse takes a separate value that starts with '-' and is not a plain
+    number for an option, so a Bell-diagonal triple with a negative first
+    entry, or a complex kappa such as -0.5+0.1j, would be refused.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--c", "--kappa") and arg.startswith("-"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         if args.command in FIGURES:
             return _run_figure_command(args)

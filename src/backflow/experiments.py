@@ -23,7 +23,8 @@ import numpy as np
 from . import __version__
 from .channels import AmplitudeDampingChannel, ChannelFamily, DephasingChannel, apply_amplitude_damping, apply_dephasing
 from .decoherence import DephasingSpec, LorentzSpec, analytic_blp_dephasing, chi, kappa_complex, transition_thetas
-from .measures import _optimal_candidates, _pair_backflows, blp_search, sample_random_pair
+# sample_random_pair is not called here: perfbench/tracer.py wraps it at this name.
+from .measures import _optimal_candidates, _pair_backflows, _random_difference, blp_search, sample_random_pair  # noqa: F401
 from .rsp import bell_diagonal, correlation_matrix, rsp_fidelity
 
 __all__ = [
@@ -119,6 +120,9 @@ def resolve_config(figure: str, config_path: str | None = None, overrides: dict 
             raise ValueError(f"config file {config_path} must hold a JSON object")
         nested = {k: v for k, v in loaded.items() if k in _FIGURE_DEFAULTS}
         flat = {k: v for k, v in loaded.items() if k not in _FIGURE_DEFAULTS}
+        for name, section in nested.items():
+            if not isinstance(section, dict):
+                raise ValueError(f"section {name!r} in config file {config_path} must be a JSON object")
         for section in (flat, *nested.values()):
             unknown = sorted(set(section) - _KNOWN_KEYS)
             if unknown:
@@ -166,7 +170,7 @@ def _lorentz_family(cfg: dict) -> AmplitudeDampingChannel:
 
 def _random_chunk_rowmax(args) -> np.ndarray:
     family, times, cuts, seed, lo, hi = args
-    deltas = np.stack([sample_random_pair(seed, i).difference() for i in range(lo, hi)])
+    deltas = np.stack([_random_difference(seed, i) for i in range(lo, hi)])
     return _pair_backflows(family, deltas, times, cuts).max(axis=0)
 
 

@@ -9,17 +9,38 @@ state) and a mutual-information-based measure.
 All backflow integrals are sums of positive increments on a uniform grid,
 which is exact for piecewise-monotone series once every monotone segment is
 resolved; no derivative quadrature is used.
+
+Turning-point reduction: both channel families compose multiplicatively in
+their decoherence factor f (D(a)D(b) = D(ab), AD(x)AD(y) = AD(xy)), and the
+phase of kappa or the sign of chi is a local unitary.  So the trace distance
+of any evolved pair, and the negativity and mutual information of the evolved
+maximally entangled state, are non-decreasing functions of |f| alone, and
+each is monotone wherever |f| is.  The grid sum of their positive increments
+therefore equals the same sum over the grid points where |f| turns (plus the
+first and last point and any prefix cut), and only those points are
+evolved and eigen-solved.  The divisibility measure uses the closed-form
+trace norm of each step map's Choi matrix and solves no spectra.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .channels import ChannelFamily, SINGULARITY_TOL, choi_state, intermediate_choi
-from .linalg import assert_density_matrix, negativity, partial_trace, trace_norm, von_neumann_entropy
+# intermediate_choi and trace_norm are not called here: perfbench/tracer.py
+# wraps them at these names, so they stay importable from this module.
+from .channels import (  # noqa: F401
+    AmplitudeDampingChannel,
+    ChannelFamily,
+    DephasingChannel,
+    SINGULARITY_TOL,
+    choi_state,
+    intermediate_choi,
+)
+from .linalg import assert_density_matrix, negativity, partial_trace, trace_norm, von_neumann_entropy  # noqa: F401
 
 __all__ = [
     "Trajectory",
@@ -153,6 +174,11 @@ def _haar_ket(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _random_kets(seed: int, index: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = _pair_stream(int(seed), int(index))
+    return _haar_ket(rng), _haar_ket(rng)
+
+
 def sample_random_pair(seed: int, index: int = 0) -> StatePair:
     """Two independent Haar-random pure two-qubit states.
 
@@ -160,10 +186,15 @@ def sample_random_pair(seed: int, index: int = 0) -> StatePair:
     numpy SeedSequence(seed, spawn_key=(index,)); each state draws its real
     then imaginary standard-normal components, first state then second.
     """
-    rng = _pair_stream(int(seed), int(index))
-    k1 = _haar_ket(rng)
-    k2 = _haar_ket(rng)
+    k1, k2 = _random_kets(seed, index)
     return StatePair(np.outer(k1, k1.conj()), np.outer(k2, k2.conj()))
+
+
+def _random_difference(seed: int, index: int) -> np.ndarray:
+    """``sample_random_pair(seed, index).difference()``, bit for bit, without
+    building and validating the two states."""
+    k1, k2 = _random_kets(seed, index)
+    return np.outer(k1, k1.conj()) - np.outer(k2, k2.conj())
 
 
 def _trace_distances(family: ChannelFamily, deltas: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -188,6 +219,23 @@ def _positive_increments(values: np.ndarray, cut_indices=None) -> np.ndarray:
     return np.cumsum(pos, axis=-1)[..., np.asarray(cut_indices, dtype=int) - 1]
 
 
+def _turning_points(absf: np.ndarray, cut_indices=None) -> np.ndarray:
+    """Sorted grid indices that a sum of positive increments needs when the
+    series is a non-decreasing function of ``absf``: the first and last
+    index, every index where the sign of the step of ``absf`` changes (a zero
+    step counts as a sign of its own, so plateaus and kinks are kept), and
+    the cut indices.
+
+    Between two consecutive kept indices ``absf`` is monotone, so such a
+    series is too, and its positive increments there add up to the positive
+    part of its increment between the two kept indices.
+    """
+    signs = np.sign(np.diff(absf))
+    turns = np.flatnonzero(signs[1:] != signs[:-1]) + 1
+    cuts = () if cut_indices is None else cut_indices
+    return np.unique(np.concatenate(([0, absf.size - 1], turns, cuts)).astype(int))
+
+
 def trace_distance_trajectory(family: ChannelFamily, pair: StatePair, times) -> Trajectory:
     """Trace distance of the evolved pair at each grid time."""
     times = np.asarray(times, dtype=float)
@@ -210,17 +258,19 @@ def _pair_backflows(
 
     Returns shape (P,) for the full window, or (P, len(cut_indices)) of
     prefix integrals over [times[0], times[cut]] when ``cut_indices`` is
-    given (each cut index must be >= 1).  Pairs go through in chunks of about
-    4e6 evolved entries; each chunk's evolved stack is dropped as soon as its
-    spectrum is taken, before the next one is built.
+    given (each cut index must be >= 1).  The pairs are evolved only at the
+    turning points of |f| and the cuts (see the module docstring).  Pairs go
+    through in chunks of about 4e6 evolved entries; each chunk's evolved stack
+    is dropped as soon as its spectrum is taken, before the next one is built.
     """
     deltas = np.asarray(deltas, dtype=complex)
     f = np.asarray(family.decoherence(times))
-    pair_chunk = max(1, 4_000_000 // (16 * times.size))
+    kept = _turning_points(np.abs(f), cut_indices)
+    f = f[kept]
+    cuts = None if cut_indices is None else np.searchsorted(kept, cut_indices)
+    pair_chunk = max(1, 4_000_000 // (16 * f.size))
     return np.concatenate([
-        _positive_increments(
-            _trace_distances(family, deltas[lo : lo + pair_chunk, None], f), cut_indices
-        )
+        _positive_increments(_trace_distances(family, deltas[lo : lo + pair_chunk, None], f), cuts)
         for lo in range(0, deltas.shape[0], pair_chunk)
     ])
 
@@ -263,16 +313,27 @@ def blp_search(
         raise ValueError("n_pairs must be >= 0")
     times = _window_times(window, grid_size)
     pairs = _optimal_candidates(alpha_count, phase_count)
-    pairs.extend(sample_random_pair(seed, i) for i in range(n_pairs))
-    deltas = np.stack([p.difference() for p in pairs])
+    deltas = np.stack(
+        [p.difference() for p in pairs] + [_random_difference(seed, i) for i in range(n_pairs)]
+    )
     values = _pair_backflows(family, deltas, times)
     best = int(np.argmax(values))
     return MeasureReport(
         value=float(values[best]),
         kind="blp",
         grid_size=int(grid_size),
-        witness=pairs[best],
+        witness=pairs[best] if best < len(pairs) else sample_random_pair(seed, best - len(pairs)),
     )
+
+
+# Trace-norm excess of a step map, trace_norm(intermediate_choi(...)) - 1, in
+# closed form in e = max(|r|, 1) - 1 with r = f(t + eps) / f(t).  The dephasing
+# Choi spectrum is {(1 +- |r|)/2, 0, 0}, so the excess is e; the damping one is
+# {(1 + r^2)/2, (1 - r^2)/2, 0, 0}, so it is max(r^2, 1) - 1 = e (e + 2).
+_STEP_EXCESS = {
+    DephasingChannel: lambda e: e,
+    AmplitudeDampingChannel: lambda e: e * (e + 2.0),
+}
 
 
 def divisibility_measure(
@@ -290,26 +351,30 @@ def divisibility_measure(
     """
     times = _window_times(window, grid_size)
     absf = np.abs(np.asarray(family.decoherence(times)))
-    increments = np.diff(absf)
-    increasing = increments > 0.0
+    rise = np.clip(np.diff(absf), 0.0, None)
     zero = absf[:-1] <= SINGULARITY_TOL
-    singular = zero & increasing
+    singular = zero & (rise > 0.0)
     if np.any(singular):
         where = float(times[np.argmax(singular)])
         return MeasureReport(
             value=math.inf, kind="divisibility", grid_size=int(grid_size), singularity=where
         )
-    total = 0.0
-    for k in range(times.size - 1):
-        if zero[k]:
-            # Non-increasing step from an exact zero (the pre-scan already
-            # flagged increasing ones): frozen dynamics, contributes nothing.
-            continue
-        eps = times[k + 1] - times[k]
-        excess = trace_norm(intermediate_choi(family, float(times[k]), float(eps))) - 1.0
-        if excess > 0.0:
-            total += excess
-    return MeasureReport(value=total, kind="divisibility", grid_size=int(grid_size))
+    # (|f(t + eps)| - |f(t)|) / |f(t)| rather than |r| - 1, which cancels.  A
+    # non-increasing step adds nothing, including one from an exact zero
+    # (frozen dynamics; the increasing ones are flagged above).
+    e = rise / np.where(zero, 1.0, absf[:-1])
+    value = float(_STEP_EXCESS[type(family)](e).sum())
+    return MeasureReport(value=value, kind="divisibility", grid_size=int(grid_size))
+
+
+def _choi_measure(family: ChannelFamily, window, grid_size: int, score, kind: str) -> MeasureReport:
+    """Sum of positive increments of ``score`` of the evolved maximally
+    entangled state (system = both qubits, dimension 4), evaluated at the
+    turning points of |f| only (see the module docstring)."""
+    times = _window_times(window, grid_size)
+    kept = times[_turning_points(np.abs(family.decoherence(times)))]
+    values = np.array([score(choi_state(family, float(t), 4)) for t in kept])
+    return MeasureReport(value=float(_positive_increments(values)), kind=kind, grid_size=int(grid_size))
 
 
 def entanglement_measure(
@@ -319,12 +384,8 @@ def entanglement_measure(
 ) -> MeasureReport:
     """Sum of positive negativity increments of the evolved maximally
     entangled state (system = both qubits, dimension 4)."""
-    times = _window_times(window, grid_size)
-    values = np.array(
-        [negativity(choi_state(family, float(t), 4), subsystem=1, dims=(4, 4)) for t in times]
-    )
-    total = float(_positive_increments(values))
-    return MeasureReport(value=total, kind="entanglement", grid_size=int(grid_size))
+    score = partial(negativity, subsystem=1, dims=(4, 4))
+    return _choi_measure(family, window, grid_size, score, "entanglement")
 
 
 def _mutual_information(rho16: np.ndarray) -> float:
@@ -341,7 +402,4 @@ def mutual_info_measure(
 ) -> MeasureReport:
     """Sum of positive increments of the quantum mutual information of the
     evolved maximally entangled state (system = both qubits)."""
-    times = _window_times(window, grid_size)
-    values = np.array([_mutual_information(choi_state(family, float(t), 4)) for t in times])
-    total = float(_positive_increments(values))
-    return MeasureReport(value=total, kind="mutual-info", grid_size=int(grid_size))
+    return _choi_measure(family, window, grid_size, _mutual_information, "mutual-info")

@@ -60,6 +60,14 @@ class TestConfigResolution:
         cfg_file.write_text(json.dumps({"theta": 0.5, "fig1": {"rows": 3}}))
         assert resolve_config("fig5", str(cfg_file)) == default_config("fig5")
 
+    def test_non_object_section_is_rejected(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        for loaded in ({"fig3a": 3}, {"fig1": [1]}, {"fig5": None}):
+            cfg_file.write_text(json.dumps(loaded))
+            section = next(iter(loaded))
+            with pytest.raises(ValueError, match=f"section '{section}' in config file {cfg_file}"):
+                resolve_config("fig3a", str(cfg_file))
+
     def test_degenerate_counts_are_rejected(self):
         with pytest.raises(ValueError, match="rows"):
             run_figure("fig1", resolve_config("fig1", None, {"rows": 0}))
@@ -285,6 +293,17 @@ class TestCli:
         assert out.returncode == 0
         assert float(out.stdout) == pytest.approx(0.25, abs=1e-12)
 
+    def test_fidelity_accepts_a_negative_triple_in_both_spellings(self):
+        from backflow import apply_dephasing
+        from backflow.experiments import rsp_fidelity_after
+
+        for kappa in ("0.5", "-0.5+0.1j"):
+            expected = rsp_fidelity_after((-0.5, 0.4, 0.8), apply_dephasing, complex(kappa))
+            for flags in (("--c", "-0.5,0.4,0.8"), ("--c=-0.5,0.4,0.8",)):
+                out = run_cli("fidelity", *flags, "--kappa", kappa)
+                assert out.returncode == 0, out.stderr
+                assert float(out.stdout) == expected
+
     def test_measure_divergence_prints_inf(self):
         out = run_cli(
             "measure", "--measure", "divisibility", "--family", "dephasing",
@@ -330,6 +349,16 @@ class TestCli:
         lines = out.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error:") and "'sigmaa'" in lines[0]
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_non_object_config_section_exits_with_one_error_line(self, tmp_path):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"fig3a": 3}))
+        out = run_cli("fig3a", "--config", str(cfg_file), "--out", str(tmp_path / "f.csv"))
+        assert out.returncode == 1
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:") and "'fig3a'" in lines[0] and str(cfg_file) in lines[0]
         assert not (tmp_path / "f.csv").exists()
 
     def test_figure_command_respects_config_file(self, tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from backflow import (
     AmplitudeDampingChannel,
@@ -12,17 +14,28 @@ from backflow import (
     blp_integral,
     blp_search,
     chi,
+    choi_state,
     divisibility_measure,
     entanglement_measure,
+    intermediate_choi,
     kappa_abs,
     mutual_info_measure,
+    negativity,
     optimal_pair,
     sample_random_pair,
     trace_distance,
     trace_distance_trajectory,
+    trace_norm,
 )
 
-from backflow.measures import _pair_backflows
+from backflow.measures import (
+    _STEP_EXCESS,
+    _mutual_information,
+    _pair_backflows,
+    _positive_increments,
+    _random_difference,
+    _trace_distances,
+)
 from oracles import binary_entropy, golden_max
 
 DEPHASING = DephasingChannel(DephasingSpec(math.pi / 4))
@@ -77,6 +90,12 @@ class TestRandomPairs:
         c = sample_random_pair(43, 0)
         assert np.max(np.abs(a.rho1 - b.rho1)) > 1e-3
         assert np.max(np.abs(a.rho1 - c.rho1)) > 1e-3
+
+    def test_direct_differences_are_bit_identical(self):
+        for seed in (42, 7):
+            for k in range(1000):
+                direct = _random_difference(seed, k)
+                assert np.array_equal(direct, sample_random_pair(seed, k).difference())
 
     def test_mean_distance_stable_across_seeds(self):
         means = []
@@ -208,7 +227,7 @@ class TestBlpSearch:
 
 class TestPairBackflows:
     def test_prefix_cuts_match_trajectory_integrals(self):
-        # 40001 points put 6 pairs in a chunk, so the 7 pairs span two chunks.
+        # Cuts at the first steps, inside the window and at its last point.
         pairs = [optimal_pair(0.3, 1.0, "eta")] + [sample_random_pair(5, i) for i in range(6)]
         deltas = np.stack([p.difference() for p in pairs])
         cuts = np.array([1, 2, 5000, 23457, 40000])
@@ -223,6 +242,85 @@ class TestPairBackflows:
                     assert abs(prefix[i, j] - direct) <= 1e-12
                 assert abs(full[i] - direct) <= 1e-12
             assert np.all(prefix[:, -1] > 0.0)
+
+
+# Window cases for the turning-point properties: a family and a uniform grid.
+# kappa vanishes at pi/dw and 3 pi/dw, grid nodes 1000 and 3000 (100 and 300
+# of 401 points); chi changes sign twice in (0, 30).
+_PI4_ZERO = ("dephasing", math.pi / 4, 2 * REVIVAL, 4001)
+_LORENTZ_SIGN = ("lorentz", 0.1, 30.0, 4001)
+
+
+def _window_family(kind, param):
+    if kind == "dephasing":
+        return DephasingChannel(DephasingSpec(param))
+    return AmplitudeDampingChannel(LorentzSpec(1.0, param))
+
+
+_WINDOWS = st.one_of(
+    st.tuples(st.just("dephasing"), st.floats(0.0, math.pi / 2),
+              st.floats(0.05, 4.0).map(lambda x: x * REVIVAL), st.integers(3, 2001)),
+    st.tuples(st.just("lorentz"), st.floats(0.01, 1.9), st.floats(1.0, 40.0),
+              st.integers(3, 2001)),
+)
+
+
+class TestTurningPointReduction:
+    """The increment measures take spectra only where |f| turns; they must
+    agree with the same reduction over every grid point, which rests on the
+    trace distance depending on |f| alone and monotonically."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_WINDOWS, st.integers(0, 2**32 - 1), st.lists(st.floats(0.0, 1.0), max_size=6))
+    @example(_PI4_ZERO, 3, [0.25, 0.5, 0.75, 1.0])
+    @example(_PI4_ZERO, 4, [])
+    @example(_LORENTZ_SIGN, 5, [0.1, 0.3, 0.6, 1.0])
+    @example(_LORENTZ_SIGN, 6, [])
+    def test_pair_backflows_match_full_grid(self, window, seed, fractions):
+        kind, param, t1, grid = window
+        family = _window_family(kind, param)
+        times = np.linspace(0.0, t1, grid)
+        cuts = [1 + round(x * (grid - 2)) for x in fractions] or None
+        deltas = np.stack(
+            [_random_difference(seed, k) for k in range(4)]
+            + [optimal_pair(0.3, 1.0, "eta").difference()]
+        )
+        f = np.asarray(family.decoherence(times))
+        full = _positive_increments(_trace_distances(family, deltas[:, None], f), cuts)
+        fast = _pair_backflows(family, deltas, times, cuts)
+        assert fast.shape == full.shape
+        assert np.all(np.abs(fast - full) <= 1e-12 * np.abs(full) + 1e-14)
+
+    @settings(max_examples=12, deadline=None)
+    @given(_WINDOWS.map(lambda w: w[:3] + (min(w[3], 401),)))
+    @example(_PI4_ZERO[:3] + (401,))
+    @example(_LORENTZ_SIGN[:3] + (401,))
+    def test_choi_measures_match_full_grid(self, window):
+        kind, param, t1, grid = window
+        family = _window_family(kind, param)
+        times = np.linspace(0.0, t1, grid)
+        states = [choi_state(family, float(t), 4) for t in times]
+        for measure, score in (
+            (entanglement_measure, lambda rho: negativity(rho, 1, (4, 4))),
+            (mutual_info_measure, _mutual_information),
+        ):
+            full = float(_positive_increments(np.array([score(rho) for rho in states])))
+            fast = measure(family, (0.0, t1), grid).value
+            assert abs(fast - full) <= 1e-12 * abs(full) + 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.floats(0.0, 2 * math.pi))
+    def test_trace_distance_depends_on_the_magnitude_only(self, seed, a, b, phase):
+        delta = _random_difference(seed, 0)
+        lo, hi = sorted((a, b))
+        for family, turned in (
+            (DEPHASING, lambda x: x * complex(math.cos(phase), math.sin(phase))),
+            (LORENTZ, lambda x: -x),
+        ):
+            d_lo, d_hi, d_turned = _trace_distances(family, delta, np.array([lo, hi, turned(hi)]))
+            assert abs(d_turned - d_hi) <= 1e-14
+            assert d_lo <= d_hi + 1e-14
 
 
 class TestDivisibility:
@@ -242,6 +340,29 @@ class TestDivisibility:
         assert math.isfinite(report.value)
         assert report.value == pytest.approx(oracle, abs=1e-4)
         assert oracle == pytest.approx(0.21527884396730465, abs=1e-9)
+
+    def test_closed_form_step_excess_matches_intermediate_choi(self):
+        # Each step's excess against trace_norm(intermediate_choi(...)) - 1,
+        # and the measure against the loop over those steps: each 4x4
+        # spectrum carries a few ulp, so the loop sum may drift by ~1e-15 per
+        # step.
+        t_rev = 2 * math.pi / LORENTZ.spec.epsilon
+        for family, window in (
+            (DephasingChannel(DephasingSpec(math.pi / 8)), (0.0, REVIVAL)),
+            (LORENTZ, (0.0, 1.2 * t_rev)),
+        ):
+            times = np.linspace(*window, 801)
+            eps = float(times[1] - times[0])
+            loop = 0.0
+            for t in times[:-1]:
+                direct = trace_norm(intermediate_choi(family, float(t), eps)) - 1.0
+                before, after = abs(family.decoherence(t)), abs(family.decoherence(t + eps))
+                closed = _STEP_EXCESS[type(family)](max(after - before, 0.0) / before)
+                assert abs(closed - direct) <= 1e-13 * max(1.0, direct)
+                loop += max(direct, 0.0)
+            value = divisibility_measure(family, window, 801).value
+            assert loop > 0.0
+            assert abs(value - loop) <= 1e-12 * loop + 800 * 1e-15
 
     def test_interior_zero_reports_divergence(self):
         report = divisibility_measure(DEPHASING, (0.0, REVIVAL), 4001)
