@@ -24,7 +24,7 @@ from . import __version__
 from .channels import AmplitudeDampingChannel, ChannelFamily, DephasingChannel, apply_amplitude_damping, apply_dephasing
 from .decoherence import DephasingSpec, LorentzSpec, analytic_blp_dephasing, chi, kappa_complex, transition_thetas
 # sample_random_pair is not called here: perfbench/tracer.py wraps it at this name.
-from .measures import _optimal_candidates, _pair_backflows, _random_difference, blp_search, sample_random_pair  # noqa: F401
+from .measures import _optimal_differences, _pair_backflows, _random_differences, blp_search, sample_random_pair  # noqa: F401
 from .rsp import bell_diagonal, correlation_matrix, rsp_fidelity
 
 __all__ = [
@@ -170,8 +170,7 @@ def _lorentz_family(cfg: dict) -> AmplitudeDampingChannel:
 
 def _random_chunk_rowmax(args) -> np.ndarray:
     family, times, cuts, seed, lo, hi = args
-    deltas = np.stack([_random_difference(seed, i) for i in range(lo, hi)])
-    return _pair_backflows(family, deltas, times, cuts).max(axis=0)
+    return _pair_backflows(family, _random_differences(seed, lo, hi), times, cuts).max(axis=0)
 
 
 def _random_rowmax(
@@ -213,16 +212,18 @@ def _integral_sweep(
     """Shared machinery of the two pair-search figures.
 
     One master grid spans [0, window_end]; each row's control time is a grid
-    point (index = fraction * (grid-1)), and the per-row integrals are prefix
-    sums of positive trace-distance increments, so every control time shares
-    the same trajectory samples.
+    point (index = fraction * (grid-1)), and each row's integral is a prefix
+    sum of positive trace-distance increments up to that point, so every row
+    comes from one pass over the window (evaluated where |f| turns and at the
+    row points).  Returns the row times, the row-wise maximum over the 352
+    optimal candidates (11 alphas x 16 phases x both variants) and over the
+    ``n_pairs`` seeded random pairs.
     """
     times = np.linspace(0.0, window_end, grid)
     cuts = np.round(row_fractions * (grid - 1)).astype(int)
     if cuts[0] < 1:
         raise ValueError("row positions must be at least one grid step into the window")
-    optimal_deltas = np.stack([p.difference() for p in _optimal_candidates(11, 16)])
-    optimal = _pair_backflows(family, optimal_deltas, times, cuts).max(axis=0)
+    optimal = _pair_backflows(family, _optimal_differences(11, 16), times, cuts).max(axis=0)
     random_max = _random_rowmax(family, times, cuts, seed, n_pairs, workers)
     return times[cuts], optimal, random_max
 
@@ -236,7 +237,7 @@ def run_fig1(cfg: dict):
     positive backflow for the optimal pairs.  ``tauc_start``/``tauc_stop``
     override the range; row times snap to the master grid.
     """
-    _require(cfg, {"rows": 1, "grid": 2, "pairs": 0, "workers": 1})
+    _require(cfg, {"rows": 1, "grid": 2, "pairs": 1, "workers": 1})
     family = _dephasing_family(cfg)
     dw = cfg["delta_omega"]
     rows = int(cfg["rows"])
@@ -262,7 +263,7 @@ def run_fig4(cfg: dict):
     the first zero of chi and carry zero backflow.  ``tc_start``/``tc_stop``
     override the range; row times snap to the master grid.
     """
-    _require(cfg, {"rows": 1, "grid": 2, "pairs": 0, "workers": 1})
+    _require(cfg, {"rows": 1, "grid": 2, "pairs": 1, "workers": 1})
     family = _lorentz_family(cfg)
     revival = 2.0 * math.pi / family.spec.epsilon
     rows = int(cfg["rows"])
@@ -286,7 +287,8 @@ def run_fig2(cfg: dict):
     all optimal-pair candidates share one exact trajectory, so the default
     candidate grid is kept small (configurable via alpha_count/phase_count).
     """
-    _require(cfg, {"theta_count": 1, "tauc_count": 1, "grid": 2, "pairs": 0})
+    _require(cfg, {"theta_count": 1, "tauc_count": 1, "grid": 2, "pairs": 0,
+                   "alpha_count": 1, "phase_count": 1})
     dw = cfg["delta_omega"]
     sigma = cfg["sigma"]
     tauc_grid = np.linspace(1.2 * math.pi / dw, 2.0 * math.pi / dw, int(cfg["tauc_count"]))

@@ -125,6 +125,9 @@ def _ket(amplitudes) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+_VARIANTS = ("zeta", "eta")
+
+
 def optimal_pair(alpha: float, phase: float, variant: str = "zeta") -> StatePair:
     """Build one of the two-parameter families of optimal initial pairs.
 
@@ -141,7 +144,7 @@ def optimal_pair(alpha: float, phase: float, variant: str = "zeta") -> StatePair
         raise ValueError(f"alpha={alpha} outside [0, 1]")
     if not 0.0 <= phase <= 2.0 * math.pi:
         raise ValueError(f"phase={phase} outside [0, 2 pi]")
-    if variant not in ("zeta", "eta"):
+    if variant not in _VARIANTS:
         raise ValueError(f"variant must be 'zeta' or 'eta', got {variant!r}")
     c = np.exp(1j * phase)
     a, b = math.sqrt(alpha), math.sqrt(1.0 - alpha)
@@ -174,11 +177,6 @@ def _haar_ket(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _random_kets(seed: int, index: int) -> tuple[np.ndarray, np.ndarray]:
-    rng = _pair_stream(int(seed), int(index))
-    return _haar_ket(rng), _haar_ket(rng)
-
-
 def sample_random_pair(seed: int, index: int = 0) -> StatePair:
     """Two independent Haar-random pure two-qubit states.
 
@@ -186,15 +184,37 @@ def sample_random_pair(seed: int, index: int = 0) -> StatePair:
     numpy SeedSequence(seed, spawn_key=(index,)); each state draws its real
     then imaginary standard-normal components, first state then second.
     """
-    k1, k2 = _random_kets(seed, index)
+    rng = _pair_stream(int(seed), int(index))
+    k1, k2 = _haar_ket(rng), _haar_ket(rng)
     return StatePair(np.outer(k1, k1.conj()), np.outer(k2, k2.conj()))
 
 
-def _random_difference(seed: int, index: int) -> np.ndarray:
-    """``sample_random_pair(seed, index).difference()``, bit for bit, without
-    building and validating the two states."""
-    k1, k2 = _random_kets(seed, index)
-    return np.outer(k1, k1.conj()) - np.outer(k2, k2.conj())
+# The stacks below equal the difference() of the validated pairs above bit for
+# bit: every step is the same elementwise ufunc, and each ket is divided by
+# its own 1-D np.linalg.norm (a batched norm or einsum sums in another order
+# and moves the last ulp).
+
+
+def _normalized(kets: np.ndarray) -> np.ndarray:
+    norms = np.array([np.linalg.norm(k) for k in kets.reshape(-1, 4)])
+    return kets / norms.reshape(kets.shape[:-1] + (1,))
+
+
+def _differences(kets: np.ndarray) -> np.ndarray:
+    """(N, 2, 4) ket pairs -> (N, 4, 4) differences of their projectors."""
+    rho = kets[..., :, None] * kets.conj()[..., None, :]
+    return rho[:, 0] - rho[:, 1]
+
+
+def _random_differences(seed: int, lo: int, hi: int) -> np.ndarray:
+    """``sample_random_pair(seed, k).difference()`` for k in [lo, hi), stacked.
+
+    One draw of 16 normals per pair is the same stream as the four draws of 4
+    that ``sample_random_pair`` makes.
+    """
+    z = np.array([_pair_stream(int(seed), k).standard_normal(16) for k in range(lo, hi)])
+    z = z.reshape(-1, 2, 2, 4)
+    return _differences(_normalized(z[:, :, 0] + 1j * z[:, :, 1]))
 
 
 def _trace_distances(family: ChannelFamily, deltas: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -205,6 +225,11 @@ def _trace_distances(family: ChannelFamily, deltas: np.ndarray, f: np.ndarray) -
     equals the difference of the evolved states.
     """
     return 0.5 * np.abs(np.linalg.eigvalsh(family.act(deltas, f))).sum(axis=-1)
+
+
+# Evolved 4x4 stacks are built in chunks of about this many entries, each
+# dropped as soon as its spectrum is taken, before the next one is built.
+_CHUNK_ENTRIES = 4_000_000
 
 
 def _positive_increments(values: np.ndarray, cut_indices=None) -> np.ndarray:
@@ -237,10 +262,14 @@ def _turning_points(absf: np.ndarray, cut_indices=None) -> np.ndarray:
 
 
 def trace_distance_trajectory(family: ChannelFamily, pair: StatePair, times) -> Trajectory:
-    """Trace distance of the evolved pair at each grid time."""
+    """Trace distance of the evolved pair at each grid time, in chunks of
+    grid points (the spectra are per matrix, so chunking changes no bit)."""
     times = np.asarray(times, dtype=float)
     f = np.asarray(family.decoherence(times))
-    return Trajectory(times, _trace_distances(family, pair.difference(), f))
+    delta, step = pair.difference(), _CHUNK_ENTRIES // 16
+    # An empty grid still makes one (empty) chunk, for Trajectory to reject.
+    values = [_trace_distances(family, delta, f[lo : lo + step]) for lo in range(0, max(f.size, 1), step)]
+    return Trajectory(times, np.concatenate(values))
 
 
 def blp_integral(traj: Trajectory) -> float:
@@ -259,16 +288,15 @@ def _pair_backflows(
     Returns shape (P,) for the full window, or (P, len(cut_indices)) of
     prefix integrals over [times[0], times[cut]] when ``cut_indices`` is
     given (each cut index must be >= 1).  The pairs are evolved only at the
-    turning points of |f| and the cuts (see the module docstring).  Pairs go
-    through in chunks of about 4e6 evolved entries; each chunk's evolved stack
-    is dropped as soon as its spectrum is taken, before the next one is built.
+    turning points of |f| and the cuts (see the module docstring), in chunks
+    of pairs of about ``_CHUNK_ENTRIES`` evolved entries.
     """
     deltas = np.asarray(deltas, dtype=complex)
     f = np.asarray(family.decoherence(times))
     kept = _turning_points(np.abs(f), cut_indices)
     f = f[kept]
     cuts = None if cut_indices is None else np.searchsorted(kept, cut_indices)
-    pair_chunk = max(1, 4_000_000 // (16 * f.size))
+    pair_chunk = max(1, _CHUNK_ENTRIES // (16 * f.size))
     return np.concatenate([
         _positive_increments(_trace_distances(family, deltas[lo : lo + pair_chunk, None], f), cuts)
         for lo in range(0, deltas.shape[0], pair_chunk)
@@ -279,18 +307,34 @@ def _window_times(window: tuple[float, float], grid_size: int) -> np.ndarray:
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0 >= 0.0:
         raise ValueError(f"invalid window {window}")
+    if grid_size < 2:
+        raise ValueError(f"grid_size={grid_size} must be at least 2")
     return np.linspace(t0, t1, int(grid_size))
 
 
-def _optimal_candidates(alpha_count: int, phase_count: int) -> list[StatePair]:
-    pairs = []
+def _optimal_grid(alpha_count: int, phase_count: int) -> tuple[np.ndarray, np.ndarray]:
+    for name, count in (("alpha_count", alpha_count), ("phase_count", phase_count)):
+        if count < 1:
+            raise ValueError(f"{name}={count} must be at least 1")
     alphas = np.linspace(0.0, 1.0, alpha_count) if alpha_count > 1 else np.array([1.0])
-    phases = np.linspace(0.0, 2.0 * math.pi, phase_count, endpoint=False)
-    for a in alphas:
-        for ph in phases:
-            for variant in ("zeta", "eta"):
-                pairs.append(optimal_pair(float(a), float(ph), variant))
-    return pairs
+    return alphas, np.linspace(0.0, 2.0 * math.pi, phase_count, endpoint=False)
+
+
+def _optimal_differences(alpha_count: int, phase_count: int) -> np.ndarray:
+    """``optimal_pair(alpha, phase, variant).difference()`` over the candidate
+    grid, stacked alpha-major, then phase, then zeta/eta: (2 A P, 4, 4)."""
+    alphas, phases = _optimal_grid(alpha_count, phase_count)
+    a = np.sqrt(alphas)[:, None, None, None]
+    b = np.sqrt(1.0 - alphas)[:, None, None, None]
+    # sign * c for the + and - kets, shape (P, 2, 1); then phi+- and phi'+-.
+    sc = np.array([1.0, -1.0])[:, None] * np.exp(1j * phases)[:, None, None]
+    zero, one = np.zeros_like(sc), np.ones_like(sc)
+    phi = np.concatenate([one, zero, zero, sc], axis=-1) / math.sqrt(2.0)
+    phi_prime = np.concatenate([zero, one, sc, zero], axis=-1) / math.sqrt(2.0)
+    zeta = a * phi + b * phi_prime
+    eta = a * phi + b * phi_prime[:, ::-1]
+    kets = np.stack([zeta, eta], axis=2)  # (A, P, variant, state, 4)
+    return _differences(_normalized(kets).reshape(-1, 2, 4))
 
 
 def blp_search(
@@ -312,18 +356,17 @@ def blp_search(
     if n_pairs < 0:
         raise ValueError("n_pairs must be >= 0")
     times = _window_times(window, grid_size)
-    pairs = _optimal_candidates(alpha_count, phase_count)
-    deltas = np.stack(
-        [p.difference() for p in pairs] + [_random_difference(seed, i) for i in range(n_pairs)]
-    )
+    optimal = _optimal_differences(alpha_count, phase_count)
+    deltas = np.concatenate([optimal, _random_differences(seed, 0, n_pairs)])
     values = _pair_backflows(family, deltas, times)
     best = int(np.argmax(values))
-    return MeasureReport(
-        value=float(values[best]),
-        kind="blp",
-        grid_size=int(grid_size),
-        witness=pairs[best] if best < len(pairs) else sample_random_pair(seed, best - len(pairs)),
-    )
+    if best < len(optimal):
+        alphas, phases = _optimal_grid(alpha_count, phase_count)
+        i, rest = divmod(best, 2 * len(phases))
+        witness = optimal_pair(float(alphas[i]), float(phases[rest // 2]), _VARIANTS[rest % 2])
+    else:
+        witness = sample_random_pair(seed, best - len(optimal))
+    return MeasureReport(value=float(values[best]), kind="blp", grid_size=int(grid_size), witness=witness)
 
 
 # Trace-norm excess of a step map, trace_norm(intermediate_choi(...)) - 1, in

@@ -11,6 +11,10 @@ __all__ = ["bell_diagonal", "correlation_matrix", "rsp_fidelity"]
 
 _PSD_SLACK = 4e-12
 
+# sigma_j x sigma_j' for j, j' over (x, y, z), built once.  Every entry is 0,
+# +-1 or +-i, so products with them are exact.
+_PAULI_PRODUCTS = np.array([[tensor_product(sj, sjp) for sjp in PAULIS] for sj in PAULIS])
+
 
 def bell_diagonal(c) -> np.ndarray:
     """Two-qubit state (1/4)(I x I + sum_j c_j sigma_j x sigma_j).
@@ -38,8 +42,8 @@ def bell_diagonal(c) -> np.ndarray:
                 f"({c1}, {c2}, {c3}) gives a negative eigenvalue: {name} = {value:.6g} < 0"
             )
     rho = np.eye(4, dtype=complex)
-    for coeff, sigma in zip((c1, c2, c3), PAULIS):
-        rho += coeff * tensor_product(sigma, sigma)
+    for j, coeff in enumerate((c1, c2, c3)):
+        rho += coeff * _PAULI_PRODUCTS[j, j]
     return rho / 4.0
 
 
@@ -48,11 +52,7 @@ def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 state, got shape {rho.shape}")
-    c = np.empty((3, 3), dtype=float)
-    for j, sj in enumerate(PAULIS):
-        for jp, sjp in enumerate(PAULIS):
-            c[j, jp] = float(np.trace(rho @ tensor_product(sj, sjp)).real)
-    return c
+    return np.trace(rho @ _PAULI_PRODUCTS, axis1=-2, axis2=-1).real
 
 
 def rsp_fidelity(c: np.ndarray) -> float:

@@ -77,6 +77,12 @@ class TestConfigResolution:
             run_figure("fig3a", resolve_config("fig3a", None, {"theta_count": 0}))
         with pytest.raises(ValueError, match="ratio_count"):
             run_figure("fig5", resolve_config("fig5", None, {"ratio_count": 0}))
+        for figure in ("fig1", "fig4"):
+            with pytest.raises(ValueError, match="pairs=0 must be at least 1"):
+                run_figure(figure, resolve_config(figure, None, {"pairs": 0}))
+        for key in ("alpha_count", "phase_count"):
+            with pytest.raises(ValueError, match=f"{key}=0 must be at least 1"):
+                run_figure("fig2", resolve_config("fig2", None, {key: 0}))
 
 
 class TestFig1:
@@ -360,6 +366,30 @@ class TestCli:
         assert len(lines) == 1
         assert lines[0].startswith("error:") and "'fig3a'" in lines[0] and str(cfg_file) in lines[0]
         assert not (tmp_path / "f.csv").exists()
+
+    def test_empty_random_column_exits_with_one_error_line(self, tmp_path):
+        for figure in ("fig1", "fig4"):
+            out = run_cli(figure, "--pairs", "0", "--out", str(tmp_path / "f.csv"))
+            assert out.returncode == 1
+            lines = out.stderr.splitlines()
+            assert len(lines) == 1
+            assert lines[0] == "error: pairs=0 must be at least 1"
+            assert not (tmp_path / "f.csv").exists()
+
+    def test_degenerate_sizes_exit_with_one_error_line(self, tmp_path):
+        cfg_file = tmp_path / "c.json"
+        for key in ("alpha_count", "phase_count"):
+            cfg_file.write_text(json.dumps({"fig2": {key: 0}}))
+            out = run_cli("fig2", "--config", str(cfg_file), "--out", str(tmp_path / "f.csv"))
+            assert out.returncode == 1
+            assert out.stderr.splitlines() == [f"error: {key}=0 must be at least 1"]
+            assert not (tmp_path / "f.csv").exists()
+        for measure in ("blp", "divisibility", "entanglement", "mutual-info"):
+            out = run_cli("measure", "--measure", measure, "--family", "dephasing",
+                          "--t1", "0.6283185307179586", "--grid", "1")
+            assert out.returncode == 1
+            assert out.stdout == ""
+            assert out.stderr.splitlines() == ["error: grid_size=1 must be at least 2"]
 
     def test_figure_command_respects_config_file(self, tmp_path):
         cfg_file = tmp_path / "c.json"

@@ -28,14 +28,18 @@ from backflow import (
     trace_norm,
 )
 
+from backflow import measures
 from backflow.measures import (
+    _CHUNK_ENTRIES,
     _STEP_EXCESS,
     _mutual_information,
+    _optimal_differences,
     _pair_backflows,
     _positive_increments,
-    _random_difference,
+    _random_differences,
     _trace_distances,
 )
+from backflow.experiments import resolve_config, run_figure
 from oracles import binary_entropy, golden_max
 
 DEPHASING = DephasingChannel(DephasingSpec(math.pi / 4))
@@ -93,9 +97,14 @@ class TestRandomPairs:
 
     def test_direct_differences_are_bit_identical(self):
         for seed in (42, 7):
+            stack = _random_differences(seed, 0, 1000)
+            assert stack.shape == (1000, 4, 4)
             for k in range(1000):
-                direct = _random_difference(seed, k)
-                assert np.array_equal(direct, sample_random_pair(seed, k).difference())
+                assert np.array_equal(stack[k], sample_random_pair(seed, k).difference())
+            # A chunk that starts inside the run draws the same pairs.
+            for lo, hi in ((337, 351), (999, 1000)):
+                assert np.array_equal(_random_differences(seed, lo, hi), stack[lo:hi])
+        assert _random_differences(42, 5, 5).shape == (0, 4, 4)
 
     def test_mean_distance_stable_across_seeds(self):
         means = []
@@ -137,6 +146,13 @@ class TestTrajectory:
                     family.apply(pair.rho1, t), family.apply(pair.rho2, t)
                 )
                 assert traj.values[k] == pytest.approx(direct, abs=1e-12)
+
+    def test_grid_longer_than_one_chunk_matches_one_stack(self):
+        times = np.linspace(0.0, 30.0, 2 * (_CHUNK_ENTRIES // 16) + 7)
+        pair = sample_random_pair(13, 0)
+        traj = trace_distance_trajectory(LORENTZ, pair, times)
+        one_stack = _trace_distances(LORENTZ, pair.difference(), np.asarray(LORENTZ.decoherence(times)))
+        assert np.array_equal(traj.values, one_stack)
 
     def test_lorentz_optimal_matches_chi_magnitude(self):
         pair = optimal_pair(0.45, 2.0, "zeta")
@@ -224,6 +240,73 @@ class TestBlpSearch:
                             alpha_count=2, phase_count=2)
         assert report.value == 0.0
 
+    def test_degenerate_sizes_are_rejected(self):
+        for counts, name in (((0, 4), "alpha_count=0"), ((3, 0), "phase_count=0")):
+            with pytest.raises(ValueError, match=name):
+                blp_search(DEPHASING, self.WINDOW, 0, 101, 1, alpha_count=counts[0], phase_count=counts[1])
+        with pytest.raises(ValueError, match="grid_size=1"):
+            blp_search(DEPHASING, self.WINDOW, 0, 1, 1)
+        for measure in (divisibility_measure, entanglement_measure, mutual_info_measure):
+            with pytest.raises(ValueError, match="grid_size=1"):
+                measure(DEPHASING, self.WINDOW, 1)
+
+
+def _candidate_list(alpha_count, phase_count):
+    """The optimal candidates as validated pairs, in the search's order."""
+    alphas = np.linspace(0.0, 1.0, alpha_count) if alpha_count > 1 else np.array([1.0])
+    phases = np.linspace(0.0, 2.0 * math.pi, phase_count, endpoint=False)
+    return [optimal_pair(float(a), float(ph), v) for a in alphas for ph in phases for v in ("zeta", "eta")]
+
+
+class TestCandidateStacks:
+    WINDOW = (0.0, REVIVAL)
+
+    def test_optimal_stack_is_bit_identical(self):
+        for counts in ((11, 16), (2, 2), (1, 1), (3, 4)):
+            expected = np.stack([p.difference() for p in _candidate_list(*counts)])
+            stack = _optimal_differences(*counts)
+            assert stack.shape == (2 * counts[0] * counts[1], 4, 4)
+            assert np.array_equal(stack, expected)
+
+    def test_witness_is_the_candidate_at_the_winning_index(self, monkeypatch):
+        pairs = _candidate_list(3, 4)
+        times = np.linspace(*self.WINDOW, 401)
+        for family in (DEPHASING, LORENTZ):
+            report = blp_search(family, self.WINDOW, 0, 401, 9, alpha_count=3, phase_count=4)
+            values = _pair_backflows(family, np.stack([p.difference() for p in pairs]), times)
+            best = pairs[int(np.argmax(values))]
+            assert report.value == float(values.max())
+            assert np.array_equal(report.witness.rho1, best.rho1)
+            assert np.array_equal(report.witness.rho2, best.rho2)
+        # Every index decodes to its own candidate, random pairs included.
+        n_random = 3
+        for index in range(len(pairs) + n_random):
+            def one_hot(family, deltas, times, cut_indices=None, index=index):
+                values = np.zeros(deltas.shape[0])
+                values[index] = 1.0
+                return values
+
+            monkeypatch.setattr(measures, "_pair_backflows", one_hot)
+            report = blp_search(DEPHASING, self.WINDOW, n_random, 101, 9, alpha_count=3, phase_count=4)
+            expected = pairs[index] if index < len(pairs) else sample_random_pair(9, index - len(pairs))
+            assert np.array_equal(report.witness.rho1, expected.rho1)
+            assert np.array_equal(report.witness.rho2, expected.rho2)
+
+    def test_only_the_witness_is_validated(self, monkeypatch):
+        calls = []
+        validate = measures.assert_density_matrix
+
+        def counting(m, *args, **kwargs):
+            calls.append(1)
+            return validate(m, *args, **kwargs)
+
+        monkeypatch.setattr(measures, "assert_density_matrix", counting)
+        for figure in ("fig1", "fig4"):
+            run_figure(figure, resolve_config(figure, None, {"pairs": 3, "grid": 201, "rows": 3}))
+        assert len(calls) == 0
+        blp_search(LORENTZ, (0.0, 30.0), 20, 401, 4)
+        assert len(calls) == 2
+
 
 class TestPairBackflows:
     def test_prefix_cuts_match_trajectory_integrals(self):
@@ -281,9 +364,8 @@ class TestTurningPointReduction:
         family = _window_family(kind, param)
         times = np.linspace(0.0, t1, grid)
         cuts = [1 + round(x * (grid - 2)) for x in fractions] or None
-        deltas = np.stack(
-            [_random_difference(seed, k) for k in range(4)]
-            + [optimal_pair(0.3, 1.0, "eta").difference()]
+        deltas = np.concatenate(
+            [_random_differences(seed, 0, 4), optimal_pair(0.3, 1.0, "eta").difference()[None]]
         )
         f = np.asarray(family.decoherence(times))
         full = _positive_increments(_trace_distances(family, deltas[:, None], f), cuts)
@@ -312,7 +394,7 @@ class TestTurningPointReduction:
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
            st.floats(0.0, 2 * math.pi))
     def test_trace_distance_depends_on_the_magnitude_only(self, seed, a, b, phase):
-        delta = _random_difference(seed, 0)
+        delta = _random_differences(seed, 0, 1)[0]
         lo, hi = sorted((a, b))
         for family, turned in (
             (DEPHASING, lambda x: x * complex(math.cos(phase), math.sin(phase))),

@@ -62,6 +62,23 @@ class TestCorrelationMatrix:
             direct = np.trace(rho @ tensor_product(PAULIS[j], PAULIS[jp])).real
             assert mat[j, jp] == pytest.approx(direct, abs=1e-13)
 
+    def test_pauli_table_is_exact(self):
+        # The products come from a table built once; they must give the same
+        # bits as a Kronecker product per entry, which the figure CSVs rely on.
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            rho = g @ g.conj().T
+            rho /= np.trace(rho).real
+            direct = np.array([[np.trace(rho @ tensor_product(sj, sjp)).real for sjp in PAULIS]
+                               for sj in PAULIS])
+            assert np.array_equal(correlation_matrix(rho), direct)
+            c1, c2, c3 = random_bell_diagonal_triple(rng)
+            summed = np.eye(4, dtype=complex)
+            for coeff, sigma in zip((c1, c2, c3), PAULIS):
+                summed += coeff * tensor_product(sigma, sigma)
+            assert np.array_equal(bell_diagonal((c1, c2, c3)), summed / 4.0)
+
     def test_dephased_entry_table(self):
         # Dephasing rotates the xy block by the phase of kappa and leaves zz:
         # rows (c1 x, c2 y, 0), (-c1 y, c2 x, 0), (0, 0, c3).
