@@ -16,7 +16,9 @@ def _fmt(x: float) -> str:
 
 
 def _add_figure_parser(sub, name: str) -> None:
-    p = sub.add_parser(name, help=f"write the {name} data table as CSV")
+    # Flags are matched in full: with abbreviations, a flag that is gone (such
+    # as fig2's --theta) would be taken as a prefix of another (--theta-count).
+    p = sub.add_parser(name, help=f"write the {name} data table as CSV", allow_abbrev=False)
     p.add_argument("--config", help="JSON config file (flag > config > default)")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
@@ -24,8 +26,9 @@ def _add_figure_parser(sub, name: str) -> None:
     if name in ("fig1", "fig2", "fig4"):
         p.add_argument("--pairs", type=int)
         p.add_argument("--grid", type=int)
-    if name in ("fig1", "fig2", "fig3a", "fig3b"):
+    if name in ("fig1", "fig3a", "fig3b"):
         p.add_argument("--theta", type=float)
+    if name in ("fig1", "fig2", "fig3a", "fig3b"):
         p.add_argument("--dw", "--delta-omega", dest="delta_omega", type=float)
         p.add_argument("--sigma", type=float)
         p.add_argument("--omega1", type=float)
@@ -33,6 +36,8 @@ def _add_figure_parser(sub, name: str) -> None:
         p.add_argument("--theta-count", dest="theta_count", type=int)
     if name == "fig2":
         p.add_argument("--tauc-count", dest="tauc_count", type=int)
+        p.add_argument("--alpha-count", dest="alpha_count", type=int)
+        p.add_argument("--phase-count", dest="phase_count", type=int)
     if name == "fig4":
         p.add_argument("--gamma0", type=float)
         p.add_argument("--ratio", dest="width_ratio", type=float)

@@ -96,13 +96,27 @@ def kappa_complex(spec: DephasingSpec, tau):
     Accepts a scalar or an array of reduced times.
     """
     t = np.asarray(tau, dtype=float)
-    c2 = math.cos(spec.theta) ** 2
-    s2 = math.sin(spec.theta) ** 2
-    envelope = np.exp(-0.5 * (spec.sigma * t) ** 2)
-    value = envelope * (c2 * np.exp(1j * spec.omega1 * t) + s2 * np.exp(1j * spec.omega2 * t))
+    value = _kappa(spec, math.cos(spec.theta) ** 2, math.sin(spec.theta) ** 2, t)
     if np.ndim(tau) == 0:
         return complex(value)
     return value
+
+
+def _kappa(spec: DephasingSpec, c2, s2, t: np.ndarray):
+    """kappa's expression with the peak weights c2 = cos^2(theta) and
+    s2 = sin^2(theta) given apart from ``spec`` (whose theta is not read);
+    weights of shape (n, 1) broadcast it over n angles."""
+    envelope = np.exp(-0.5 * (spec.sigma * t) ** 2)
+    return envelope * (c2 * np.exp(1j * spec.omega1 * t) + s2 * np.exp(1j * spec.omega2 * t))
+
+
+def _kappa_over_thetas(spec: DephasingSpec, thetas, t) -> np.ndarray:
+    """kappa on the 1-D grid ``t`` for each angle in ``thetas``, one row per
+    angle: row i equals kappa_complex(replace(spec, theta=thetas[i]), t) bit
+    for bit (the weights are the same math.cos/math.sin scalars)."""
+    c2 = np.array([[math.cos(theta) ** 2] for theta in thetas])
+    s2 = np.array([[math.sin(theta) ** 2] for theta in thetas])
+    return _kappa(spec, c2, s2, np.asarray(t, dtype=float))
 
 
 def kappa_abs(spec: DephasingSpec, tau):

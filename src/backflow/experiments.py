@@ -23,8 +23,10 @@ import numpy as np
 from . import __version__
 from .channels import AmplitudeDampingChannel, ChannelFamily, DephasingChannel, apply_amplitude_damping, apply_dephasing
 from .decoherence import DephasingSpec, LorentzSpec, analytic_blp_dephasing, chi, kappa_complex, transition_thetas
+from .decoherence import _kappa_over_thetas
+from .measures import _optimal_differences, _pair_backflows, _random_differences, _window_backflows, _window_times
 # sample_random_pair is not called here: perfbench/tracer.py wraps it at this name.
-from .measures import _optimal_differences, _pair_backflows, _random_differences, blp_search, sample_random_pair  # noqa: F401
+from .measures import sample_random_pair  # noqa: F401
 from .rsp import bell_diagonal, correlation_matrix, rsp_fidelity
 
 __all__ = [
@@ -163,6 +165,10 @@ def _dephasing_family(cfg: dict, theta: float | None = None) -> DephasingChannel
 
 
 def _lorentz_family(cfg: dict) -> AmplitudeDampingChannel:
+    # eps = 0 at ratio 2 and the dynamics has no revival beyond it, so the
+    # revival time 2 pi/eps that places fig4's rows exists only inside (0, 2).
+    if not 0.0 < cfg["width_ratio"] < 2.0:
+        raise ValueError(f"width_ratio={cfg['width_ratio']} must lie strictly inside (0, 2)")
     return AmplitudeDampingChannel(
         LorentzSpec(gamma0=cfg["gamma0"], width=cfg["width_ratio"] * cfg["gamma0"])
     )
@@ -283,9 +289,14 @@ def run_fig4(cfg: dict):
 def run_fig2(cfg: dict):
     """Closed-form and numeric backflow over the (tau_c, theta) plane.
 
-    The numeric column comes from the optimal-pair search on the same window;
-    all optimal-pair candidates share one exact trajectory, so the default
-    candidate grid is kept small (configurable via alpha_count/phase_count).
+    The numeric column is ``blp_search(...).value`` on the window
+    [0, tau_c] for each row, computed in one kernel pass: kappa is evaluated
+    for every theta at once per control time, one candidate stack (the
+    alpha_count x phase_count optimal grid, both variants, then ``pairs``
+    seeded random pairs) is evolved at the turning points of all windows
+    together, and each row takes the maximum over the candidates of its own
+    window's backflow.  No witness is built.  All optimal candidates share
+    one exact trajectory, so the default candidate grid is kept small.
     """
     _require(cfg, {"theta_count": 1, "tauc_count": 1, "grid": 2, "pairs": 0,
                    "alpha_count": 1, "phase_count": 1})
@@ -293,24 +304,22 @@ def run_fig2(cfg: dict):
     sigma = cfg["sigma"]
     tauc_grid = np.linspace(1.2 * math.pi / dw, 2.0 * math.pi / dw, int(cfg["tauc_count"]))
     theta_grid = np.linspace(0.0, math.pi / 2, int(cfg["theta_count"]))
-    header = ["tau_c", "theta", "N_analytic", "N_numeric", "theta1", "theta2"]
-    rows = []
+    closed, windows = [], []
     for tau_c in tauc_grid:
         theta1, theta2 = transition_thetas(dw, sigma, tau_c)
-        for theta in theta_grid:
-            family = _dephasing_family(cfg, theta=float(theta))
-            analytic = analytic_blp_dephasing(family.spec, float(tau_c))
-            numeric = blp_search(
-                family,
-                (0.0, float(tau_c)),
-                n_pairs=int(cfg["pairs"]),
-                grid_size=int(cfg["grid"]),
-                seed=int(cfg["seed"]),
-                alpha_count=int(cfg["alpha_count"]),
-                phase_count=int(cfg["phase_count"]),
-            ).value
-            rows.append((tau_c, theta, analytic, numeric, theta1, theta2))
-    return header, rows
+        specs = [DephasingSpec(float(theta), cfg["omega1"], cfg["omega1"] + dw, sigma) for theta in theta_grid]
+        times = _window_times((0.0, float(tau_c)), int(cfg["grid"]))
+        windows.extend(_kappa_over_thetas(specs[0], theta_grid, times))
+        closed += [(tau_c, theta, analytic_blp_dephasing(spec, float(tau_c)), theta1, theta2)
+                   for theta, spec in zip(theta_grid, specs)]
+    deltas = np.concatenate([
+        _optimal_differences(int(cfg["alpha_count"]), int(cfg["phase_count"])),
+        _random_differences(int(cfg["seed"]), 0, int(cfg["pairs"])),
+    ])
+    numeric = _window_backflows(DephasingChannel(specs[0]), deltas, windows).max(axis=0)
+    header = ["tau_c", "theta", "N_analytic", "N_numeric", "theta1", "theta2"]
+    return header, [(tau_c, theta, n, value, theta1, theta2)
+                    for (tau_c, theta, n, theta1, theta2), value in zip(closed, numeric)]
 
 
 def rsp_fidelity_after(c, apply, value) -> float:

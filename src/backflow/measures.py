@@ -120,9 +120,26 @@ class MeasureReport:
             raise ValueError(f"measure value {self.value} must be non-negative")
 
 
+def _ket_norms(kets: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each complex 4-ket along the last axis.
+
+    The squares are added in the order in which the x86-64 OpenBLAS dot
+    kernel adds four entries, the call np.linalg.norm makes on one ket (real
+    parts, then imaginary parts, each as (0 + 2) + (1 + 3)).  With that BLAS
+    the two norms agree to the bit; with any BLAS, scalar kets and stacked
+    kets round alike, because both are normalized here.
+    """
+    re, im = kets.real * kets.real, kets.imag * kets.imag
+    return np.sqrt(((re[..., 0] + re[..., 2]) + (re[..., 1] + re[..., 3]))
+                   + ((im[..., 0] + im[..., 2]) + (im[..., 1] + im[..., 3])))
+
+
+def _normalized(kets: np.ndarray) -> np.ndarray:
+    return kets / _ket_norms(kets)[..., None]
+
+
 def _ket(amplitudes) -> np.ndarray:
-    v = np.asarray(amplitudes, dtype=complex)
-    return v / np.linalg.norm(v)
+    return _normalized(np.asarray(amplitudes, dtype=complex))
 
 
 _VARIANTS = ("zeta", "eta")
@@ -173,8 +190,7 @@ def _pair_stream(seed: int, index: int) -> np.random.Generator:
 
 
 def _haar_ket(rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return v / np.linalg.norm(v)
+    return _normalized(rng.standard_normal(4) + 1j * rng.standard_normal(4))
 
 
 def sample_random_pair(seed: int, index: int = 0) -> StatePair:
@@ -190,14 +206,8 @@ def sample_random_pair(seed: int, index: int = 0) -> StatePair:
 
 
 # The stacks below equal the difference() of the validated pairs above bit for
-# bit: every step is the same elementwise ufunc, and each ket is divided by
-# its own 1-D np.linalg.norm (a batched norm or einsum sums in another order
-# and moves the last ulp).
-
-
-def _normalized(kets: np.ndarray) -> np.ndarray:
-    norms = np.array([np.linalg.norm(k) for k in kets.reshape(-1, 4)])
-    return kets / norms.reshape(kets.shape[:-1] + (1,))
+# bit: every step is the same elementwise ufunc, and every ket is normalized
+# by _ket_norms.
 
 
 def _differences(kets: np.ndarray) -> np.ndarray:
@@ -277,6 +287,18 @@ def blp_integral(traj: Trajectory) -> float:
     return float(_positive_increments(traj.values))
 
 
+def _chunked_backflows(family: ChannelFamily, deltas: np.ndarray, f: np.ndarray, reduce) -> np.ndarray:
+    """``reduce`` of the trace distances of each pair at the samples ``f``,
+    evolved in chunks of pairs of about ``_CHUNK_ENTRIES`` entries and
+    concatenated along the pair axis."""
+    deltas = np.asarray(deltas, dtype=complex)
+    pair_chunk = max(1, _CHUNK_ENTRIES // (16 * f.size))
+    return np.concatenate([
+        reduce(_trace_distances(family, deltas[lo : lo + pair_chunk, None], f))
+        for lo in range(0, deltas.shape[0], pair_chunk)
+    ])
+
+
 def _pair_backflows(
     family: ChannelFamily,
     deltas: np.ndarray,
@@ -288,19 +310,30 @@ def _pair_backflows(
     Returns shape (P,) for the full window, or (P, len(cut_indices)) of
     prefix integrals over [times[0], times[cut]] when ``cut_indices`` is
     given (each cut index must be >= 1).  The pairs are evolved only at the
-    turning points of |f| and the cuts (see the module docstring), in chunks
-    of pairs of about ``_CHUNK_ENTRIES`` evolved entries.
+    turning points of |f| and the cuts (see the module docstring).
     """
-    deltas = np.asarray(deltas, dtype=complex)
     f = np.asarray(family.decoherence(times))
     kept = _turning_points(np.abs(f), cut_indices)
-    f = f[kept]
     cuts = None if cut_indices is None else np.searchsorted(kept, cut_indices)
-    pair_chunk = max(1, _CHUNK_ENTRIES // (16 * f.size))
-    return np.concatenate([
-        _positive_increments(_trace_distances(family, deltas[lo : lo + pair_chunk, None], f), cuts)
-        for lo in range(0, deltas.shape[0], pair_chunk)
-    ])
+    return _chunked_backflows(family, deltas, f[kept], partial(_positive_increments, cut_indices=cuts))
+
+
+def _window_backflows(family: ChannelFamily, deltas: np.ndarray, windows) -> np.ndarray:
+    """Backflow integral of each pair over each of several windows: (P, W).
+
+    ``windows`` holds W 1-D arrays of decoherence samples, each on its own
+    window's grid.  The turning points of every window are concatenated and
+    evolved together, one spectrum call per chunk of pairs; each window's
+    segment of the trace distances is then reduced on its own, so column w
+    equals ``_pair_backflows`` over window w alone.
+    """
+    kept = [f[_turning_points(np.abs(f))] for f in windows]
+    starts = np.cumsum([k.size for k in kept])[:-1]
+
+    def segments(d: np.ndarray) -> np.ndarray:
+        return np.stack([_positive_increments(seg) for seg in np.split(d, starts, axis=-1)], axis=-1)
+
+    return _chunked_backflows(family, deltas, np.concatenate(kept), segments)
 
 
 def _window_times(window: tuple[float, float], grid_size: int) -> np.ndarray:
@@ -358,7 +391,7 @@ def blp_search(
     times = _window_times(window, grid_size)
     optimal = _optimal_differences(alpha_count, phase_count)
     deltas = np.concatenate([optimal, _random_differences(seed, 0, n_pairs)])
-    values = _pair_backflows(family, deltas, times)
+    values = _window_backflows(family, deltas, [family.decoherence(times)])[:, 0]
     best = int(np.argmax(values))
     if best < len(optimal):
         alphas, phases = _optimal_grid(alpha_count, phase_count)

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from backflow import transition_thetas
+from backflow import DephasingChannel, DephasingSpec, analytic_blp_dephasing, blp_search, transition_thetas
+from backflow import measures
 from backflow.experiments import (
     default_config,
     resolve_config,
@@ -166,6 +167,66 @@ class TestFig2:
         ]
         assert target.shape[0] == 1
         assert target[0, 2] == pytest.approx(math.exp(-0.5 * (2 * math.pi / 10) ** 2), abs=1e-12)
+
+
+def fig2_rows_by_search(cfg):
+    """The fig2 table as one blp_search per (tau_c, theta) row."""
+    dw, sigma = cfg["delta_omega"], cfg["sigma"]
+    rows = []
+    for tau_c in np.linspace(1.2 * math.pi / dw, 2.0 * math.pi / dw, cfg["tauc_count"]):
+        theta1, theta2 = transition_thetas(dw, sigma, tau_c)
+        for theta in np.linspace(0.0, math.pi / 2, cfg["theta_count"]):
+            spec = DephasingSpec(float(theta), cfg["omega1"], cfg["omega1"] + dw, sigma)
+            numeric = blp_search(
+                DephasingChannel(spec), (0.0, float(tau_c)), n_pairs=cfg["pairs"],
+                grid_size=cfg["grid"], seed=cfg["seed"],
+                alpha_count=cfg["alpha_count"], phase_count=cfg["phase_count"],
+            ).value
+            rows.append((tau_c, theta, analytic_blp_dephasing(spec, float(tau_c)), numeric, theta1, theta2))
+    return rows
+
+
+class TestFig2OnePass:
+    """run_fig2 evaluates all windows in one kernel pass; its rows must equal
+    the per-row searches bit for bit."""
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"pairs": 3},
+        {"alpha_count": 3, "phase_count": 5},
+        {"tauc_count": 2, "theta_count": 4},
+    ])
+    def test_rows_equal_per_row_searches(self, overrides):
+        cfg = resolve_config("fig2", None, {"grid": 401, **overrides})
+        _, rows = run_figure("fig2", cfg)
+        assert np.array(rows).tobytes() == np.array(fig2_rows_by_search(cfg)).tobytes()
+
+    def test_rows_equal_per_row_searches_over_several_pair_chunks(self, monkeypatch):
+        cfg = resolve_config("fig2", None, {"grid": 401, "pairs": 6, "tauc_count": 2, "theta_count": 5})
+        expected = np.array(fig2_rows_by_search(cfg))
+        chunks = []
+        trace_distances = measures._trace_distances
+
+        def counting(family, deltas, f):
+            chunks.append(deltas.shape[0])
+            return trace_distances(family, deltas, f)
+
+        # Three pairs per chunk: the 8 optimal and 6 random candidates span 5.
+        monkeypatch.setattr(measures, "_trace_distances", counting)
+        kept = sum(measures._turning_points(np.abs(w)).size for w in self._windows(cfg))
+        monkeypatch.setattr(measures, "_CHUNK_ENTRIES", 16 * kept * 3)
+        _, rows = run_figure("fig2", cfg)
+        assert chunks == [3, 3, 3, 3, 2]
+        assert np.array(rows).tobytes() == expected.tobytes()
+
+    @staticmethod
+    def _windows(cfg):
+        dw = cfg["delta_omega"]
+        for tau_c in np.linspace(1.2 * math.pi / dw, 2.0 * math.pi / dw, cfg["tauc_count"]):
+            times = np.linspace(0.0, float(tau_c), cfg["grid"])
+            for theta in np.linspace(0.0, math.pi / 2, cfg["theta_count"]):
+                spec = DephasingSpec(float(theta), cfg["omega1"], cfg["omega1"] + dw, cfg["sigma"])
+                yield DephasingChannel(spec).decoherence(times)
 
 
 class TestFig3:
@@ -390,6 +451,36 @@ class TestCli:
             assert out.returncode == 1
             assert out.stdout == ""
             assert out.stderr.splitlines() == ["error: grid_size=1 must be at least 2"]
+
+    def test_fig4_rejects_width_ratio_outside_the_revival_regime(self, tmp_path):
+        for ratio in ("0", "-0.1", "2.0", "2.5"):
+            out = run_cli("fig4", "--ratio", ratio, "--pairs", "3", "--grid", "101", "--rows", "3",
+                          "--out", str(tmp_path / "f.csv"))
+            assert out.returncode == 1
+            lines = out.stderr.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith("error: width_ratio=") and "(0, 2)" in lines[0]
+            assert not (tmp_path / "f.csv").exists()
+
+    def test_fig2_candidate_grid_flags(self, tmp_path):
+        sizes = ["--grid", "101", "--tauc-count", "2", "--theta-count", "3"]
+        out = run_cli("fig2", *sizes, "--alpha-count", "3", "--phase-count", "5",
+                      "--out", str(tmp_path / "flags.csv"))
+        assert out.returncode == 0
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"fig2": {"alpha_count": 3, "phase_count": 5}}))
+        out = run_cli("fig2", *sizes, "--config", str(cfg_file), "--out", str(tmp_path / "config.csv"))
+        assert out.returncode == 0
+        assert (tmp_path / "flags.csv").read_bytes() == (tmp_path / "config.csv").read_bytes()
+        meta = json.loads((tmp_path / "flags.csv.meta.json").read_text())
+        assert (meta["config"]["alpha_count"], meta["config"]["phase_count"]) == (3, 5)
+        # fig2 sweeps its own theta grid, so it has no --theta, and --theta is
+        # not read as an abbreviation of --theta-count either.
+        for value in ("0.3", "3"):
+            out = run_cli("fig2", *sizes, "--theta", value, "--out", str(tmp_path / "theta.csv"))
+            assert out.returncode == 2
+            assert "unrecognized arguments: --theta" in out.stderr
+            assert not (tmp_path / "theta.csv").exists()
 
     def test_figure_command_respects_config_file(self, tmp_path):
         cfg_file = tmp_path / "c.json"

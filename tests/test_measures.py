@@ -32,12 +32,14 @@ from backflow import measures
 from backflow.measures import (
     _CHUNK_ENTRIES,
     _STEP_EXCESS,
+    _ket_norms,
     _mutual_information,
     _optimal_differences,
     _pair_backflows,
     _positive_increments,
     _random_differences,
     _trace_distances,
+    _window_backflows,
 )
 from backflow.experiments import resolve_config, run_figure
 from oracles import binary_entropy, golden_max
@@ -281,16 +283,26 @@ class TestCandidateStacks:
         # Every index decodes to its own candidate, random pairs included.
         n_random = 3
         for index in range(len(pairs) + n_random):
-            def one_hot(family, deltas, times, cut_indices=None, index=index):
-                values = np.zeros(deltas.shape[0])
+            def one_hot(family, deltas, windows, index=index):
+                values = np.zeros((deltas.shape[0], len(windows)))
                 values[index] = 1.0
                 return values
 
-            monkeypatch.setattr(measures, "_pair_backflows", one_hot)
+            monkeypatch.setattr(measures, "_window_backflows", one_hot)
             report = blp_search(DEPHASING, self.WINDOW, n_random, 101, 9, alpha_count=3, phase_count=4)
             expected = pairs[index] if index < len(pairs) else sample_random_pair(9, index - len(pairs))
             assert np.array_equal(report.witness.rho1, expected.rho1)
             assert np.array_equal(report.witness.rho2, expected.rho2)
+
+    def test_ket_norms_within_one_ulp_of_linalg_norm(self):
+        rng = np.random.default_rng(5)
+        kets = rng.standard_normal((5000, 4)) + 1j * rng.standard_normal((5000, 4))
+        kets = np.concatenate([kets, np.eye(4), [[1.0, 1e-9, 1e9, -2.0j]]])
+        norms = _ket_norms(kets)
+        expected = np.array([np.linalg.norm(k) for k in kets])
+        assert norms.shape == expected.shape
+        assert np.all(np.abs(norms - expected) <= np.spacing(expected))
+        assert float(_ket_norms(kets[7])) == float(norms[7])
 
     def test_only_the_witness_is_validated(self, monkeypatch):
         calls = []
@@ -327,6 +339,31 @@ class TestPairBackflows:
             assert np.all(prefix[:, -1] > 0.0)
 
 
+class TestWindowBackflows:
+    DELTAS = np.concatenate([_optimal_differences(2, 3), _random_differences(8, 0, 5)])
+
+    def test_one_window_equals_pair_backflows(self):
+        for family, t1, grid in ((DEPHASING, 2.5 * REVIVAL, 4001), (LORENTZ, 30.0, 2001),
+                                 (DEPHASING, 0.5 * REVIVAL, 2)):
+            times = np.linspace(0.0, t1, grid)
+            values = _window_backflows(family, self.DELTAS, [family.decoherence(times)])
+            assert values.shape == (len(self.DELTAS), 1)
+            assert values[:, 0].tobytes() == _pair_backflows(family, self.DELTAS, times).tobytes()
+
+    def test_each_column_equals_its_own_window(self, monkeypatch):
+        # Windows of different lengths and angles; then again with one pair per
+        # chunk, so the segments are cut from many chunks.
+        windows = [np.linspace(0.0, t1, grid) for t1, grid in
+                   ((REVIVAL, 401), (1.5 * REVIVAL, 2), (3.0 * REVIVAL, 1201), (0.2 * REVIVAL, 57))]
+        families = [DephasingChannel(DephasingSpec(theta)) for theta in (0.0, 0.4, math.pi / 4, 1.5)]
+        expected = np.stack([_pair_backflows(family, self.DELTAS, times)
+                             for family, times in zip(families, windows)], axis=-1)
+        samples = [family.decoherence(times) for family, times in zip(families, windows)]
+        assert _window_backflows(DEPHASING, self.DELTAS, samples).tobytes() == expected.tobytes()
+        monkeypatch.setattr(measures, "_CHUNK_ENTRIES", 1)
+        assert _window_backflows(DEPHASING, self.DELTAS, samples).tobytes() == expected.tobytes()
+
+
 # Window cases for the turning-point properties: a family and a uniform grid.
 # kappa vanishes at pi/dw and 3 pi/dw, grid nodes 1000 and 3000 (100 and 300
 # of 401 points); chi changes sign twice in (0, 30).
@@ -338,6 +375,15 @@ def _window_family(kind, param):
     if kind == "dephasing":
         return DephasingChannel(DephasingSpec(param))
     return AmplitudeDampingChannel(LorentzSpec(1.0, param))
+
+
+def _monotone_stretch_ends(values):
+    """First and last index and every index where the step of ``values``
+    changes its sign (rising, falling or flat), so that ``values`` is
+    monotone between consecutive ends."""
+    steps = [(b > a) - (b < a) for a, b in zip(values[:-1], values[1:])]
+    turns = [i for i in range(1, len(steps)) if steps[i] != steps[i - 1]]
+    return [0, *turns, len(values) - 1]
 
 
 _WINDOWS = st.one_of(
@@ -377,16 +423,25 @@ class TestTurningPointReduction:
     @given(_WINDOWS.map(lambda w: w[:3] + (min(w[3], 401),)))
     @example(_PI4_ZERO[:3] + (401,))
     @example(_LORENTZ_SIGN[:3] + (401,))
+    @example(("lorentz", 1.5, 25.0, 385))
     def test_choi_measures_match_full_grid(self, window):
+        # The reference scores every grid point, then collapses each monotone
+        # stretch of |f| to its endpoints: the score is monotone there too, so
+        # the stretch's positive increments add up to the positive part of its
+        # end-to-end increment.  A plain sum over every grid step would also
+        # pick up the scores' rounding noise inside the stretches (scores reach
+        # 4, so 1 ulp is 8.9e-16), which can exceed the 1e-14 floor.
         kind, param, t1, grid = window
         family = _window_family(kind, param)
         times = np.linspace(0.0, t1, grid)
         states = [choi_state(family, float(t), 4) for t in times]
+        ends = _monotone_stretch_ends(np.abs(family.decoherence(times)).tolist())
         for measure, score in (
             (entanglement_measure, lambda rho: negativity(rho, 1, (4, 4))),
             (mutual_info_measure, _mutual_information),
         ):
-            full = float(_positive_increments(np.array([score(rho) for rho in states])))
+            scores = [score(rho) for rho in states]
+            full = sum(max(scores[b] - scores[a], 0.0) for a, b in zip(ends, ends[1:]))
             fast = measure(family, (0.0, t1), grid).value
             assert abs(fast - full) <= 1e-12 * abs(full) + 1e-14
 
