@@ -7,7 +7,8 @@ import sys
 
 from .channels import AmplitudeDampingChannel, DephasingChannel, apply_dephasing
 from .decoherence import DephasingSpec, LorentzSpec, chi, kappa_abs, transition_thetas
-from .experiments import FIGURES, resolve_config, rsp_fidelity_after, run_figure, write_csv, write_metadata
+from .experiments import FIGURES, figure_keys, resolve_config, rsp_fidelity_after, run_figure, write_csv, write_metadata
+from .experiments import _FAMILY_DEFAULTS, _SHARED_DEFAULTS
 from .measures import blp_search, divisibility_measure, entanglement_measure, mutual_info_measure
 
 
@@ -15,44 +16,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# Flags spelled before the config table; every other key is --key-name.
+_FLAG_ALIASES = {"delta_omega": ("--dw", "--delta-omega"), "width_ratio": ("--ratio",)}
+
+
 def _add_figure_parser(sub, name: str) -> None:
     # Flags are matched in full: with abbreviations, a flag that is gone (such
     # as fig2's --theta) would be taken as a prefix of another (--theta-count).
     p = sub.add_parser(name, help=f"write the {name} data table as CSV", allow_abbrev=False)
     p.add_argument("--config", help="JSON config file (flag > config > default)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--workers", type=int)
-    if name in ("fig1", "fig2", "fig4"):
-        p.add_argument("--pairs", type=int)
-        p.add_argument("--grid", type=int)
-    if name in ("fig1", "fig3a", "fig3b"):
-        p.add_argument("--theta", type=float)
-    if name in ("fig1", "fig2", "fig3a", "fig3b"):
-        p.add_argument("--dw", "--delta-omega", dest="delta_omega", type=float)
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--omega1", type=float)
-    if name in ("fig2", "fig3a", "fig3b"):
-        p.add_argument("--theta-count", dest="theta_count", type=int)
-    if name == "fig2":
-        p.add_argument("--tauc-count", dest="tauc_count", type=int)
-        p.add_argument("--alpha-count", dest="alpha_count", type=int)
-        p.add_argument("--phase-count", dest="phase_count", type=int)
-    if name == "fig4":
-        p.add_argument("--gamma0", type=float)
-        p.add_argument("--ratio", dest="width_ratio", type=float)
-        p.add_argument("--rows", type=int)
-        p.add_argument("--tc-start", dest="tc_start", type=float)
-        p.add_argument("--tc-stop", dest="tc_stop", type=float)
-    if name == "fig1":
-        p.add_argument("--rows", type=int)
-        p.add_argument("--tauc-start", dest="tauc_start", type=float)
-        p.add_argument("--tauc-stop", dest="tauc_stop", type=float)
-    if name == "fig5":
-        p.add_argument("--gamma0", type=float)
-        p.add_argument("--ratio-count", dest="ratio_count", type=int)
-        p.add_argument("--ratio-min", dest="ratio_min", type=float)
-        p.add_argument("--ratio-max", dest="ratio_max", type=float)
+    for key, kind in figure_keys(name).items():
+        p.add_argument(*_FLAG_ALIASES.get(key, ("--" + key.replace("_", "-"),)), dest=key, type=kind)
 
 
 def _figure_overrides(args: argparse.Namespace) -> dict:
@@ -61,8 +35,7 @@ def _figure_overrides(args: argparse.Namespace) -> dict:
 
 
 def _dephasing_spec(args: argparse.Namespace, theta: float) -> DephasingSpec:
-    omega1 = getattr(args, "omega1", None) or 0.0
-    return DephasingSpec(theta=theta, omega1=omega1, omega2=omega1 + args.dw, sigma=args.sigma)
+    return DephasingSpec(theta=theta, omega1=args.omega1, omega2=args.omega1 + args.dw, sigma=args.sigma)
 
 
 def _run_figure_command(args: argparse.Namespace) -> int:
@@ -92,10 +65,17 @@ def _run_transition(args: argparse.Namespace) -> int:
 
 
 def _run_fidelity(args: argparse.Namespace) -> int:
-    c = tuple(float(x) for x in args.c.split(","))
+    try:
+        c = tuple(float(x) for x in args.c.split(","))
+    except ValueError:
+        c = ()
     if len(c) != 3:
-        raise ValueError("--c expects three comma-separated values, e.g. 1,-1,1")
-    print(_fmt(rsp_fidelity_after(c, apply_dephasing, complex(args.kappa))))
+        raise ValueError(f"--c expects three comma-separated numbers, e.g. 1,-1,1, got {args.c!r}")
+    try:
+        kappa = complex(args.kappa)
+    except ValueError:
+        raise ValueError(f"--kappa expects a real or complex number, got {args.kappa!r}") from None
+    print(_fmt(rsp_fidelity_after(c, apply_dephasing, kappa)))
     return 0
 
 
@@ -155,16 +135,16 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["blp", "divisibility", "entanglement", "mutual-info"])
     p.add_argument("--family", required=True, choices=["dephasing", "lorentz"])
     p.add_argument("--theta", type=float, default=0.7853981633974483)
-    p.add_argument("--dw", "--delta-omega", dest="dw", type=float, default=10.0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--omega1", type=float, default=0.0)
-    p.add_argument("--gamma0", type=float, default=1.0)
+    p.add_argument("--dw", "--delta-omega", dest="dw", type=float, default=_FAMILY_DEFAULTS["dephasing"]["delta_omega"])
+    p.add_argument("--sigma", type=float, default=_FAMILY_DEFAULTS["dephasing"]["sigma"])
+    p.add_argument("--omega1", type=float, default=_FAMILY_DEFAULTS["dephasing"]["omega1"])
+    p.add_argument("--gamma0", type=float, default=_FAMILY_DEFAULTS["lorentz"]["gamma0"])
     p.add_argument("--width", type=float, default=0.1)
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--grid", type=int, default=4001)
     p.add_argument("--pairs", type=int, default=0)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=_SHARED_DEFAULTS["seed"])
 
     return parser
 

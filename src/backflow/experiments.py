@@ -32,6 +32,7 @@ from .rsp import bell_diagonal, correlation_matrix, rsp_fidelity
 __all__ = [
     "FIGURES",
     "default_config",
+    "figure_keys",
     "resolve_config",
     "rsp_fidelity_after",
     "run_figure",
@@ -43,18 +44,18 @@ __all__ = [
 _STATE_A = (1.0, -1.0, 1.0)
 _STATE_B = (-0.5, 0.4, 0.8)
 
-_SHARED_DEFAULTS = {
-    "seed": 42,
-    "workers": 1,
-    "omega1": 0.0,
-    "delta_omega": 10.0,
-    "sigma": 1.0,
-    "gamma0": 1.0,
+# Keys every figure takes, then the keys of each physics family.
+_SHARED_DEFAULTS = {"seed": 42, "workers": 1}
+
+_FAMILY_DEFAULTS = {
+    "dephasing": {"omega1": 0.0, "delta_omega": 10.0, "sigma": 1.0},
+    "lorentz": {"gamma0": 1.0},
 }
 
+# Each figure names its family and lists its own keys.
 _FIGURE_DEFAULTS = {
     # Backflow integrals (optimal vs best random pair) vs dephasing control time.
-    "fig1": {
+    "fig1": ("dephasing", {
         "theta": math.pi / 4,
         "pairs": 10000,
         "grid": 4001,
@@ -62,9 +63,9 @@ _FIGURE_DEFAULTS = {
         "tauc_start": None,  # default 1.2 pi / dw
         "tauc_stop": None,  # default 3.6 pi / dw
         "out": "fig1.csv",
-    },
+    }),
     # Closed-form vs numeric backflow over the (tau_c, theta) plane.
-    "fig2": {
+    "fig2": ("dephasing", {
         "pairs": 0,
         "grid": 4001,
         "theta_count": 17,
@@ -72,12 +73,12 @@ _FIGURE_DEFAULTS = {
         "alpha_count": 2,
         "phase_count": 2,
         "out": "fig2.csv",
-    },
+    }),
     # Backflow measure vs RSP fidelity across the non-Markovian theta window.
-    "fig3a": {"theta_count": 25, "out": "fig3a.csv"},
-    "fig3b": {"theta_count": 25, "out": "fig3b.csv"},
+    "fig3a": ("dephasing", {"theta_count": 25, "out": "fig3a.csv"}),
+    "fig3b": ("dephasing", {"theta_count": 25, "out": "fig3b.csv"}),
     # Backflow integrals vs amplitude-damping control time.
-    "fig4": {
+    "fig4": ("lorentz", {
         "width_ratio": 0.1,
         "pairs": 10000,
         "grid": 4001,
@@ -85,27 +86,54 @@ _FIGURE_DEFAULTS = {
         "tc_start": None,  # default 0.1 * (2 pi / eps)
         "tc_stop": None,  # default 2.5 * (2 pi / eps)
         "out": "fig4.csv",
-    },
+    }),
     # Backflow measure and fidelity vs the width ratio at the revival time.
-    "fig5": {
+    "fig5": ("lorentz", {
         "ratio_count": 20,
         "ratio_min": 1e-3,
         "ratio_max": 2.0 - 1e-3,
         "out": "fig5.csv",
-    },
+    }),
 }
 
 FIGURES = tuple(_FIGURE_DEFAULTS)
 
-_KNOWN_KEYS = set(_SHARED_DEFAULTS).union(*_FIGURE_DEFAULTS.values())
+
+def _value_type(default) -> type:
+    # An optional bound (default None) takes a float.
+    return float if default is None else type(default)
+
+
+def figure_keys(figure: str) -> dict:
+    """The keys ``figure`` reads, each with the type of its value."""
+    family, own = _FIGURE_DEFAULTS[figure]
+    return {key: _value_type(d) for key, d in {**_SHARED_DEFAULTS, **_FAMILY_DEFAULTS[family], **own}.items()}
 
 
 def default_config(figure: str) -> dict:
+    """Every shared and family key, then the figure's own keys."""
     if figure not in _FIGURE_DEFAULTS:
         raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURES}")
-    cfg = dict(_SHARED_DEFAULTS)
-    cfg.update(_FIGURE_DEFAULTS[figure])
-    return cfg
+    tables = (_SHARED_DEFAULTS, *_FAMILY_DEFAULTS.values(), _FIGURE_DEFAULTS[figure][1])
+    return {key: value for table in tables for key, value in table.items()}
+
+
+_KEY_DEFAULTS = {key: value for figure in FIGURES for key, value in default_config(figure).items()}
+# Per value type: the JSON types it accepts and its name in an error.
+_ACCEPTS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
+
+
+def _check(key: str, value, where: str, known) -> None:
+    # Values are stored as given, so each must already have its key's type:
+    # an int key takes no float or bool, a float key also takes an int, and
+    # only a key whose default is None takes null.
+    if key not in known:
+        raise ValueError(f"unknown option {key!r} {where}")
+    default = _KEY_DEFAULTS[key]
+    accepted, name = _ACCEPTS[_value_type(default)]
+    if isinstance(value, bool) or not (isinstance(value, accepted) or (value is None and default is None)):
+        name += " or null" if default is None else ""
+        raise ValueError(f"{key}={json.dumps(value, default=str)} {where} must be {name}")
 
 
 def resolve_config(figure: str, config_path: str | None = None, overrides: dict | None = None) -> dict:
@@ -113,7 +141,9 @@ def resolve_config(figure: str, config_path: str | None = None, overrides: dict 
 
     The config file is JSON: flat keys apply to every figure, and an optional
     nested section named after the figure overrides the flat keys.  A key
-    that no figure knows, flat or in any section, is rejected by name.
+    that no figure knows, flat or in any section, is rejected by name, and
+    so is a value of the wrong type for its key; keys belonging to other
+    figures are otherwise ignored, so one config file can drive every runner.
     """
     cfg = default_config(figure)
     if config_path:
@@ -126,42 +156,25 @@ def resolve_config(figure: str, config_path: str | None = None, overrides: dict 
             if not isinstance(section, dict):
                 raise ValueError(f"section {name!r} in config file {config_path} must be a JSON object")
         for section in (flat, *nested.values()):
-            unknown = sorted(set(section) - _KNOWN_KEYS)
-            if unknown:
-                raise ValueError(f"unknown option {unknown[0]!r} in config file {config_path}")
-        _apply_known(cfg, flat)
-        if figure in nested:
-            _apply_known(cfg, nested[figure])
+            for key in sorted(section):
+                _check(key, section[key], f"in config file {config_path}", _KEY_DEFAULTS)
+        for section in (flat, nested.get(figure, {})):
+            cfg.update((k, v) for k, v in section.items() if k in cfg)
     for key, value in (overrides or {}).items():
         if value is not None:
-            if key not in cfg:
-                raise ValueError(f"unknown option {key!r} for {figure}")
+            _check(key, value, f"for {figure}", cfg)
             cfg[key] = value
     return cfg
 
 
-def _apply_known(cfg: dict, values: dict) -> None:
-    # Keys belonging to other figures are ignored so one config file can
-    # drive every runner.
-    for key, value in values.items():
-        if key in cfg:
-            cfg[key] = value
-
-
 def _require(cfg: dict, minima: dict) -> None:
     for key, lo in minima.items():
-        if int(cfg[key]) < lo:
+        if cfg[key] < lo:
             raise ValueError(f"{key}={cfg[key]} must be at least {lo}")
 
 
-def _dephasing_family(cfg: dict, theta: float | None = None) -> DephasingChannel:
-    spec = DephasingSpec(
-        theta=cfg["theta"] if theta is None else theta,
-        omega1=cfg["omega1"],
-        omega2=cfg["omega1"] + cfg["delta_omega"],
-        sigma=cfg["sigma"],
-    )
-    return DephasingChannel(spec)
+def _dephasing_spec(cfg: dict, theta) -> DephasingSpec:
+    return DephasingSpec(float(theta), cfg["omega1"], cfg["omega1"] + cfg["delta_omega"], cfg["sigma"])
 
 
 def _lorentz_family(cfg: dict) -> AmplitudeDampingChannel:
@@ -244,18 +257,16 @@ def run_fig1(cfg: dict):
     override the range; row times snap to the master grid.
     """
     _require(cfg, {"rows": 1, "grid": 2, "pairs": 1, "workers": 1})
-    family = _dephasing_family(cfg)
+    family = DephasingChannel(_dephasing_spec(cfg, cfg["theta"]))
     dw = cfg["delta_omega"]
-    rows = int(cfg["rows"])
     start = cfg["tauc_start"] if cfg["tauc_start"] is not None else 1.2 * math.pi / dw
     stop = cfg["tauc_stop"] if cfg["tauc_stop"] is not None else 3.6 * math.pi / dw
     if not 0.0 < start <= stop:
         raise ValueError(f"need 0 < tauc_start <= tauc_stop, got ({start}, {stop})")
     window_end = stop / 0.9  # keep headroom past the last row
-    fractions = np.linspace(start / window_end, 0.9, rows)
+    fractions = np.linspace(start / window_end, 0.9, cfg["rows"])
     tau_c, optimal, random_max = _integral_sweep(
-        family, window_end, int(cfg["grid"]), fractions,
-        int(cfg["pairs"]), int(cfg["seed"]), int(cfg["workers"]),
+        family, window_end, cfg["grid"], fractions, cfg["pairs"], cfg["seed"], cfg["workers"]
     )
     header = ["tau_c", "integral_optimal", "integral_random_max"]
     return header, list(zip(tau_c, optimal, random_max))
@@ -272,15 +283,13 @@ def run_fig4(cfg: dict):
     _require(cfg, {"rows": 1, "grid": 2, "pairs": 1, "workers": 1})
     family = _lorentz_family(cfg)
     revival = 2.0 * math.pi / family.spec.epsilon
-    rows = int(cfg["rows"])
     start = cfg["tc_start"] if cfg["tc_start"] is not None else 0.1 * revival
     stop = cfg["tc_stop"] if cfg["tc_stop"] is not None else 2.5 * revival
     if not 0.0 < start <= stop:
         raise ValueError(f"need 0 < tc_start <= tc_stop, got ({start}, {stop})")
-    fractions = np.linspace(start / stop, 1.0, rows)
+    fractions = np.linspace(start / stop, 1.0, cfg["rows"])
     t_c, optimal, random_max = _integral_sweep(
-        family, stop, int(cfg["grid"]), fractions,
-        int(cfg["pairs"]), int(cfg["seed"]), int(cfg["workers"]),
+        family, stop, cfg["grid"], fractions, cfg["pairs"], cfg["seed"], cfg["workers"]
     )
     header = ["t_c", "integral_optimal", "integral_random_max"]
     return header, list(zip(t_c, optimal, random_max))
@@ -301,20 +310,19 @@ def run_fig2(cfg: dict):
     _require(cfg, {"theta_count": 1, "tauc_count": 1, "grid": 2, "pairs": 0,
                    "alpha_count": 1, "phase_count": 1})
     dw = cfg["delta_omega"]
-    sigma = cfg["sigma"]
-    tauc_grid = np.linspace(1.2 * math.pi / dw, 2.0 * math.pi / dw, int(cfg["tauc_count"]))
-    theta_grid = np.linspace(0.0, math.pi / 2, int(cfg["theta_count"]))
+    tauc_grid = np.linspace(1.2 * math.pi / dw, 2.0 * math.pi / dw, cfg["tauc_count"])
+    theta_grid = np.linspace(0.0, math.pi / 2, cfg["theta_count"])
     closed, windows = [], []
     for tau_c in tauc_grid:
-        theta1, theta2 = transition_thetas(dw, sigma, tau_c)
-        specs = [DephasingSpec(float(theta), cfg["omega1"], cfg["omega1"] + dw, sigma) for theta in theta_grid]
-        times = _window_times((0.0, float(tau_c)), int(cfg["grid"]))
+        theta1, theta2 = transition_thetas(dw, cfg["sigma"], tau_c)
+        specs = [_dephasing_spec(cfg, theta) for theta in theta_grid]
+        times = _window_times((0.0, float(tau_c)), cfg["grid"])
         windows.extend(_kappa_over_thetas(specs[0], theta_grid, times))
         closed += [(tau_c, theta, analytic_blp_dephasing(spec, float(tau_c)), theta1, theta2)
                    for theta, spec in zip(theta_grid, specs)]
     deltas = np.concatenate([
-        _optimal_differences(int(cfg["alpha_count"]), int(cfg["phase_count"])),
-        _random_differences(int(cfg["seed"]), 0, int(cfg["pairs"])),
+        _optimal_differences(cfg["alpha_count"], cfg["phase_count"]),
+        _random_differences(cfg["seed"], 0, cfg["pairs"]),
     ])
     numeric = _window_backflows(DephasingChannel(specs[0]), deltas, windows).max(axis=0)
     header = ["tau_c", "theta", "N_analytic", "N_numeric", "theta1", "theta2"]
@@ -339,14 +347,13 @@ def run_fig3(cfg: dict, variant: str):
     """
     _require(cfg, {"theta_count": 1})
     dw = cfg["delta_omega"]
-    sigma = cfg["sigma"]
     tau_c = 1.5 * math.pi / dw if variant == "a" else 2.0 * math.pi / dw
-    theta1, theta2 = transition_thetas(dw, sigma, tau_c)
-    theta_grid = np.linspace(theta1, theta2, int(cfg["theta_count"]))
+    theta1, theta2 = transition_thetas(dw, cfg["sigma"], tau_c)
+    theta_grid = np.linspace(theta1, theta2, cfg["theta_count"])
     header = ["theta", "N", "F1", "F2"]
     rows = []
     for theta in theta_grid:
-        spec = DephasingSpec(float(theta), cfg["omega1"], cfg["omega1"] + dw, sigma)
+        spec = _dephasing_spec(cfg, theta)
         n_value = analytic_blp_dephasing(spec, tau_c)
         kappa = kappa_complex(spec, tau_c)
         rows.append(
@@ -366,8 +373,8 @@ def run_fig5(cfg: dict):
     """
     _require(cfg, {"ratio_count": 1})
     gamma0 = cfg["gamma0"]
-    ratios = np.linspace(float(cfg["ratio_min"]), float(cfg["ratio_max"]), int(cfg["ratio_count"]))
-    if ratios[0] <= 0.0 or ratios[-1] >= 2.0:
+    ratios = np.linspace(cfg["ratio_min"], cfg["ratio_max"], cfg["ratio_count"])
+    if ratios.min() <= 0.0 or ratios.max() >= 2.0:
         raise ValueError("ratio grid must stay strictly inside (0, 2)")
     header = ["ratio", "N", "F1", "F2"]
     rows = []

@@ -186,6 +186,8 @@ def optimal_pair(alpha: float, phase: float, variant: str = "zeta") -> StatePair
 def _pair_stream(seed: int, index: int) -> np.random.Generator:
     # Fixed derivation rule: pair k uses PCG64 seeded by
     # SeedSequence(entropy=seed, spawn_key=(k,)).
+    if seed < 0:
+        raise ValueError(f"seed={seed} must be at least 0")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 

@@ -1,15 +1,26 @@
+import argparse
+import importlib
+import importlib.util
 import json
 import math
+import re
 import subprocess
 import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from backflow import DephasingChannel, DephasingSpec, analytic_blp_dephasing, blp_search, transition_thetas
-from backflow import measures
+from backflow import cli, measures
 from backflow.experiments import (
+    FIGURES,
     default_config,
+    figure_keys,
     resolve_config,
     run_figure,
     write_csv,
@@ -84,6 +95,157 @@ class TestConfigResolution:
         for key in ("alpha_count", "phase_count"):
             with pytest.raises(ValueError, match=f"{key}=0 must be at least 1"):
                 run_figure("fig2", resolve_config("fig2", None, {key: 0}))
+
+    def test_values_are_checked_against_the_type_of_their_default(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        where = re.escape(f" in config file {cfg_file} must be ")
+        # Every section is checked, also one that the running figure ignores.
+        for loaded, key in (({"fig2": {"pairs": 2.0}}, "pairs"), ({"tc_stop": "1"}, "tc_stop"),
+                            ({"out": None}, "out"), ({"sigma": False}, "sigma")):
+            cfg_file.write_text(json.dumps(loaded))
+            with pytest.raises(ValueError, match=f"^{key}=.*{where}"):
+                resolve_config("fig1", str(cfg_file))
+        # Values are stored as given: an int for a float key stays an int.
+        cfg_file.write_text(json.dumps({"sigma": 1, "tauc_start": None, "fig4": {"tc_stop": 30}}))
+        cfg = resolve_config("fig1", str(cfg_file))
+        assert type(cfg["sigma"]) is int and cfg["tauc_start"] is None
+        assert resolve_config("fig4", str(cfg_file))["tc_stop"] == 30
+        # Overrides passed to the API are checked the same way.
+        with pytest.raises(ValueError, match=r"^grid=401.5 for fig1 must be an integer$"):
+            resolve_config("fig1", None, {"grid": 401.5})
+
+
+# Each figure's option strings before the parser was derived from the config
+# table, minus fig3a/fig3b --theta (they have no theta key).
+FIGURE_FLAGS = {
+    "fig1": ["--config", "--delta-omega", "--dw", "--grid", "--omega1", "--out", "--pairs", "--rows",
+             "--seed", "--sigma", "--tauc-start", "--tauc-stop", "--theta", "--workers"],
+    "fig2": ["--alpha-count", "--config", "--delta-omega", "--dw", "--grid", "--omega1", "--out",
+             "--pairs", "--phase-count", "--seed", "--sigma", "--tauc-count", "--theta-count",
+             "--workers"],
+    "fig3a": ["--config", "--delta-omega", "--dw", "--omega1", "--out", "--seed", "--sigma",
+              "--theta-count", "--workers"],
+    "fig3b": ["--config", "--delta-omega", "--dw", "--omega1", "--out", "--seed", "--sigma",
+              "--theta-count", "--workers"],
+    "fig4": ["--config", "--gamma0", "--grid", "--out", "--pairs", "--ratio", "--rows", "--seed",
+             "--tc-start", "--tc-stop", "--workers"],
+    "fig5": ["--config", "--gamma0", "--out", "--ratio-count", "--ratio-max", "--ratio-min", "--seed",
+             "--workers"],
+}
+
+# Small runs of every figure, for tests that execute the runners.
+TINY = {
+    "fig1": {"pairs": 3, "grid": 101, "rows": 2},
+    "fig2": {"grid": 101, "tauc_count": 2, "theta_count": 3},
+    "fig3a": {"theta_count": 3},
+    "fig3b": {"theta_count": 3},
+    "fig4": {"pairs": 3, "grid": 101, "rows": 2},
+    "fig5": {"ratio_count": 3},
+}
+
+FIGURE_KEYS = [(figure, key) for figure in FIGURES for key in figure_keys(figure)]
+ABSENT = object()
+
+
+def figure_parsers() -> dict:
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {figure: sub.choices[figure] for figure in FIGURES}
+
+
+def key_actions(parser) -> list:
+    return [a for a in parser._actions if a.dest not in ("help", "config")]
+
+
+def config_values(kind: type):
+    if kind is int:
+        return st.integers(-10**6, 10**6)
+    if kind is float:
+        return st.integers(-10**6, 10**6) | st.floats(allow_nan=False, allow_infinity=False)
+    return st.text("abcxyz0189._/", min_size=1, max_size=12)
+
+
+class ReadKeys(dict):
+    """A config that records which keys the runner reads."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+class TestConfigTable:
+    def test_figure_option_strings_are_pinned(self):
+        for figure, parser in figure_parsers().items():
+            flags = sorted(s for a in parser._actions for s in a.option_strings if a.dest != "help")
+            assert flags == FIGURE_FLAGS[figure], figure
+
+    def test_every_key_a_runner_reads_has_exactly_one_action(self):
+        for figure, parser in figure_parsers().items():
+            cfg = ReadKeys(resolve_config(figure, None, TINY[figure]))
+            run_figure(figure, cfg)
+            dests = Counter(a.dest for a in key_actions(parser))
+            assert cfg.read and all(dests[key] == 1 for key in cfg.read), (figure, cfg.read)
+            # The actions are the table's keys, each typed by its default.
+            assert dests == dict.fromkeys(figure_keys(figure), 1), figure
+            assert {a.dest: a.type for a in key_actions(parser)} == figure_keys(figure)
+            assert set(figure_keys(figure)) <= set(default_config(figure))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_flag_beats_section_beats_flat_config_beats_default(self, data):
+        figure, key = data.draw(st.sampled_from(FIGURE_KEYS))
+        default = default_config(figure)[key]
+        values = config_values(figure_keys(figure)[key])
+        layer = values | st.none() if default is None else values
+        flat = data.draw(st.just(ABSENT) | layer)
+        section = data.draw(st.just(ABSENT) | layer)
+        flag = data.draw(st.just(ABSENT) | values)
+        actions = [a for a in key_actions(figure_parsers()[figure]) if a.dest == key]
+        option = data.draw(st.sampled_from(actions[0].option_strings))
+        loaded = {} if flat is ABSENT else {key: flat}
+        if section is not ABSENT:
+            loaded[figure] = {key: section}
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_file = Path(tmp) / "c.json"
+            cfg_file.write_text(json.dumps(loaded))
+            argv = [figure, "--config", str(cfg_file)] + ([] if flag is ABSENT else [f"{option}={flag}"])
+            args = cli.build_parser().parse_args(argv)
+            cfg = resolve_config(figure, args.config, cli._figure_overrides(args))
+        expected = next(v for v in (flag, section, flat, default) if v is not ABSENT)
+        assert cfg[key] == expected and (expected is None) == (cfg[key] is None)
+        assert {k: v for k, v in cfg.items() if k != key} == {
+            k: v for k, v in default_config(figure).items() if k != key
+        }
+
+
+class TestBenchmarkHarness:
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def load(self, name: str, monkeypatch):
+        # The harness's modules are loaded by path; run.py also puts perfbench/
+        # on sys.path, which is restored afterwards.
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", self.ROOT / "perfbench" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_tracer_targets_resolve(self, monkeypatch):
+        targets = self.load("tracer", monkeypatch).TARGETS
+        assert targets
+        missing = [(m, a) for m, a, *_ in targets if not hasattr(importlib.import_module(m), a)]
+        assert missing == []
+
+    def test_benchmark_commands_parse(self, monkeypatch, tmp_path):
+        run = self.load("run", monkeypatch)
+        parser = cli.build_parser()
+        for workload in run.WORKLOADS:
+            for command in run.commands(workload, 1, tmp_path):
+                parser.parse_args(list(command.argv))
 
 
 class TestFig1:
@@ -307,9 +469,13 @@ class TestFig5:
         assert rows[0][2] > 0.99  # F1 for (1,-1,1) approaches 1
 
     def test_rejects_grid_touching_endpoints(self):
-        cfg = resolve_config("fig5", None, {"ratio_min": 0.0})
-        with pytest.raises(ValueError, match="inside"):
-            run_figure("fig5", cfg)
+        # The smallest and largest ratio are checked, so a descending grid
+        # (ratio_min > ratio_max) cannot leave (0, 2) either.
+        for bounds in ({"ratio_min": 0.0}, {"ratio_min": 2.5, "ratio_max": 0.5},
+                       {"ratio_min": 1.0, "ratio_max": 0.0}, {"ratio_min": 1.5, "ratio_max": 2.0}):
+            cfg = resolve_config("fig5", None, bounds)
+            with pytest.raises(ValueError, match="inside"):
+                run_figure("fig5", cfg)
 
 
 class TestCsvAndMetadata:
@@ -481,6 +647,66 @@ class TestCli:
             assert out.returncode == 2
             assert "unrecognized arguments: --theta" in out.stderr
             assert not (tmp_path / "theta.csv").exists()
+
+    def test_fig3_has_no_theta_flag(self, tmp_path):
+        # fig3a/fig3b sweep their own theta window, so they have no --theta.
+        for figure in ("fig3a", "fig3b"):
+            out = run_cli(figure, "--theta", "0.3", "--out", str(tmp_path / "f.csv"))
+            assert out.returncode == 2
+            assert "unrecognized arguments: --theta" in out.stderr
+            assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("loaded", [
+        {"grid": "abc"}, {"grid": 401.7}, {"grid": None}, {"theta": "x"}, {"workers": True}, {"seed": 1.5},
+    ])
+    def test_mistyped_config_value_exits_with_one_error_line(self, tmp_path, loaded):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps(loaded))
+        out = run_cli("fig1", "--config", str(cfg_file), "--out", str(tmp_path / "f.csv"))
+        assert out.returncode == 1
+        [key] = loaded
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {key}=") and str(cfg_file) in lines[0]
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_config_values_of_the_right_type_run_as_given(self, tmp_path):
+        cfg_file = tmp_path / "c.json"
+        out_path = tmp_path / "f.csv"
+        for key, value in (("sigma", 1), ("tauc_start", None)):
+            cfg_file.write_text(json.dumps({key: value}))
+            out = run_cli("fig1", "--config", str(cfg_file), *"--pairs 3 --grid 101 --rows 2".split(),
+                          "--out", str(out_path))
+            assert out.returncode == 0, out.stderr
+            recorded = json.loads((tmp_path / "f.csv.meta.json").read_text())["config"][key]
+            assert recorded == value and type(recorded) is type(value)
+
+    def test_fig5_rejects_a_descending_grid_leaving_the_domain(self, tmp_path):
+        out = run_cli("fig5", "--ratio-min", "2.5", "--ratio-max", "0.5", "--ratio-count", "3",
+                      "--out", str(tmp_path / "f.csv"))
+        assert out.returncode == 1
+        assert out.stderr.splitlines() == ["error: ratio grid must stay strictly inside (0, 2)"]
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_negative_seed_exits_with_one_error_line(self, tmp_path):
+        sizes = ("--pairs", "3", "--grid", "101", "--rows", "2", "--out", str(tmp_path / "f.csv"))
+        for argv, seed in ((("fig1", "--seed", "-1", *sizes), -1),
+                           (("fig4", "--seed", "-2", *sizes), -2),
+                           (("measure", "--measure", "blp", "--family", "dephasing",
+                             "--t1", "0.6283185307179586", "--grid", "101", "--pairs", "3", "--seed", "-1"), -1)):
+            out = run_cli(*argv)
+            assert out.returncode == 1
+            assert out.stdout == ""
+            assert out.stderr.splitlines() == [f"error: seed={seed} must be at least 0"]
+            assert not (tmp_path / "f.csv").exists()
+
+    def test_fidelity_parse_errors_name_the_flag(self):
+        for flags, name in ((("--c", "1,a,1", "--kappa", "0.5"), "--c"),
+                            (("--c", "1,-1,1", "--kappa", "abc"), "--kappa")):
+            out = run_cli("fidelity", *flags)
+            assert out.returncode == 1
+            lines = out.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith(f"error: {name} expects ")
 
     def test_figure_command_respects_config_file(self, tmp_path):
         cfg_file = tmp_path / "c.json"

@@ -108,6 +108,13 @@ class TestRandomPairs:
                 assert np.array_equal(_random_differences(seed, lo, hi), stack[lo:hi])
         assert _random_differences(42, 5, 5).shape == (0, 4, 4)
 
+    def test_negative_seed_is_rejected_by_name(self):
+        # Every random pair, sampled one at a time or as a stack, comes from
+        # one stream builder, which names the bad seed.
+        for sample in (lambda: sample_random_pair(-1, 0), lambda: _random_differences(-1, 0, 2)):
+            with pytest.raises(ValueError, match=r"^seed=-1 must be at least 0$"):
+                sample()
+
     def test_mean_distance_stable_across_seeds(self):
         means = []
         for seed in (1, 2):
