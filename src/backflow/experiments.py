@@ -24,7 +24,8 @@ from . import __version__
 from .channels import AmplitudeDampingChannel, ChannelFamily, DephasingChannel, apply_amplitude_damping, apply_dephasing
 from .decoherence import DephasingSpec, LorentzSpec, analytic_blp_dephasing, chi, kappa_complex, transition_thetas
 from .decoherence import _kappa_over_thetas
-from .measures import _optimal_differences, _pair_backflows, _random_differences, _window_backflows, _window_times
+from .measures import _chunked_backflows, _kept_samples, _optimal_differences, _random_differences
+from .measures import _window_backflows, _window_times
 # sample_random_pair is not called here: perfbench/tracer.py wraps it at this name.
 from .measures import sample_random_pair  # noqa: F401
 from .rsp import bell_diagonal, correlation_matrix, rsp_fidelity
@@ -44,7 +45,8 @@ __all__ = [
 _STATE_A = (1.0, -1.0, 1.0)
 _STATE_B = (-0.5, 0.4, 0.8)
 
-# Keys every figure takes, then the keys of each physics family.
+# Keys every figure's config (and so its .meta.json) carries, then the keys of
+# each physics family.
 _SHARED_DEFAULTS = {"seed": 42, "workers": 1}
 
 _FAMILY_DEFAULTS = {
@@ -52,10 +54,11 @@ _FAMILY_DEFAULTS = {
     "lorentz": {"gamma0": 1.0},
 }
 
-# Each figure names its family and lists its own keys.
+# Each figure names its family, the shared keys its runner reads, and its own
+# keys.
 _FIGURE_DEFAULTS = {
     # Backflow integrals (optimal vs best random pair) vs dephasing control time.
-    "fig1": ("dephasing", {
+    "fig1": ("dephasing", ("seed", "workers"), {
         "theta": math.pi / 4,
         "pairs": 10000,
         "grid": 4001,
@@ -65,7 +68,7 @@ _FIGURE_DEFAULTS = {
         "out": "fig1.csv",
     }),
     # Closed-form vs numeric backflow over the (tau_c, theta) plane.
-    "fig2": ("dephasing", {
+    "fig2": ("dephasing", ("seed",), {
         "pairs": 0,
         "grid": 4001,
         "theta_count": 17,
@@ -75,10 +78,10 @@ _FIGURE_DEFAULTS = {
         "out": "fig2.csv",
     }),
     # Backflow measure vs RSP fidelity across the non-Markovian theta window.
-    "fig3a": ("dephasing", {"theta_count": 25, "out": "fig3a.csv"}),
-    "fig3b": ("dephasing", {"theta_count": 25, "out": "fig3b.csv"}),
+    "fig3a": ("dephasing", (), {"theta_count": 25, "out": "fig3a.csv"}),
+    "fig3b": ("dephasing", (), {"theta_count": 25, "out": "fig3b.csv"}),
     # Backflow integrals vs amplitude-damping control time.
-    "fig4": ("lorentz", {
+    "fig4": ("lorentz", ("seed", "workers"), {
         "width_ratio": 0.1,
         "pairs": 10000,
         "grid": 4001,
@@ -88,7 +91,7 @@ _FIGURE_DEFAULTS = {
         "out": "fig4.csv",
     }),
     # Backflow measure and fidelity vs the width ratio at the revival time.
-    "fig5": ("lorentz", {
+    "fig5": ("lorentz", (), {
         "ratio_count": 20,
         "ratio_min": 1e-3,
         "ratio_max": 2.0 - 1e-3,
@@ -106,15 +109,16 @@ def _value_type(default) -> type:
 
 def figure_keys(figure: str) -> dict:
     """The keys ``figure`` reads, each with the type of its value."""
-    family, own = _FIGURE_DEFAULTS[figure]
-    return {key: _value_type(d) for key, d in {**_SHARED_DEFAULTS, **_FAMILY_DEFAULTS[family], **own}.items()}
+    family, shared, own = _FIGURE_DEFAULTS[figure]
+    keys = {**{key: _SHARED_DEFAULTS[key] for key in shared}, **_FAMILY_DEFAULTS[family], **own}
+    return {key: _value_type(d) for key, d in keys.items()}
 
 
 def default_config(figure: str) -> dict:
     """Every shared and family key, then the figure's own keys."""
     if figure not in _FIGURE_DEFAULTS:
         raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURES}")
-    tables = (_SHARED_DEFAULTS, *_FAMILY_DEFAULTS.values(), _FIGURE_DEFAULTS[figure][1])
+    tables = (_SHARED_DEFAULTS, *_FAMILY_DEFAULTS.values(), _FIGURE_DEFAULTS[figure][2])
     return {key: value for table in tables for key, value in table.items()}
 
 
@@ -125,8 +129,9 @@ _ACCEPTS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (s
 
 def _check(key: str, value, where: str, known) -> None:
     # Values are stored as given, so each must already have its key's type:
-    # an int key takes no float or bool, a float key also takes an int, and
-    # only a key whose default is None takes null.
+    # an int key takes no float or bool, a float key also takes an int but no
+    # NaN or infinity (Python's json parses both), and only a key whose
+    # default is None takes null.
     if key not in known:
         raise ValueError(f"unknown option {key!r} {where}")
     default = _KEY_DEFAULTS[key]
@@ -134,6 +139,8 @@ def _check(key: str, value, where: str, known) -> None:
     if isinstance(value, bool) or not (isinstance(value, accepted) or (value is None and default is None)):
         name += " or null" if default is None else ""
         raise ValueError(f"{key}={json.dumps(value, default=str)} {where} must be {name}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{key}={value} {where} must be a finite number")
 
 
 def resolve_config(figure: str, config_path: str | None = None, overrides: dict | None = None) -> dict:
@@ -188,26 +195,27 @@ def _lorentz_family(cfg: dict) -> AmplitudeDampingChannel:
 
 
 def _random_chunk_rowmax(args) -> np.ndarray:
-    family, times, cuts, seed, lo, hi = args
-    return _pair_backflows(family, _random_differences(seed, lo, hi), times, cuts).max(axis=0)
+    family, f, reduce, seed, lo, hi = args
+    return _chunked_backflows(family, _random_differences(seed, lo, hi), f, reduce).max(axis=0)
 
 
 def _random_rowmax(
     family: ChannelFamily,
-    times: np.ndarray,
-    cuts: np.ndarray,
+    f: np.ndarray,
+    reduce,
     seed: int,
     n_pairs: int,
     workers: int,
 ) -> np.ndarray:
-    """Row-wise maximum backflow over seeded random pairs.
+    """Row-wise maximum backflow over seeded random pairs at the kept samples
+    ``f``, reduced by ``reduce`` (both from ``_kept_samples``).
 
     The pair loop is split into fixed chunks; the max over pairs is
     associative, so the result does not depend on the worker count.
     """
     chunk = 250
     tasks = [
-        (family, times, cuts, seed, lo, min(lo + chunk, n_pairs))
+        (family, f, reduce, seed, lo, min(lo + chunk, n_pairs))
         for lo in range(0, n_pairs, chunk)
     ]
     if workers > 1 and len(tasks) > 1:
@@ -234,17 +242,22 @@ def _integral_sweep(
     point (index = fraction * (grid-1)), and each row's integral is a prefix
     sum of positive trace-distance increments up to that point, so every row
     comes from one pass over the window (evaluated where |f| turns and at the
-    row points).  Returns the row times, the row-wise maximum over the 352
-    optimal candidates (11 alphas x 16 phases x both variants) and over the
-    ``n_pairs`` seeded random pairs.
+    row points).  Returns the row times, the optimal pairs' integrals and the
+    row-wise maximum over the ``n_pairs`` seeded random pairs.
+
+    The optimal pairs evolve with trace distance equal to |f| at every time
+    (``optimal_pair``; arXiv 1310.1784), so their column is the same sum of
+    positive increments (Breuer, Laine & Piilo, PRL 103, 210401 (2009))
+    applied to |f| itself: no optimal pair is evolved and no spectrum is
+    taken for it.
     """
     times = np.linspace(0.0, window_end, grid)
     cuts = np.round(row_fractions * (grid - 1)).astype(int)
     if cuts[0] < 1:
         raise ValueError("row positions must be at least one grid step into the window")
-    optimal = _pair_backflows(family, _optimal_differences(11, 16), times, cuts).max(axis=0)
-    random_max = _random_rowmax(family, times, cuts, seed, n_pairs, workers)
-    return times[cuts], optimal, random_max
+    f, reduce = _kept_samples(family, times, cuts)
+    random_max = _random_rowmax(family, f, reduce, seed, n_pairs, workers)
+    return times[cuts], reduce(np.abs(f)), random_max
 
 
 def run_fig1(cfg: dict):
@@ -255,6 +268,9 @@ def run_fig1(cfg: dict):
     default row sits past the first revival onset and carries strictly
     positive backflow for the optimal pairs.  ``tauc_start``/``tauc_stop``
     override the range; row times snap to the master grid.
+
+    ``integral_optimal`` sums the positive increments of |kappa| itself, the
+    optimal pairs' trace distance (see ``_integral_sweep``).
     """
     _require(cfg, {"rows": 1, "grid": 2, "pairs": 1, "workers": 1})
     family = DephasingChannel(_dephasing_spec(cfg, cfg["theta"]))
@@ -279,6 +295,9 @@ def run_fig4(cfg: dict):
     revival time 2 pi/eps (grid-exact positions); early default rows precede
     the first zero of chi and carry zero backflow.  ``tc_start``/``tc_stop``
     override the range; row times snap to the master grid.
+
+    ``integral_optimal`` sums the positive increments of |chi| itself, the
+    optimal pairs' trace distance (see ``_integral_sweep``).
     """
     _require(cfg, {"rows": 1, "grid": 2, "pairs": 1, "workers": 1})
     family = _lorentz_family(cfg)

@@ -314,10 +314,18 @@ def _pair_backflows(
     given (each cut index must be >= 1).  The pairs are evolved only at the
     turning points of |f| and the cuts (see the module docstring).
     """
+    return _chunked_backflows(family, deltas, *_kept_samples(family, times, cut_indices))
+
+
+def _kept_samples(family: ChannelFamily, times: np.ndarray, cut_indices=None):
+    """The decoherence samples at the turning points of |f| and the cuts, and
+    the reduction that turns any series on those points that is a
+    non-decreasing function of |f| (a pair's trace distance, or |f| itself)
+    into ``_pair_backflows``' integrals."""
     f = np.asarray(family.decoherence(times))
     kept = _turning_points(np.abs(f), cut_indices)
     cuts = None if cut_indices is None else np.searchsorted(kept, cut_indices)
-    return _chunked_backflows(family, deltas, f[kept], partial(_positive_increments, cut_indices=cuts))
+    return f[kept], partial(_positive_increments, cut_indices=cuts)
 
 
 def _window_backflows(family: ChannelFamily, deltas: np.ndarray, windows) -> np.ndarray:

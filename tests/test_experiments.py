@@ -9,14 +9,16 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import backflow
 from backflow import DephasingChannel, DephasingSpec, analytic_blp_dephasing, blp_search, transition_thetas
-from backflow import cli, measures
+from backflow import cli, experiments, measures
 from backflow.experiments import (
     FIGURES,
     default_config,
@@ -26,6 +28,7 @@ from backflow.experiments import (
     write_csv,
     write_metadata,
 )
+from backflow.measures import _optimal_differences, _pair_backflows, _random_differences
 
 TINY_FIG1 = {"pairs": 40, "grid": 801, "rows": 8}
 TINY_FIG4 = {"pairs": 40, "grid": 801, "rows": 10}
@@ -116,21 +119,18 @@ class TestConfigResolution:
 
 
 # Each figure's option strings before the parser was derived from the config
-# table, minus fig3a/fig3b --theta (they have no theta key).
+# table, minus fig3a/fig3b --theta (they have no theta key) and minus --seed
+# and --workers where the runner reads neither (fig2 reads only the seed).
 FIGURE_FLAGS = {
     "fig1": ["--config", "--delta-omega", "--dw", "--grid", "--omega1", "--out", "--pairs", "--rows",
              "--seed", "--sigma", "--tauc-start", "--tauc-stop", "--theta", "--workers"],
     "fig2": ["--alpha-count", "--config", "--delta-omega", "--dw", "--grid", "--omega1", "--out",
-             "--pairs", "--phase-count", "--seed", "--sigma", "--tauc-count", "--theta-count",
-             "--workers"],
-    "fig3a": ["--config", "--delta-omega", "--dw", "--omega1", "--out", "--seed", "--sigma",
-              "--theta-count", "--workers"],
-    "fig3b": ["--config", "--delta-omega", "--dw", "--omega1", "--out", "--seed", "--sigma",
-              "--theta-count", "--workers"],
+             "--pairs", "--phase-count", "--seed", "--sigma", "--tauc-count", "--theta-count"],
+    "fig3a": ["--config", "--delta-omega", "--dw", "--omega1", "--out", "--sigma", "--theta-count"],
+    "fig3b": ["--config", "--delta-omega", "--dw", "--omega1", "--out", "--sigma", "--theta-count"],
     "fig4": ["--config", "--gamma0", "--grid", "--out", "--pairs", "--ratio", "--rows", "--seed",
              "--tc-start", "--tc-stop", "--workers"],
-    "fig5": ["--config", "--gamma0", "--out", "--ratio-count", "--ratio-max", "--ratio-min", "--seed",
-             "--workers"],
+    "fig5": ["--config", "--gamma0", "--out", "--ratio-count", "--ratio-max", "--ratio-min"],
 }
 
 # Small runs of every figure, for tests that execute the runners.
@@ -188,6 +188,9 @@ class TestConfigTable:
             run_figure(figure, cfg)
             dests = Counter(a.dest for a in key_actions(parser))
             assert cfg.read and all(dests[key] == 1 for key in cfg.read), (figure, cfg.read)
+            # ... and every action is read by the runner, except --out, which
+            # the CLI reads to write the table.
+            assert set(dests) - {"out"} == cfg.read, figure
             # The actions are the table's keys, each typed by its default.
             assert dests == dict.fromkeys(figure_keys(figure), 1), figure
             assert {a.dest: a.type for a in key_actions(parser)} == figure_keys(figure)
@@ -246,6 +249,70 @@ class TestBenchmarkHarness:
         for workload in run.WORKLOADS:
             for command in run.commands(workload, 1, tmp_path):
                 parser.parse_args(list(command.argv))
+
+    def test_sweep_figures_pass_the_benchmark_checks(self, monkeypatch, tmp_path):
+        # The benchmark's gate for fig1/fig4 at its grid and rows, with the
+        # inputs the benchmark builds for it; a few pairs keep it quick.
+        checks = self.load("checks", monkeypatch)
+        run = self.load("run", monkeypatch)
+        reference = json.loads((self.ROOT / "perfbench" / "reference.json").read_text())
+        expected = run.Expected(backflow, 5, reference)
+        for figure in ("fig1", "fig4"):
+            out = tmp_path / f"{figure}.csv"
+            argv = [figure, "--seed", "5", "--pairs", "3", "--grid", str(run.GRID), "--rows", str(run.ROWS),
+                    "--out", str(out)]
+            assert cli.main(argv) == 0
+            times = expected.grids[figure][0]
+            assert checks.sweep_figure(figure, out.read_text(), times, expected.abs_f[figure],
+                                       expected.pair0(figure), reference) == []
+
+
+class TestOptimalColumn:
+    """fig1/fig4's optimal column is the increment sum of |f| at the kept
+    points; it must agree with evolving the 352 optimal candidates, and the
+    random column must equal the per-chunk ``_pair_backflows`` path."""
+
+    @staticmethod
+    def candidate_sweep(family, window_end, grid, row_fractions, n_pairs, seed, workers):
+        times = np.linspace(0.0, window_end, grid)
+        cuts = np.round(row_fractions * (grid - 1)).astype(int)
+        optimal = _pair_backflows(family, _optimal_differences(11, 16), times, cuts).max(axis=0)
+        random_max = np.maximum.reduce([
+            _pair_backflows(family, _random_differences(seed, lo, min(lo + 250, n_pairs)), times, cuts).max(axis=0)
+            for lo in range(0, n_pairs, 250)
+        ])
+        return optimal, random_max
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.floats(0.0, math.pi / 2), st.floats(0.05, 2.0)).map(
+                lambda c: ("fig1", {"theta": c[0], "tauc_stop": c[1]})),
+            st.tuples(st.floats(0.01, 1.9), st.floats(1.0, 80.0)).map(
+                lambda c: ("fig4", {"width_ratio": c[0], "tc_stop": c[1]})),
+        ),
+        st.floats(0.05, 1.0) | st.none(),
+        st.integers(101, 2001),
+        st.integers(1, 30),
+        st.integers(1, 300),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_candidate_path(self, case, start_fraction, grid, rows, pairs, seed):
+        figure, overrides = case
+        stop_key = "tauc_stop" if figure == "fig1" else "tc_stop"
+        if start_fraction is None:  # both bounds at their defaults
+            del overrides[stop_key]
+        else:
+            overrides[stop_key.replace("stop", "start")] = start_fraction * overrides[stop_key]
+        cfg = resolve_config(figure, None, {**overrides, "grid": grid, "rows": rows, "pairs": pairs, "seed": seed})
+        calls = []
+        sweep = experiments._integral_sweep
+        with mock.patch.object(experiments, "_integral_sweep", lambda *a: calls.append(a) or sweep(*a)):
+            _, rows_out = run_figure(figure, cfg)
+        optimal, random_max = self.candidate_sweep(*calls[0])
+        table = np.array(rows_out)
+        assert np.all(np.abs(table[:, 1] - optimal) <= 4e-15)
+        assert table[:, 2].tobytes() == random_max.tobytes()
 
 
 class TestFig1:
@@ -655,6 +722,36 @@ class TestCli:
             assert out.returncode == 2
             assert "unrecognized arguments: --theta" in out.stderr
             assert not (tmp_path / "f.csv").exists()
+
+    def test_seed_and_workers_only_where_the_runner_reads_them(self, tmp_path, capsys):
+        for figure, flag in (("fig2", "--workers"), ("fig3a", "--seed"), ("fig3a", "--workers"),
+                             ("fig3b", "--seed"), ("fig3b", "--workers"), ("fig5", "--seed"), ("fig5", "--workers")):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main([figure, flag, "2", "--out", str(tmp_path / "f.csv")])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+            assert not (tmp_path / "f.csv").exists()
+        # Every config still carries both keys, so .meta.json keeps them.
+        assert cli.main(["fig5", "--ratio-count", "2", "--out", str(tmp_path / "f.csv")]) == 0
+        meta = json.loads((tmp_path / "f.csv.meta.json").read_text())
+        assert (meta["seed"], meta["config"]["seed"], meta["config"]["workers"]) == (42, 42, 1)
+
+    def test_non_finite_values_exit_with_one_error_line(self, tmp_path):
+        out_path = tmp_path / "f.csv"
+        for argv, line in ((("fig3a", "--sigma", "nan"), "error: sigma=nan for fig3a must be a finite number"),
+                           (("fig5", "--ratio-min", "nan"), "error: ratio_min=nan for fig5 must be a finite number"),
+                           (("fig1", "--sigma", "inf"), "error: sigma=inf for fig1 must be a finite number")):
+            out = run_cli(*argv, "--out", str(out_path))
+            assert out.returncode == 1
+            assert out.stderr.splitlines() == [line]
+            assert not out_path.exists()
+        # Python's json reads NaN and Infinity in a config file too.
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text('{"fig4": {"tc_stop": -Infinity}}')
+        out = run_cli("fig4", "--config", str(cfg_file), "--out", str(out_path))
+        assert out.returncode == 1
+        assert out.stderr.splitlines() == [f"error: tc_stop=-inf in config file {cfg_file} must be a finite number"]
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("loaded", [
         {"grid": "abc"}, {"grid": 401.7}, {"grid": None}, {"theta": "x"}, {"workers": True}, {"seed": 1.5},

@@ -49,7 +49,37 @@ LORENTZ = AmplitudeDampingChannel(LorentzSpec(1.0, 0.1))
 REVIVAL = 2 * math.pi / 10
 
 
+# Optimal-pair parameters on blp_search's default 11 x 16 candidate grid, and
+# off it.  A subnormal alpha leaves subnormal entries in the difference matrix,
+# which eigvalsh resolves to no better than ~1e-12 (alpha = 2.2e-313).
+_ALPHAS = st.sampled_from(np.linspace(0.0, 1.0, 11).tolist()) | st.floats(0.0, 1.0, allow_subnormal=False)
+_PHASES = st.sampled_from(np.linspace(0.0, 2 * math.pi, 16, endpoint=False).tolist()) | st.floats(0.0, 2 * math.pi)
+# A family and sample times.  Past t = 30 (sigma = 1), |kappa| nears the
+# subnormal range, where no relative precision is left.
+_FAMILY_TIMES = st.one_of(
+    st.tuples(st.just("dephasing"), st.floats(0.0, math.pi / 2), st.lists(st.floats(0.0, 30.0), min_size=1, max_size=40)),
+    st.tuples(st.just("lorentz"), st.floats(0.01, 1.99), st.lists(st.floats(0.0, 60.0), min_size=1, max_size=40)),
+)
+
+
 class TestOptimalPairs:
+    @settings(max_examples=150, deadline=None)
+    @given(_ALPHAS, _PHASES, st.sampled_from(["zeta", "eta"]), _FAMILY_TIMES)
+    # |kappa| = 0 at theta = pi/4, t = pi/dw (node 1 of 3); f = 1 at t = 0; chi
+    # changes sign twice in (0, 30).
+    @example(0.3, 1.0, "eta", ("dephasing", math.pi / 4, np.linspace(0.0, 2 * REVIVAL, 3).tolist()))
+    @example(1.0, 0.0, "zeta", ("dephasing", 0.3, [0.0]))
+    @example(0.0, 0.0, "eta", ("lorentz", 0.1, [0.0]))
+    @example(0.5, 2.3, "zeta", ("lorentz", 0.1, np.linspace(0.0, 30.0, 4001).tolist()))
+    def test_evolved_trace_distance_is_the_decoherence_magnitude(self, alpha, phase, variant, case):
+        # fig1/fig4's optimal column is the increment sum of |f| itself, which
+        # rests on this.  Within 8 ulps of 1 relative: 8 eps |f|.
+        kind, param, times = case
+        family = _window_family(kind, param)
+        f = np.asarray(family.decoherence(np.array(times)))
+        distance = _trace_distances(family, optimal_pair(alpha, phase, variant).difference(), f)
+        assert np.all(np.abs(distance - np.abs(f)) <= 8 * np.finfo(float).eps * np.abs(f))
+
     def test_bell_limit(self):
         pair = optimal_pair(1.0, 0.0, "zeta")
         phi_plus = np.zeros(4, dtype=complex)
@@ -412,7 +442,13 @@ class TestTurningPointReduction:
     @example(_PI4_ZERO, 4, [])
     @example(_LORENTZ_SIGN, 5, [0.1, 0.3, 0.6, 1.0])
     @example(_LORENTZ_SIGN, 6, [])
+    @example(("lorentz", 1.5, 24.0, 890), 0, [])
     def test_pair_backflows_match_full_grid(self, window, seed, fractions):
+        # The reference takes every grid point's trace distance, then
+        # collapses each monotone stretch of |f| (split at the cuts too) to
+        # its endpoints, as in test_choi_measures_match_full_grid: a plain sum
+        # over every grid step also picks up rounding noise inside the
+        # stretches (1.0e-14 at the @example window above).
         kind, param, t1, grid = window
         family = _window_family(kind, param)
         times = np.linspace(0.0, t1, grid)
@@ -421,7 +457,15 @@ class TestTurningPointReduction:
             [_random_differences(seed, 0, 4), optimal_pair(0.3, 1.0, "eta").difference()[None]]
         )
         f = np.asarray(family.decoherence(times))
-        full = _positive_increments(_trace_distances(family, deltas[:, None], f), cuts)
+        distances = _trace_distances(family, deltas[:, None], f)
+        ends = _monotone_stretch_ends(np.abs(f).tolist())
+
+        def collapsed(cut):
+            kept = sorted({e for e in ends if e < cut} | {cut})
+            return np.sum([np.clip(distances[:, b] - distances[:, a], 0.0, None)
+                           for a, b in zip(kept, kept[1:])], axis=0)
+
+        full = np.stack([collapsed(c) for c in cuts], axis=-1) if cuts else collapsed(grid - 1)
         fast = _pair_backflows(family, deltas, times, cuts)
         assert fast.shape == full.shape
         assert np.all(np.abs(fast - full) <= 1e-12 * np.abs(full) + 1e-14)
