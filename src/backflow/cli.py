@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
+import math
 import sys
 
 from .channels import AmplitudeDampingChannel, DephasingChannel, apply_dephasing
@@ -75,6 +78,8 @@ def _run_fidelity(args: argparse.Namespace) -> int:
         kappa = complex(args.kappa)
     except ValueError:
         raise ValueError(f"--kappa expects a real or complex number, got {args.kappa!r}") from None
+    if not cmath.isfinite(kappa):
+        raise ValueError("--kappa must be a finite number")
     print(_fmt(rsp_fidelity_after(c, apply_dephasing, kappa)))
     return 0
 
@@ -174,12 +179,25 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _require_finite(args: argparse.Namespace) -> None:
+    """Reject a non-finite float flag of a non-figure command by name (the
+    figure configs are checked by ``resolve_config``)."""
+    for dest, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"--{dest} must be a finite number")
+
+
+# One parser per process: parse_args keeps no state between calls, and
+# building the 11 subparsers costs more than a short command's own work.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else list(argv)))
+    args = _parser().parse_args(_attach_dash_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         if args.command in FIGURES:
             return _run_figure_command(args)
+        _require_finite(args)
         return _COMMANDS[args.command](args)
     except Exception as exc:  # single-line diagnostic, nonzero exit
         print(f"error: {exc}", file=sys.stderr)

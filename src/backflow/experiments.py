@@ -241,9 +241,10 @@ def _integral_sweep(
     One master grid spans [0, window_end]; each row's control time is a grid
     point (index = fraction * (grid-1)), and each row's integral is a prefix
     sum of positive trace-distance increments up to that point, so every row
-    comes from one pass over the window (evaluated where |f| turns and at the
-    row points).  Returns the row times, the optimal pairs' integrals and the
-    row-wise maximum over the ``n_pairs`` seeded random pairs.
+    comes from one pass over the window (evaluated only at the points that
+    bound a rising step of |f|; see ``measures._turning_points``).  Returns
+    the row times, the optimal pairs' integrals and the row-wise maximum over
+    the ``n_pairs`` seeded random pairs.
 
     The optimal pairs evolve with trace distance equal to |f| at every time
     (``optimal_pair``; arXiv 1310.1784), so their column is the same sum of
@@ -321,7 +322,7 @@ def run_fig2(cfg: dict):
     [0, tau_c] for each row, computed in one kernel pass: kappa is evaluated
     for every theta at once per control time, one candidate stack (the
     alpha_count x phase_count optimal grid, both variants, then ``pairs``
-    seeded random pairs) is evolved at the turning points of all windows
+    seeded random pairs) is evolved at the kept points of all windows
     together, and each row takes the maximum over the candidates of its own
     window's backflow.  No witness is built.  All optimal candidates share
     one exact trajectory, so the default candidate grid is kept small.

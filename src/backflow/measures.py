@@ -10,16 +10,20 @@ All backflow integrals are sums of positive increments on a uniform grid,
 which is exact for piecewise-monotone series once every monotone segment is
 resolved; no derivative quadrature is used.
 
-Turning-point reduction: both channel families compose multiplicatively in
+Rising-stretch reduction: both channel families compose multiplicatively in
 their decoherence factor f (D(a)D(b) = D(ab), AD(x)AD(y) = AD(xy)), and the
 phase of kappa or the sign of chi is a local unitary.  So the trace distance
 of any evolved pair, and the negativity and mutual information of the evolved
 maximally entangled state, are non-decreasing functions of |f| alone, and
-each is monotone wherever |f| is.  The grid sum of their positive increments
-therefore equals the same sum over the grid points where |f| turns (plus the
-first and last point and any prefix cut), and only those points are
-evolved and eigen-solved.  The divisibility measure uses the closed-form
-trace norm of each step map's Choi matrix and solves no spectra.
+each is monotone wherever |f| is.  On a stretch where |f| falls or stays
+flat such a series does not rise, so the stretch adds exactly zero to the
+grid sum of its positive increments (Breuer, Laine & Piilo, PRL 103, 210401
+(2009)).  The sum therefore equals the same sum over the grid points that
+bound a rising step of |f|: the minimum and maximum around each rising
+stretch, and the prefix cuts inside one.  Only those points are evolved and
+eigen-solved; a window where |f| never rises evolves nothing and gives 0.
+The divisibility measure uses the closed-form trace norm of each step map's
+Choi matrix and solves no spectra.
 """
 
 from __future__ import annotations
@@ -247,30 +251,39 @@ _CHUNK_ENTRIES = 4_000_000
 def _positive_increments(values: np.ndarray, cut_indices=None) -> np.ndarray:
     """Sum of positive increments along the last axis.
 
-    Over the whole series, or, when ``cut_indices`` is given (each >= 1), the
-    prefix sums over values[..., :cut + 1] stacked along the last axis.
+    Over the whole series (0 for fewer than two values), or, when
+    ``cut_indices`` is given (each >= 0), the prefix sums over
+    values[..., :cut + 1] stacked along the last axis; a cut at 0 covers no
+    step and gives 0, also on an empty series.
     """
     pos = np.clip(np.diff(values, axis=-1), 0.0, None)
     if cut_indices is None:
         return pos.sum(axis=-1)
-    return np.cumsum(pos, axis=-1)[..., np.asarray(cut_indices, dtype=int) - 1]
+    prefix = np.concatenate([np.zeros(pos.shape[:-1] + (1,)), np.cumsum(pos, axis=-1)], axis=-1)
+    return prefix[..., np.asarray(cut_indices, dtype=int)]
 
 
 def _turning_points(absf: np.ndarray, cut_indices=None) -> np.ndarray:
     """Sorted grid indices that a sum of positive increments needs when the
-    series is a non-decreasing function of ``absf``: the first and last
-    index, every index where the sign of the step of ``absf`` changes (a zero
-    step counts as a sign of its own, so plateaus and kinks are kept), and
-    the cut indices.
+    series is a non-decreasing function of ``absf``: of the first and last
+    index, the indices where the sign of the step of ``absf`` changes (a
+    zero step counts as a sign of its own) and the cut indices, those that
+    bound a rising step (the step into or out of the index rises).
 
-    Between two consecutive kept indices ``absf`` is monotone, so such a
-    series is too, and its positive increments there add up to the positive
-    part of its increment between the two kept indices.
+    Between two consecutive kept indices ``absf`` either rises throughout,
+    so such a series is monotone there and its positive increments add up to
+    the positive part of its increment between the two, or never rises, so
+    the series does not rise either and adds nothing.  An ``absf`` that never
+    rises keeps no index.
     """
-    signs = np.sign(np.diff(absf))
+    steps = np.diff(absf)
+    signs = np.sign(steps)
     turns = np.flatnonzero(signs[1:] != signs[:-1]) + 1
     cuts = () if cut_indices is None else cut_indices
-    return np.unique(np.concatenate(([0, absf.size - 1], turns, cuts)).astype(int))
+    candidates = np.unique(np.concatenate(([0, absf.size - 1], turns, cuts)).astype(int))
+    rises = steps > 0.0
+    bounds_rise = np.concatenate(([False], rises)) | np.concatenate((rises, [False]))
+    return candidates[bounds_rise[candidates]]
 
 
 def trace_distance_trajectory(family: ChannelFamily, pair: StatePair, times) -> Trajectory:
@@ -294,6 +307,8 @@ def _chunked_backflows(family: ChannelFamily, deltas: np.ndarray, f: np.ndarray,
     evolved in chunks of pairs of about ``_CHUNK_ENTRIES`` entries and
     concatenated along the pair axis."""
     deltas = np.asarray(deltas, dtype=complex)
+    if f.size == 0:  # |f| never rises: no pair is evolved, every sum is 0
+        return reduce(np.zeros((deltas.shape[0], 0)))
     pair_chunk = max(1, _CHUNK_ENTRIES // (16 * f.size))
     return np.concatenate([
         reduce(_trace_distances(family, deltas[lo : lo + pair_chunk, None], f))
@@ -312,19 +327,25 @@ def _pair_backflows(
     Returns shape (P,) for the full window, or (P, len(cut_indices)) of
     prefix integrals over [times[0], times[cut]] when ``cut_indices`` is
     given (each cut index must be >= 1).  The pairs are evolved only at the
-    turning points of |f| and the cuts (see the module docstring).
+    points that bound a rising step of |f| (see the module docstring).
     """
     return _chunked_backflows(family, deltas, *_kept_samples(family, times, cut_indices))
 
 
 def _kept_samples(family: ChannelFamily, times: np.ndarray, cut_indices=None):
-    """The decoherence samples at the turning points of |f| and the cuts, and
+    """The decoherence samples at the kept points of ``_turning_points``, and
     the reduction that turns any series on those points that is a
     non-decreasing function of |f| (a pair's trace distance, or |f| itself)
-    into ``_pair_backflows``' integrals."""
+    into ``_pair_backflows``' integrals.
+
+    Each cut reads the prefix sum at the last kept point at or before it:
+    from there to the cut |f| does not rise, so the series adds nothing.  A
+    cut before the first kept point reads position 0, which is 0."""
     f = np.asarray(family.decoherence(times))
     kept = _turning_points(np.abs(f), cut_indices)
-    cuts = None if cut_indices is None else np.searchsorted(kept, cut_indices)
+    cuts = None
+    if cut_indices is not None:
+        cuts = np.maximum(np.searchsorted(kept, cut_indices, side="right") - 1, 0)
     return f[kept], partial(_positive_increments, cut_indices=cuts)
 
 
@@ -332,10 +353,11 @@ def _window_backflows(family: ChannelFamily, deltas: np.ndarray, windows) -> np.
     """Backflow integral of each pair over each of several windows: (P, W).
 
     ``windows`` holds W 1-D arrays of decoherence samples, each on its own
-    window's grid.  The turning points of every window are concatenated and
-    evolved together, one spectrum call per chunk of pairs; each window's
-    segment of the trace distances is then reduced on its own, so column w
-    equals ``_pair_backflows`` over window w alone.
+    window's grid.  The kept points of every window (``_turning_points``)
+    are concatenated and evolved together, one spectrum call per chunk of
+    pairs; each window's segment of the trace distances is then reduced on
+    its own, so column w equals ``_pair_backflows`` over window w alone.  A
+    window where |f| never rises has an empty segment, which gives 0.
     """
     kept = [f[_turning_points(np.abs(f))] for f in windows]
     starts = np.cumsum([k.size for k in kept])[:-1]
@@ -455,8 +477,8 @@ def divisibility_measure(
 
 def _choi_measure(family: ChannelFamily, window, grid_size: int, score, kind: str) -> MeasureReport:
     """Sum of positive increments of ``score`` of the evolved maximally
-    entangled state (system = both qubits, dimension 4), evaluated at the
-    turning points of |f| only (see the module docstring)."""
+    entangled state (system = both qubits, dimension 4), evaluated only at
+    the points that bound a rising step of |f| (see the module docstring)."""
     times = _window_times(window, grid_size)
     kept = times[_turning_points(np.abs(family.decoherence(times)))]
     values = np.array([score(choi_state(family, float(t), 4)) for t in kept])

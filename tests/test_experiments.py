@@ -266,6 +266,19 @@ class TestBenchmarkHarness:
             assert checks.sweep_figure(figure, out.read_text(), times, expected.abs_f[figure],
                                        expected.pair0(figure), reference) == []
 
+    def test_window_commands_pass_the_benchmark_checks(self, monkeypatch, tmp_path):
+        # The benchmark's gates for fig2, fig3a/fig3b/fig5 and the six
+        # measures, on its own command lines, run through cli.main.
+        run = self.load("run", monkeypatch)
+        reference = json.loads((self.ROOT / "perfbench" / "reference.json").read_text())
+        expected = run.Expected(backflow, 5, reference)
+        commands = run.window_commands(5, tmp_path)
+        assert [c.label for c in commands] == ["fig2", "fig3a", "fig3b", "fig5", *(
+            f"{m}.{f}" for m in run.MEASURES for f in ("dephasing", "lorentz"))]
+        for command in commands:
+            rc, _, stdout, stderr = run.run_command(cli.main, command, None)
+            assert expected.check(command, rc, stdout, stderr) == [], command.label
+
 
 class TestOptimalColumn:
     """fig1/fig4's optimal column is the increment sum of |f| at the kept
@@ -796,6 +809,43 @@ class TestCli:
             assert out.stdout == ""
             assert out.stderr.splitlines() == [f"error: seed={seed} must be at least 0"]
             assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("kappa", "--theta", "0.3", "--dw", "10", "--sigma", "1", "--tau", "nan"), "--tau"),
+        (("chi", "--gamma0", "1", "--width", "0.1", "--t", "inf"), "--t"),
+        (("transition", "--dw", "10", "--sigma", "nan", "--tauc", "0.4"), "--sigma"),
+        (("measure", "--measure", "divisibility", "--family", "lorentz", "--width", "inf",
+          "--t1", "30", "--grid", "101"), "--width"),
+        (("fidelity", "--c", "1,-1,1", "--kappa", "nan+1j"), "--kappa"),
+    ])
+    def test_non_finite_flags_of_the_other_commands_are_named(self, argv, flag):
+        out = run_cli(*argv)
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr.splitlines() == [f"error: {flag} must be a finite number"]
+
+    def test_no_state_carries_between_main_calls(self, tmp_path, capsys):
+        out_path = tmp_path / "f.csv"
+        sizes = ["--pairs", "3", "--grid", "101", "--rows", "2", "--out", str(out_path)]
+
+        def recorded_seed():
+            return json.loads((tmp_path / "f.csv.meta.json").read_text())["seed"]
+
+        assert cli.main(["fig1", "--seed", "7", *sizes]) == 0
+        assert recorded_seed() == 7
+        assert cli.main(["fig1", *sizes]) == 0
+        assert recorded_seed() == 42
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["fig1", "--seed", "9", "--theta", *sizes])
+        assert exit_info.value.code == 2
+        assert cli.main(["fig1", *sizes]) == 0
+        assert recorded_seed() == 42
+        capsys.readouterr()
+        assert cli.main(["chi", "--gamma0", "1", "--width", "0.1", "--t", "0"]) == 0
+        assert capsys.readouterr().out == "1\n"
+        # main reuses one parser; build_parser still returns a new one.
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
 
     def test_fidelity_parse_errors_name_the_flag(self):
         for flags, name in ((("--c", "1,a,1", "--kappa", "0.5"), "--c"),

@@ -496,6 +496,67 @@ class TestTurningPointReduction:
             fast = measure(family, (0.0, t1), grid).value
             assert abs(fast - full) <= 1e-12 * abs(full) + 1e-14
 
+    @settings(max_examples=60, deadline=None)
+    @given(_WINDOWS, st.integers(0, 2**32 - 1), st.lists(st.floats(0.0, 1.0), max_size=6))
+    @example(_PI4_ZERO, 3, [0.25, 0.5, 0.75, 1.0])
+    @example(_LORENTZ_SIGN, 5, [0.0, 0.1, 0.3, 0.6, 1.0])
+    @example(("dephasing", 0.0, 2 * REVIVAL, 401), 7, [0.5])
+    def test_kept_points_bound_a_rising_step(self, window, seed, fractions):
+        # The kept set is the old turning-point set (first and last index,
+        # changes of the step's sign, cuts) less the points that bound no
+        # rising step; dropping them can only shed rounding noise.
+        kind, param, t1, grid = window
+        family = _window_family(kind, param)
+        times = np.linspace(0.0, t1, grid)
+        cuts = [1 + round(x * (grid - 2)) for x in fractions] or None
+        absf = np.abs(np.asarray(family.decoherence(times)))
+        kept = measures._turning_points(absf, cuts)
+        old = sorted(set(_monotone_stretch_ends(absf.tolist())) | set(cuts or ()))
+        rises = np.diff(absf) > 0.0
+        assert set(kept.tolist()) <= set(old)
+        assert all((i > 0 and rises[i - 1]) or (i < grid - 1 and rises[i]) for i in kept)
+        assert all(i in kept for i in old if (i > 0 and rises[i - 1]) or (i < grid - 1 and rises[i]))
+
+        deltas = np.concatenate(
+            [_random_differences(seed, 0, 4), optimal_pair(0.3, 1.0, "eta").difference()[None]]
+        )
+        distances = _trace_distances(family, deltas[:, None], np.asarray(family.decoherence(times))[old])
+        positions = None if cuts is None else np.searchsorted(old, cuts)
+        from_old = _positive_increments(distances, positions)
+        fast = _pair_backflows(family, deltas, times, cuts)
+        assert fast.shape == from_old.shape
+        assert np.all(fast <= from_old + 1e-14)
+        assert np.all(np.abs(fast - from_old) <= 1e-12 * np.abs(from_old) + 1e-14)
+
+    def test_never_rising_window_evolves_nothing(self, monkeypatch):
+        # At theta = 0, |kappa| is a falling Gaussian.
+        family = DephasingChannel(DephasingSpec(0.0))
+        times = np.linspace(0.0, 2 * REVIVAL, 801)
+        deltas = np.concatenate([_optimal_differences(2, 3), _random_differences(3, 0, 4)])
+        assert measures._turning_points(np.abs(family.decoherence(times)), [1, 400, 800]).size == 0
+        calls = []
+        monkeypatch.setattr(measures, "_trace_distances", lambda *args: calls.append(args))
+        n = len(deltas)
+        assert _pair_backflows(family, deltas, times).tolist() == [0.0] * n
+        assert _pair_backflows(family, deltas, times, [1, 400, 800]).tolist() == [[0.0] * 3] * n
+        windows = [family.decoherence(times), family.decoherence(times[:5])]
+        assert _window_backflows(family, deltas, windows).tolist() == [[0.0, 0.0]] * n
+        assert blp_search(family, (0.0, 2 * REVIVAL), 4, 801, 3).value == 0.0
+        assert calls == []
+
+    def test_a_cut_at_position_zero_gives_zero(self):
+        values = np.array([[0.5, 0.2, 0.9], [0.1, 0.4, 0.3]])
+        assert _positive_increments(values, [0]).tolist() == [[0.0], [0.0]]
+        assert _positive_increments(values, [0, 2]).tolist() == [[0.0, 0.7], [0.0, 0.30000000000000004]]
+        assert _positive_increments(np.zeros((2, 0)), [0, 0]).tolist() == [[0.0, 0.0]] * 2
+        assert _positive_increments(np.zeros(0)) == 0.0
+
+    def test_fig4_default_rows_before_the_first_rise_are_zero(self):
+        cfg = resolve_config("fig4", None, {"pairs": 20})
+        rows = np.array(run_figure("fig4", cfg)[1])
+        assert rows[:5, 1:].tolist() == [[0.0, 0.0]] * 5
+        assert np.all(rows[5:, 1] > 0.0)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
            st.floats(0.0, 2 * math.pi))
