@@ -163,16 +163,28 @@ _COMMANDS = {
 }
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _attach_dash_values(argv: list[str]) -> list[str]:
-    """Write ``--c -0.5,0.4,0.8`` as ``--c=-0.5,0.4,0.8``.
+    """Write ``--tau -1e-3`` as ``--tau=-1e-3`` and ``--c -0.5,0.4,0.8`` as
+    ``--c=-0.5,0.4,0.8``.
 
     argparse takes a separate value that starts with '-' and is not a plain
-    number for an option, so a Bell-diagonal triple with a negative first
-    entry, or a complex kappa such as -0.5+0.1j, would be refused.
+    number such as -1 or -0.5 for an option, so a negative number in
+    exponent notation, -inf, a Bell-diagonal triple with a negative first
+    entry, or a complex kappa such as -0.5+0.1j would be refused.
     """
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in ("--c", "--kappa") and arg.startswith("-"):
+        option = out[-1] if out else ""
+        if (arg.startswith("-") and option.startswith("--") and "=" not in option
+                and (option in ("--c", "--kappa") or _is_float(arg))):
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -24,8 +24,7 @@ from . import __version__
 from .channels import AmplitudeDampingChannel, ChannelFamily, DephasingChannel, apply_amplitude_damping, apply_dephasing
 from .decoherence import DephasingSpec, LorentzSpec, analytic_blp_dephasing, chi, kappa_complex, transition_thetas
 from .decoherence import _kappa_over_thetas
-from .measures import _chunked_backflows, _kept_samples, _optimal_differences, _random_differences
-from .measures import _window_backflows, _window_times
+from .measures import _chunked_backflows, _kept_samples, _random_differences, _window_samples, _window_times
 # sample_random_pair is not called here: perfbench/tracer.py wraps it at this name.
 from .measures import sample_random_pair  # noqa: F401
 from .rsp import bell_diagonal, correlation_matrix, rsp_fidelity
@@ -73,8 +72,6 @@ _FIGURE_DEFAULTS = {
         "grid": 4001,
         "theta_count": 17,
         "tauc_count": 5,
-        "alpha_count": 2,
-        "phase_count": 2,
         "out": "fig2.csv",
     }),
     # Backflow measure vs RSP fidelity across the non-Markovian theta window.
@@ -220,7 +217,7 @@ def _random_rowmax(
     ]
     if workers > 1 and len(tasks) > 1:
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
+        with ctx.Pool(processes=min(workers, len(tasks))) as pool:
             results = pool.map(_random_chunk_rowmax, tasks)
     else:
         results = [_random_chunk_rowmax(t) for t in tasks]
@@ -319,16 +316,14 @@ def run_fig2(cfg: dict):
     """Closed-form and numeric backflow over the (tau_c, theta) plane.
 
     The numeric column is ``blp_search(...).value`` on the window
-    [0, tau_c] for each row, computed in one kernel pass: kappa is evaluated
-    for every theta at once per control time, one candidate stack (the
-    alpha_count x phase_count optimal grid, both variants, then ``pairs``
-    seeded random pairs) is evolved at the kept points of all windows
-    together, and each row takes the maximum over the candidates of its own
-    window's backflow.  No witness is built.  All optimal candidates share
-    one exact trajectory, so the default candidate grid is kept small.
+    [0, tau_c] for each row, computed for all windows at once: kappa is
+    evaluated for every theta at once per control time, and each row's
+    value is the sum of positive increments of |kappa| over its window (the
+    optimal pairs' backflow; see ``_integral_sweep``), raised to the
+    largest backflow of the ``pairs`` seeded random pairs, which are evolved
+    at the kept points of all windows together.  No witness is built.
     """
-    _require(cfg, {"theta_count": 1, "tauc_count": 1, "grid": 2, "pairs": 0,
-                   "alpha_count": 1, "phase_count": 1})
+    _require(cfg, {"theta_count": 1, "tauc_count": 1, "grid": 2, "pairs": 0})
     dw = cfg["delta_omega"]
     tauc_grid = np.linspace(1.2 * math.pi / dw, 2.0 * math.pi / dw, cfg["tauc_count"])
     theta_grid = np.linspace(0.0, math.pi / 2, cfg["theta_count"])
@@ -340,11 +335,10 @@ def run_fig2(cfg: dict):
         windows.extend(_kappa_over_thetas(specs[0], theta_grid, times))
         closed += [(tau_c, theta, analytic_blp_dephasing(spec, float(tau_c)), theta1, theta2)
                    for theta, spec in zip(theta_grid, specs)]
-    deltas = np.concatenate([
-        _optimal_differences(cfg["alpha_count"], cfg["phase_count"]),
-        _random_differences(cfg["seed"], 0, cfg["pairs"]),
-    ])
-    numeric = _window_backflows(DephasingChannel(specs[0]), deltas, windows).max(axis=0)
+    f, reduce = _window_samples(windows)
+    deltas = _random_differences(cfg["seed"], 0, cfg["pairs"])
+    random = _chunked_backflows(DephasingChannel(specs[0]), deltas, f, reduce)
+    numeric = np.vstack([reduce(np.abs(f)), random]).max(axis=0)
     header = ["tau_c", "theta", "N_analytic", "N_numeric", "theta1", "theta2"]
     return header, [(tau_c, theta, n, value, theta1, theta2)
                     for (tau_c, theta, n, theta1, theta2), value in zip(closed, numeric)]

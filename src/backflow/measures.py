@@ -110,7 +110,8 @@ class MeasureReport:
 
     ``value`` is non-negative and may be ``math.inf`` for the divisibility
     measure; ``singularity`` then records the time of the offending zero.
-    ``witness`` carries the best pair for searched information-flow measures.
+    ``witness`` carries the best pair of ``blp_search``: ``optimal_pair(1.0,
+    0.0, "zeta")`` unless a random pair's backflow is strictly larger.
     """
 
     value: float
@@ -211,26 +212,19 @@ def sample_random_pair(seed: int, index: int = 0) -> StatePair:
     return StatePair(np.outer(k1, k1.conj()), np.outer(k2, k2.conj()))
 
 
-# The stacks below equal the difference() of the validated pairs above bit for
-# bit: every step is the same elementwise ufunc, and every ket is normalized
-# by _ket_norms.
-
-
-def _differences(kets: np.ndarray) -> np.ndarray:
-    """(N, 2, 4) ket pairs -> (N, 4, 4) differences of their projectors."""
-    rho = kets[..., :, None] * kets.conj()[..., None, :]
-    return rho[:, 0] - rho[:, 1]
-
-
 def _random_differences(seed: int, lo: int, hi: int) -> np.ndarray:
-    """``sample_random_pair(seed, k).difference()`` for k in [lo, hi), stacked.
+    """``sample_random_pair(seed, k).difference()`` for k in [lo, hi), stacked,
+    bit for bit and without validation: every step is the same elementwise
+    ufunc, and every ket is normalized by ``_ket_norms``.
 
     One draw of 16 normals per pair is the same stream as the four draws of 4
     that ``sample_random_pair`` makes.
     """
     z = np.array([_pair_stream(int(seed), k).standard_normal(16) for k in range(lo, hi)])
     z = z.reshape(-1, 2, 2, 4)
-    return _differences(_normalized(z[:, :, 0] + 1j * z[:, :, 1]))
+    kets = _normalized(z[:, :, 0] + 1j * z[:, :, 1])
+    rho = kets[..., :, None] * kets.conj()[..., None, :]
+    return rho[:, 0] - rho[:, 1]
 
 
 def _trace_distances(family: ChannelFamily, deltas: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -307,8 +301,8 @@ def _chunked_backflows(family: ChannelFamily, deltas: np.ndarray, f: np.ndarray,
     evolved in chunks of pairs of about ``_CHUNK_ENTRIES`` entries and
     concatenated along the pair axis."""
     deltas = np.asarray(deltas, dtype=complex)
-    if f.size == 0:  # |f| never rises: no pair is evolved, every sum is 0
-        return reduce(np.zeros((deltas.shape[0], 0)))
+    if f.size == 0 or deltas.shape[0] == 0:  # nothing to evolve: every sum is 0
+        return reduce(np.zeros((deltas.shape[0], f.size)))
     pair_chunk = max(1, _CHUNK_ENTRIES // (16 * f.size))
     return np.concatenate([
         reduce(_trace_distances(family, deltas[lo : lo + pair_chunk, None], f))
@@ -349,15 +343,16 @@ def _kept_samples(family: ChannelFamily, times: np.ndarray, cut_indices=None):
     return f[kept], partial(_positive_increments, cut_indices=cuts)
 
 
-def _window_backflows(family: ChannelFamily, deltas: np.ndarray, windows) -> np.ndarray:
-    """Backflow integral of each pair over each of several windows: (P, W).
+def _window_samples(windows):
+    """The multi-window twin of ``_kept_samples``: the kept samples of every
+    window concatenated, and the reduction that sums the positive increments
+    of each window's segment on its own, shape (..., W).
 
     ``windows`` holds W 1-D arrays of decoherence samples, each on its own
-    window's grid.  The kept points of every window (``_turning_points``)
-    are concatenated and evolved together, one spectrum call per chunk of
-    pairs; each window's segment of the trace distances is then reduced on
-    its own, so column w equals ``_pair_backflows`` over window w alone.  A
-    window where |f| never rises has an empty segment, which gives 0.
+    window's grid.  One ``_chunked_backflows`` call then evolves the pairs
+    at all windows' kept points together, and column w equals
+    ``_pair_backflows`` over window w alone.  A window where |f| never rises
+    has an empty segment, which gives 0.
     """
     kept = [f[_turning_points(np.abs(f))] for f in windows]
     starts = np.cumsum([k.size for k in kept])[:-1]
@@ -365,7 +360,7 @@ def _window_backflows(family: ChannelFamily, deltas: np.ndarray, windows) -> np.
     def segments(d: np.ndarray) -> np.ndarray:
         return np.stack([_positive_increments(seg) for seg in np.split(d, starts, axis=-1)], axis=-1)
 
-    return _chunked_backflows(family, deltas, np.concatenate(kept), segments)
+    return np.concatenate(kept), segments
 
 
 def _window_times(window: tuple[float, float], grid_size: int) -> np.ndarray:
@@ -377,60 +372,31 @@ def _window_times(window: tuple[float, float], grid_size: int) -> np.ndarray:
     return np.linspace(t0, t1, int(grid_size))
 
 
-def _optimal_grid(alpha_count: int, phase_count: int) -> tuple[np.ndarray, np.ndarray]:
-    for name, count in (("alpha_count", alpha_count), ("phase_count", phase_count)):
-        if count < 1:
-            raise ValueError(f"{name}={count} must be at least 1")
-    alphas = np.linspace(0.0, 1.0, alpha_count) if alpha_count > 1 else np.array([1.0])
-    return alphas, np.linspace(0.0, 2.0 * math.pi, phase_count, endpoint=False)
-
-
-def _optimal_differences(alpha_count: int, phase_count: int) -> np.ndarray:
-    """``optimal_pair(alpha, phase, variant).difference()`` over the candidate
-    grid, stacked alpha-major, then phase, then zeta/eta: (2 A P, 4, 4)."""
-    alphas, phases = _optimal_grid(alpha_count, phase_count)
-    a = np.sqrt(alphas)[:, None, None, None]
-    b = np.sqrt(1.0 - alphas)[:, None, None, None]
-    # sign * c for the + and - kets, shape (P, 2, 1); then phi+- and phi'+-.
-    sc = np.array([1.0, -1.0])[:, None] * np.exp(1j * phases)[:, None, None]
-    zero, one = np.zeros_like(sc), np.ones_like(sc)
-    phi = np.concatenate([one, zero, zero, sc], axis=-1) / math.sqrt(2.0)
-    phi_prime = np.concatenate([zero, one, sc, zero], axis=-1) / math.sqrt(2.0)
-    zeta = a * phi + b * phi_prime
-    eta = a * phi + b * phi_prime[:, ::-1]
-    kets = np.stack([zeta, eta], axis=2)  # (A, P, variant, state, 4)
-    return _differences(_normalized(kets).reshape(-1, 2, 4))
-
-
 def blp_search(
     family: ChannelFamily,
     window: tuple[float, float],
     n_pairs: int,
     grid_size: int,
     seed: int,
-    alpha_count: int = 11,
-    phase_count: int = 16,
 ) -> MeasureReport:
-    """Maximum backflow integral over candidate initial pairs.
+    """Maximum backflow integral over the optimal pairs and ``n_pairs``
+    seeded Haar-random pure pairs.
 
-    Candidates are the built-in optimal pairs on a uniform (alpha, phase)
-    grid (both variants), followed by ``n_pairs`` seeded Haar-random pure
-    pairs.  Ties resolve to the earliest candidate, so the result is
-    deterministic for a given seed regardless of evaluation order.
+    Every optimal pair evolves with trace distance |f|, so the optimal value
+    is the sum of positive increments of |f| itself and no optimal pair is
+    evolved.  A tie goes to the optimal pairs, whose witness is
+    ``optimal_pair(1.0, 0.0, "zeta")``; random pair k is the witness only
+    when its backflow is strictly larger (the earliest such k on a tie), so
+    the result is deterministic for a given seed.
     """
     if n_pairs < 0:
-        raise ValueError("n_pairs must be >= 0")
+        raise ValueError(f"n_pairs={n_pairs} must be at least 0")
     times = _window_times(window, grid_size)
-    optimal = _optimal_differences(alpha_count, phase_count)
-    deltas = np.concatenate([optimal, _random_differences(seed, 0, n_pairs)])
-    values = _window_backflows(family, deltas, [family.decoherence(times)])[:, 0]
+    f, reduce = _window_samples([family.decoherence(times)])
+    random = _chunked_backflows(family, _random_differences(seed, 0, n_pairs), f, reduce)
+    values = np.concatenate([reduce(np.abs(f)), random[:, 0]])
     best = int(np.argmax(values))
-    if best < len(optimal):
-        alphas, phases = _optimal_grid(alpha_count, phase_count)
-        i, rest = divmod(best, 2 * len(phases))
-        witness = optimal_pair(float(alphas[i]), float(phases[rest // 2]), _VARIANTS[rest % 2])
-    else:
-        witness = sample_random_pair(seed, best - len(optimal))
+    witness = optimal_pair(1.0, 0.0, "zeta") if best == 0 else sample_random_pair(seed, best - 1)
     return MeasureReport(value=float(values[best]), kind="blp", grid_size=int(grid_size), witness=witness)
 
 

@@ -181,3 +181,18 @@ def dephasing_extremes(theta: float, delta_omega: float, sigma: float) -> tuple[
             raise ValueError(f"extreme at t={t!r} sits on the bracket edge [{a!r}, {b!r}]")
         extremes.append(t)
     return extremes[0], extremes[1]
+
+
+def optimal_candidate_stack(alpha_count: int = 11, phase_count: int = 16) -> np.ndarray:
+    """``optimal_pair(alpha, phase, variant).difference()`` over a uniform
+    (alpha, phase) grid, both variants, stacked alpha-major: (2 A P, 4, 4).
+
+    Every member evolves with trace distance |f|, so the largest backflow
+    over the stack is the optimal pairs' backflow up to rounding.
+    """
+    from backflow import optimal_pair
+
+    alphas = np.linspace(0.0, 1.0, alpha_count) if alpha_count > 1 else np.array([1.0])
+    phases = np.linspace(0.0, 2.0 * math.pi, phase_count, endpoint=False)
+    return np.stack([optimal_pair(float(a), float(ph), v).difference()
+                     for a in alphas for ph in phases for v in ("zeta", "eta")])

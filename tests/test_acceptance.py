@@ -162,10 +162,9 @@ def test_criterion_3_analytic_vs_numeric_backflow():
               f"offset={offset:.3e} numeric={numeric:.9f}  "
               f"t_min-pi/dw={t_min - t_node:+.3e} t_max-2pi/dw={t_max - REVIVAL:+.3e}  "
               f"|diff|={diffs[-1]:.3e}")
-    # Cross-validation: the candidate search reproduces the single-pair value.
+    # Cross-validation: the pair search reproduces the single-pair value.
     theta, tau_c = combos[0]
-    searched = blp_search(dephasing(theta), (0.0, tau_c), 0, 10001, 42,
-                          alpha_count=2, phase_count=2).value
+    searched = blp_search(dephasing(theta), (0.0, tau_c), 0, 10001, 42).value
     times = np.linspace(0.0, tau_c, 10001)
     direct = blp_integral(trace_distance_trajectory(dephasing(theta), pair, times))
     assert searched == pytest.approx(direct, abs=1e-10)

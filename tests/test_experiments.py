@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import backflow
-from backflow import DephasingChannel, DephasingSpec, analytic_blp_dephasing, blp_search, transition_thetas
+from backflow import AmplitudeDampingChannel, DephasingChannel, DephasingSpec, LorentzSpec
+from backflow import analytic_blp_dephasing, blp_search, transition_thetas
 from backflow import cli, experiments, measures
 from backflow.experiments import (
     FIGURES,
@@ -28,7 +29,8 @@ from backflow.experiments import (
     write_csv,
     write_metadata,
 )
-from backflow.measures import _optimal_differences, _pair_backflows, _random_differences
+from backflow.measures import _pair_backflows, _random_differences, _window_samples
+from oracles import optimal_candidate_stack
 
 TINY_FIG1 = {"pairs": 40, "grid": 801, "rows": 8}
 TINY_FIG4 = {"pairs": 40, "grid": 801, "rows": 10}
@@ -95,9 +97,8 @@ class TestConfigResolution:
         for figure in ("fig1", "fig4"):
             with pytest.raises(ValueError, match="pairs=0 must be at least 1"):
                 run_figure(figure, resolve_config(figure, None, {"pairs": 0}))
-        for key in ("alpha_count", "phase_count"):
-            with pytest.raises(ValueError, match=f"{key}=0 must be at least 1"):
-                run_figure("fig2", resolve_config("fig2", None, {key: 0}))
+        with pytest.raises(ValueError, match="pairs=-1 must be at least 0"):
+            run_figure("fig2", resolve_config("fig2", None, {"pairs": -1}))
 
     def test_values_are_checked_against_the_type_of_their_default(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -119,13 +120,14 @@ class TestConfigResolution:
 
 
 # Each figure's option strings before the parser was derived from the config
-# table, minus fig3a/fig3b --theta (they have no theta key) and minus --seed
-# and --workers where the runner reads neither (fig2 reads only the seed).
+# table, minus fig3a/fig3b --theta (they have no theta key), minus --seed
+# and --workers where the runner reads neither (fig2 reads only the seed) and
+# minus fig2's --alpha-count/--phase-count (it has no candidate grid).
 FIGURE_FLAGS = {
     "fig1": ["--config", "--delta-omega", "--dw", "--grid", "--omega1", "--out", "--pairs", "--rows",
              "--seed", "--sigma", "--tauc-start", "--tauc-stop", "--theta", "--workers"],
-    "fig2": ["--alpha-count", "--config", "--delta-omega", "--dw", "--grid", "--omega1", "--out",
-             "--pairs", "--phase-count", "--seed", "--sigma", "--tauc-count", "--theta-count"],
+    "fig2": ["--config", "--delta-omega", "--dw", "--grid", "--omega1", "--out", "--pairs", "--seed",
+             "--sigma", "--tauc-count", "--theta-count"],
     "fig3a": ["--config", "--delta-omega", "--dw", "--omega1", "--out", "--sigma", "--theta-count"],
     "fig3b": ["--config", "--delta-omega", "--dw", "--omega1", "--out", "--sigma", "--theta-count"],
     "fig4": ["--config", "--gamma0", "--grid", "--out", "--pairs", "--ratio", "--rows", "--seed",
@@ -281,15 +283,16 @@ class TestBenchmarkHarness:
 
 
 class TestOptimalColumn:
-    """fig1/fig4's optimal column is the increment sum of |f| at the kept
-    points; it must agree with evolving the 352 optimal candidates, and the
-    random column must equal the per-chunk ``_pair_backflows`` path."""
+    """Every pair search's optimal column is the increment sum of |f| at the
+    kept points; it must agree with evolving the 352 optimal candidates, and
+    fig1/fig4's random column must equal the per-chunk ``_pair_backflows``
+    path."""
 
     @staticmethod
     def candidate_sweep(family, window_end, grid, row_fractions, n_pairs, seed, workers):
         times = np.linspace(0.0, window_end, grid)
         cuts = np.round(row_fractions * (grid - 1)).astype(int)
-        optimal = _pair_backflows(family, _optimal_differences(11, 16), times, cuts).max(axis=0)
+        optimal = _pair_backflows(family, optimal_candidate_stack(), times, cuts).max(axis=0)
         random_max = np.maximum.reduce([
             _pair_backflows(family, _random_differences(seed, lo, min(lo + 250, n_pairs)), times, cuts).max(axis=0)
             for lo in range(0, n_pairs, 250)
@@ -327,6 +330,40 @@ class TestOptimalColumn:
         assert np.all(np.abs(table[:, 1] - optimal) <= 4e-15)
         assert table[:, 2].tobytes() == random_max.tobytes()
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.one_of(
+            st.floats(0.0, math.pi / 2).map(lambda theta: DephasingChannel(DephasingSpec(theta))),
+            st.floats(0.01, 1.9).map(lambda ratio: AmplitudeDampingChannel(LorentzSpec(1.0, ratio))),
+        ),
+        st.floats(0.0, 0.8),
+        st.floats(0.05, 60.0),
+        st.integers(2, 2001),
+    )
+    def test_blp_search_equals_the_candidate_path(self, family, start_fraction, t1, grid):
+        times = np.linspace(start_fraction * t1, t1, grid)
+        expected = _pair_backflows(family, optimal_candidate_stack(), times).max()
+        assert abs(blp_search(family, (times[0], t1), 0, grid, 1).value - expected) <= 4e-15
+
+    def test_window_columns_equal_the_candidate_path(self):
+        # fig2's rows at its defaults, then windows of both families of
+        # different lengths through the multi-window reduction.
+        cfg = resolve_config("fig2")
+        table = np.array(run_figure("fig2", cfg)[1])
+        families, windows = [], []
+        for tau_c, theta in table[:, :2]:
+            spec = DephasingSpec(float(theta), cfg["omega1"], cfg["omega1"] + cfg["delta_omega"], cfg["sigma"])
+            families.append(DephasingChannel(spec))
+            windows.append(np.linspace(0.0, tau_c, cfg["grid"]))
+        for ratio, t1, grid in ((0.1, 30.0, 4001), (0.5, 12.0, 801), (1.9, 5.0, 2)):
+            families.append(AmplitudeDampingChannel(LorentzSpec(1.0, ratio)))
+            windows.append(np.linspace(0.0, t1, grid))
+        expected = np.array([_pair_backflows(family, optimal_candidate_stack(), times).max()
+                             for family, times in zip(families, windows)])
+        f, reduce = _window_samples([family.decoherence(times) for family, times in zip(families, windows)])
+        assert np.all(np.abs(table[:, 3] - expected[:len(table)]) <= 4e-15)
+        assert np.all(np.abs(reduce(np.abs(f)) - expected) <= 4e-15)
+
 
 class TestFig1:
     def test_ordering_and_zero_rows(self):
@@ -346,6 +383,35 @@ class TestFig1:
             write_csv(path, header, rows)
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_pool_starts_no_more_workers_than_tasks(self, tmp_path, monkeypatch):
+        # 400 pairs make two chunks of 250, so no pool starts more than two
+        # processes.  The fake context records the request and runs the
+        # chunks in this process.
+        requested = []
+
+        class Pool:
+            def __init__(self, processes):
+                requested.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(experiments.multiprocessing, "get_context", lambda method: mock.Mock(Pool=Pool))
+        outputs = []
+        for workers in (1, 2, 8):
+            cfg = resolve_config("fig1", None, {**TINY_FIG1, "pairs": 400, "workers": workers})
+            path = tmp_path / f"w{workers}.csv"
+            write_csv(path, *run_figure("fig1", cfg))
+            outputs.append(path.read_bytes())
+        assert requested == [2, 2]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_full_revival_row_value(self):
         # Ending the sweep at 2 pi / dw puts the coherence zero on the master
@@ -422,7 +488,6 @@ def fig2_rows_by_search(cfg):
             numeric = blp_search(
                 DephasingChannel(spec), (0.0, float(tau_c)), n_pairs=cfg["pairs"],
                 grid_size=cfg["grid"], seed=cfg["seed"],
-                alpha_count=cfg["alpha_count"], phase_count=cfg["phase_count"],
             ).value
             rows.append((tau_c, theta, analytic_blp_dephasing(spec, float(tau_c)), numeric, theta1, theta2))
     return rows
@@ -435,7 +500,7 @@ class TestFig2OnePass:
     @pytest.mark.parametrize("overrides", [
         {},
         {"pairs": 3},
-        {"alpha_count": 3, "phase_count": 5},
+        {"pairs": 40, "seed": 3},
         {"tauc_count": 2, "theta_count": 4},
     ])
     def test_rows_equal_per_row_searches(self, overrides):
@@ -444,7 +509,7 @@ class TestFig2OnePass:
         assert np.array(rows).tobytes() == np.array(fig2_rows_by_search(cfg)).tobytes()
 
     def test_rows_equal_per_row_searches_over_several_pair_chunks(self, monkeypatch):
-        cfg = resolve_config("fig2", None, {"grid": 401, "pairs": 6, "tauc_count": 2, "theta_count": 5})
+        cfg = resolve_config("fig2", None, {"grid": 401, "pairs": 8, "tauc_count": 2, "theta_count": 5})
         expected = np.array(fig2_rows_by_search(cfg))
         chunks = []
         trace_distances = measures._trace_distances
@@ -453,12 +518,13 @@ class TestFig2OnePass:
             chunks.append(deltas.shape[0])
             return trace_distances(family, deltas, f)
 
-        # Three pairs per chunk: the 8 optimal and 6 random candidates span 5.
+        # Three pairs per chunk: the 8 random pairs span 3; the optimal
+        # column evolves no pair.
         monkeypatch.setattr(measures, "_trace_distances", counting)
         kept = sum(measures._turning_points(np.abs(w)).size for w in self._windows(cfg))
         monkeypatch.setattr(measures, "_CHUNK_ENTRIES", 16 * kept * 3)
         _, rows = run_figure("fig2", cfg)
-        assert chunks == [3, 3, 3, 3, 2]
+        assert chunks == [3, 3, 2]
         assert np.array(rows).tobytes() == expected.tobytes()
 
     @staticmethod
@@ -617,6 +683,23 @@ class TestCli:
                 assert out.returncode == 0, out.stderr
                 assert float(out.stdout) == expected
 
+    def test_negative_exponent_floats_attach_to_their_flag(self, tmp_path):
+        kappa = ("kappa", "--theta", "0.3", "--dw", "10", "--sigma", "1")
+        separate, joined = run_cli(*kappa, "--tau", "-1e-3"), run_cli(*kappa, "--tau=-1e-3")
+        assert separate.returncode == joined.returncode == 0, separate.stderr
+        assert separate.stdout == joined.stdout
+        out_path = tmp_path / "f.csv"
+        written = []
+        for flags in (("--omega1", "-1e-3"), ("--omega1=-1e-3",)):
+            out = run_cli("fig1", "--pairs", "3", "--grid", "101", "--rows", "2", *flags, "--out", str(out_path))
+            assert out.returncode == 0, out.stderr
+            written.append((out_path.read_bytes(), (tmp_path / "f.csv.meta.json").read_bytes()))
+        assert written[0] == written[1]
+        # -inf now reaches the finiteness check instead of argparse.
+        out = run_cli("measure", "--measure", "blp", "--family", "dephasing", "--t1", "1", "--t0", "-inf")
+        assert out.returncode == 1
+        assert out.stderr.splitlines() == ["error: --t0 must be a finite number"]
+
     def test_measure_divergence_prints_inf(self):
         out = run_cli(
             "measure", "--measure", "divisibility", "--family", "dephasing",
@@ -684,13 +767,15 @@ class TestCli:
             assert not (tmp_path / "f.csv").exists()
 
     def test_degenerate_sizes_exit_with_one_error_line(self, tmp_path):
-        cfg_file = tmp_path / "c.json"
-        for key in ("alpha_count", "phase_count"):
-            cfg_file.write_text(json.dumps({"fig2": {key: 0}}))
-            out = run_cli("fig2", "--config", str(cfg_file), "--out", str(tmp_path / "f.csv"))
-            assert out.returncode == 1
-            assert out.stderr.splitlines() == [f"error: {key}=0 must be at least 1"]
-            assert not (tmp_path / "f.csv").exists()
+        out = run_cli("fig2", "--pairs", "-1", "--out", str(tmp_path / "f.csv"))
+        assert out.returncode == 1
+        assert out.stderr.splitlines() == ["error: pairs=-1 must be at least 0"]
+        assert not (tmp_path / "f.csv").exists()
+        out = run_cli("measure", "--measure", "blp", "--family", "dephasing",
+                      "--t1", "0.6283185307179586", "--pairs", "-1")
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr.splitlines() == ["error: n_pairs=-1 must be at least 0"]
         for measure in ("blp", "divisibility", "entanglement", "mutual-info"):
             out = run_cli("measure", "--measure", measure, "--family", "dephasing",
                           "--t1", "0.6283185307179586", "--grid", "1")
@@ -708,18 +793,19 @@ class TestCli:
             assert lines[0].startswith("error: width_ratio=") and "(0, 2)" in lines[0]
             assert not (tmp_path / "f.csv").exists()
 
-    def test_fig2_candidate_grid_flags(self, tmp_path):
+    def test_fig2_has_no_candidate_grid_or_theta_flag(self, tmp_path):
+        # fig2's optimal column is the increment sum of |kappa|, so it has no
+        # candidate grid to size, by flag or by config key.
         sizes = ["--grid", "101", "--tauc-count", "2", "--theta-count", "3"]
-        out = run_cli("fig2", *sizes, "--alpha-count", "3", "--phase-count", "5",
-                      "--out", str(tmp_path / "flags.csv"))
-        assert out.returncode == 0
+        out = run_cli("fig2", *sizes, "--alpha-count", "3", "--out", str(tmp_path / "flags.csv"))
+        assert out.returncode == 2
+        assert "unrecognized arguments: --alpha-count 3" in out.stderr
         cfg_file = tmp_path / "c.json"
-        cfg_file.write_text(json.dumps({"fig2": {"alpha_count": 3, "phase_count": 5}}))
+        cfg_file.write_text(json.dumps({"fig2": {"alpha_count": 3}}))
         out = run_cli("fig2", *sizes, "--config", str(cfg_file), "--out", str(tmp_path / "config.csv"))
-        assert out.returncode == 0
-        assert (tmp_path / "flags.csv").read_bytes() == (tmp_path / "config.csv").read_bytes()
-        meta = json.loads((tmp_path / "flags.csv.meta.json").read_text())
-        assert (meta["config"]["alpha_count"], meta["config"]["phase_count"]) == (3, 5)
+        assert out.returncode == 1
+        assert out.stderr.splitlines() == [f"error: unknown option 'alpha_count' in config file {cfg_file}"]
+        assert not (tmp_path / "flags.csv").exists() and not (tmp_path / "config.csv").exists()
         # fig2 sweeps its own theta grid, so it has no --theta, and --theta is
         # not read as an abbreviation of --theta-count either.
         for value in ("0.3", "3"):

@@ -32,17 +32,17 @@ from backflow import measures
 from backflow.measures import (
     _CHUNK_ENTRIES,
     _STEP_EXCESS,
+    _chunked_backflows,
     _ket_norms,
     _mutual_information,
-    _optimal_differences,
     _pair_backflows,
     _positive_increments,
     _random_differences,
     _trace_distances,
-    _window_backflows,
+    _window_samples,
 )
 from backflow.experiments import resolve_config, run_figure
-from oracles import binary_entropy, golden_max
+from oracles import binary_entropy, golden_max, optimal_candidate_stack
 
 DEPHASING = DephasingChannel(DephasingSpec(math.pi / 4))
 LORENTZ = AmplitudeDampingChannel(LorentzSpec(1.0, 0.1))
@@ -249,7 +249,7 @@ class TestBlpSearch:
     WINDOW = (0.0, REVIVAL)
 
     def test_optimal_only_matches_trajectory_integral(self):
-        report = blp_search(DEPHASING, self.WINDOW, 0, 801, 42, alpha_count=3, phase_count=4)
+        report = blp_search(DEPHASING, self.WINDOW, 0, 801, 42)
         pair = optimal_pair(0.5, 0.0, "zeta")
         times = np.linspace(*self.WINDOW, 801)
         direct = blp_integral(trace_distance_trajectory(DEPHASING, pair, times))
@@ -258,31 +258,45 @@ class TestBlpSearch:
         assert report.grid_size == 801
 
     def test_random_pairs_never_beat_optimal(self):
-        report = blp_search(DEPHASING, self.WINDOW, 200, 801, 42, alpha_count=3, phase_count=4)
-        optimal_only = blp_search(DEPHASING, self.WINDOW, 0, 801, 42, alpha_count=3, phase_count=4)
+        report = blp_search(DEPHASING, self.WINDOW, 200, 801, 42)
+        optimal_only = blp_search(DEPHASING, self.WINDOW, 0, 801, 42)
         assert report.value == pytest.approx(optimal_only.value, abs=1e-12)
 
     def test_witness_reproduces_the_maximum(self):
-        report = blp_search(DEPHASING, self.WINDOW, 50, 801, 7, alpha_count=2, phase_count=2)
+        report = blp_search(DEPHASING, self.WINDOW, 50, 801, 7)
         times = np.linspace(*self.WINDOW, 801)
         direct = blp_integral(trace_distance_trajectory(DEPHASING, report.witness, times))
         assert direct == pytest.approx(report.value, abs=1e-12)
 
     def test_deterministic_for_fixed_seed(self):
-        a = blp_search(DEPHASING, self.WINDOW, 60, 401, 5, alpha_count=2, phase_count=2)
-        b = blp_search(DEPHASING, self.WINDOW, 60, 401, 5, alpha_count=2, phase_count=2)
+        a = blp_search(DEPHASING, self.WINDOW, 60, 401, 5)
+        b = blp_search(DEPHASING, self.WINDOW, 60, 401, 5)
         assert a.value == b.value
         assert np.array_equal(a.witness.rho1, b.witness.rho1)
 
     def test_monotone_window_yields_zero(self):
-        report = blp_search(DEPHASING, (0.0, 0.9 * math.pi / 10), 40, 801, 3,
-                            alpha_count=2, phase_count=2)
+        report = blp_search(DEPHASING, (0.0, 0.9 * math.pi / 10), 40, 801, 3)
         assert report.value == 0.0
 
+    def test_zero_pairs_evolve_nothing(self, monkeypatch):
+        # The optimal value is the increment sum of |f|: without random pairs
+        # no pair is evolved, and the only spectra are the two that validate
+        # the witness's states; fig2 at its defaults builds no witness.
+        evolved, spectra = [], []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(measures, "_trace_distances", lambda *args: evolved.append(args))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: spectra.append(np.shape(a)) or eigvalsh(a, *args))
+        for family in (DEPHASING, LORENTZ):
+            spectra.clear()
+            assert blp_search(family, (0.0, 30.0), 0, 4001, 1).value > 0.0
+            assert spectra == [(4, 4), (4, 4)]
+        spectra.clear()
+        run_figure("fig2", resolve_config("fig2"))
+        assert evolved == [] and spectra == []
+
     def test_degenerate_sizes_are_rejected(self):
-        for counts, name in (((0, 4), "alpha_count=0"), ((3, 0), "phase_count=0")):
-            with pytest.raises(ValueError, match=name):
-                blp_search(DEPHASING, self.WINDOW, 0, 101, 1, alpha_count=counts[0], phase_count=counts[1])
+        with pytest.raises(ValueError, match="^n_pairs=-1 must be at least 0$"):
+            blp_search(DEPHASING, self.WINDOW, -1, 101, 1)
         with pytest.raises(ValueError, match="grid_size=1"):
             blp_search(DEPHASING, self.WINDOW, 0, 1, 1)
         for measure in (divisibility_measure, entanglement_measure, mutual_info_measure):
@@ -290,46 +304,35 @@ class TestBlpSearch:
                 measure(DEPHASING, self.WINDOW, 1)
 
 
-def _candidate_list(alpha_count, phase_count):
-    """The optimal candidates as validated pairs, in the search's order."""
-    alphas = np.linspace(0.0, 1.0, alpha_count) if alpha_count > 1 else np.array([1.0])
-    phases = np.linspace(0.0, 2.0 * math.pi, phase_count, endpoint=False)
-    return [optimal_pair(float(a), float(ph), v) for a in alphas for ph in phases for v in ("zeta", "eta")]
-
-
 class TestCandidateStacks:
     WINDOW = (0.0, REVIVAL)
 
-    def test_optimal_stack_is_bit_identical(self):
-        for counts in ((11, 16), (2, 2), (1, 1), (3, 4)):
-            expected = np.stack([p.difference() for p in _candidate_list(*counts)])
-            stack = _optimal_differences(*counts)
-            assert stack.shape == (2 * counts[0] * counts[1], 4, 4)
-            assert np.array_equal(stack, expected)
-
     def test_witness_is_the_candidate_at_the_winning_index(self, monkeypatch):
-        pairs = _candidate_list(3, 4)
-        times = np.linspace(*self.WINDOW, 401)
+        # Without random pairs the optimal column wins; its witness is the
+        # Bell-sector zeta pair.
+        zeta = optimal_pair(1.0, 0.0, "zeta")
         for family in (DEPHASING, LORENTZ):
-            report = blp_search(family, self.WINDOW, 0, 401, 9, alpha_count=3, phase_count=4)
-            values = _pair_backflows(family, np.stack([p.difference() for p in pairs]), times)
-            best = pairs[int(np.argmax(values))]
-            assert report.value == float(values.max())
-            assert np.array_equal(report.witness.rho1, best.rho1)
-            assert np.array_equal(report.witness.rho2, best.rho2)
-        # Every index decodes to its own candidate, random pairs included.
+            report = blp_search(family, self.WINDOW, 0, 401, 9)
+            assert np.array_equal(report.witness.rho1, zeta.rho1)
+            assert np.array_equal(report.witness.rho2, zeta.rho2)
+        # Random pair k wins only when strictly larger: a one-hot random
+        # column above the optimal value names its own pair, one equal to it
+        # or below it leaves the optimal witness.
+        optimal = blp_search(DEPHASING, self.WINDOW, 0, 101, 9).value
+        assert optimal > 0.0
         n_random = 3
-        for index in range(len(pairs) + n_random):
-            def one_hot(family, deltas, windows, index=index):
-                values = np.zeros((deltas.shape[0], len(windows)))
-                values[index] = 1.0
-                return values
+        for index in range(n_random):
+            for value, winner in ((1.0, sample_random_pair(9, index)), (optimal, zeta), (0.5 * optimal, zeta)):
+                def one_hot(family, deltas, f, reduce, index=index, value=value):
+                    values = np.zeros((deltas.shape[0], 1))
+                    values[index] = value
+                    return values
 
-            monkeypatch.setattr(measures, "_window_backflows", one_hot)
-            report = blp_search(DEPHASING, self.WINDOW, n_random, 101, 9, alpha_count=3, phase_count=4)
-            expected = pairs[index] if index < len(pairs) else sample_random_pair(9, index - len(pairs))
-            assert np.array_equal(report.witness.rho1, expected.rho1)
-            assert np.array_equal(report.witness.rho2, expected.rho2)
+                monkeypatch.setattr(measures, "_chunked_backflows", one_hot)
+                report = blp_search(DEPHASING, self.WINDOW, n_random, 101, 9)
+                assert report.value == max(value, optimal)
+                assert np.array_equal(report.witness.rho1, winner.rho1)
+                assert np.array_equal(report.witness.rho2, winner.rho2)
 
     def test_ket_norms_within_one_ulp_of_linalg_norm(self):
         rng = np.random.default_rng(5)
@@ -376,8 +379,13 @@ class TestPairBackflows:
             assert np.all(prefix[:, -1] > 0.0)
 
 
+def _window_backflows(family, deltas, windows):
+    """Backflow of each pair over each window, shape (P, W)."""
+    return _chunked_backflows(family, deltas, *_window_samples(windows))
+
+
 class TestWindowBackflows:
-    DELTAS = np.concatenate([_optimal_differences(2, 3), _random_differences(8, 0, 5)])
+    DELTAS = np.concatenate([optimal_candidate_stack(2, 3), _random_differences(8, 0, 5)])
 
     def test_one_window_equals_pair_backflows(self):
         for family, t1, grid in ((DEPHASING, 2.5 * REVIVAL, 4001), (LORENTZ, 30.0, 2001),
@@ -532,7 +540,7 @@ class TestTurningPointReduction:
         # At theta = 0, |kappa| is a falling Gaussian.
         family = DephasingChannel(DephasingSpec(0.0))
         times = np.linspace(0.0, 2 * REVIVAL, 801)
-        deltas = np.concatenate([_optimal_differences(2, 3), _random_differences(3, 0, 4)])
+        deltas = np.concatenate([optimal_candidate_stack(2, 3), _random_differences(3, 0, 4)])
         assert measures._turning_points(np.abs(family.decoherence(times)), [1, 400, 800]).size == 0
         calls = []
         monkeypatch.setattr(measures, "_trace_distances", lambda *args: calls.append(args))
@@ -723,8 +731,7 @@ class TestMeasureCoherence:
         for theta in (0.0, math.pi / 2):
             family = DephasingChannel(DephasingSpec(theta))
             window = (0.0, REVIVAL)
-            assert blp_search(family, window, 20, 401, 9,
-                              alpha_count=2, phase_count=2).value == 0.0
+            assert blp_search(family, window, 20, 401, 9).value == 0.0
             assert divisibility_measure(family, window, 401).value == 0.0
             assert entanglement_measure(family, window, 401).value == 0.0
             assert mutual_info_measure(family, window, 401).value == 0.0
