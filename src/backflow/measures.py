@@ -20,10 +20,18 @@ flat such a series does not rise, so the stretch adds exactly zero to the
 grid sum of its positive increments (Breuer, Laine & Piilo, PRL 103, 210401
 (2009)).  The sum therefore equals the same sum over the grid points that
 bound a rising step of |f|: the minimum and maximum around each rising
-stretch, and the prefix cuts inside one.  Only those points are evolved and
-eigen-solved; a window where |f| never rises evolves nothing and gives 0.
-The divisibility measure uses the closed-form trace norm of each step map's
-Choi matrix and solves no spectra.
+stretch, and the prefix cuts inside one.  Only those points are evolved; a
+window where |f| never rises evolves nothing and gives 0.
+
+Trace norms without spectra: a difference of two pure states has one
+positive and one negative eigenvalue, and both channels have Kraus rank 2,
+so every evolved difference has at most two eigenvalues of each sign.  Its
+trace norm is then the largest root of a cubic in Tr X^2, Tr X^3 and det X
+(``_half_trace_norms``).  Random pairs are pure by construction, so the pair
+searches solve no spectrum; ``trace_distance_trajectory`` eigen-solves the
+evolved differences of a pair only when the pair's difference has rank
+above 2.  The divisibility measure uses the closed-form trace norm of each
+step map's Choi matrix and solves no spectra either.
 """
 
 from __future__ import annotations
@@ -188,11 +196,16 @@ def optimal_pair(alpha: float, phase: float, variant: str = "zeta") -> StatePair
     return StatePair(np.outer(k1, k1.conj()), np.outer(k2, k2.conj()))
 
 
+def _require_non_negative(**values) -> None:
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name}={value} must be at least 0")
+
+
 def _pair_stream(seed: int, index: int) -> np.random.Generator:
     # Fixed derivation rule: pair k uses PCG64 seeded by
     # SeedSequence(entropy=seed, spawn_key=(k,)).
-    if seed < 0:
-        raise ValueError(f"seed={seed} must be at least 0")
+    _require_non_negative(seed=seed, index=index)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
@@ -212,34 +225,162 @@ def sample_random_pair(seed: int, index: int = 0) -> StatePair:
     return StatePair(np.outer(k1, k1.conj()), np.outer(k2, k2.conj()))
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the
+# multiplier of PCG64's 128-bit LCG (numpy/random/src/pcg64).
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash(words: np.ndarray, const: int, mult: int):
+    """SeedSequence's hash of the uint32 ``words`` under the running hash
+    constant ``const``; returns the hashes and the next constant."""
+    nxt = const * mult & _MASK32
+    h = (words ^ np.uint32(const)) * np.uint32(nxt)
+    return h ^ (h >> np.uint32(16)), nxt
+
+
+def _pair_states(seed: int, lo: int, hi: int) -> list:
+    """The PCG64 ``(state, inc)`` of ``_pair_stream(seed, k)`` for k in
+    [lo, hi), without a SeedSequence or PCG64 per pair; needs hi <= 2**64.
+
+    SeedSequence(seed, spawn_key=(k,)) mixes the words of k (one 32-bit word
+    below 2**32, two from there on) into the pool of SeedSequence(seed),
+    each word with the next four of the hash constants that the seed's own
+    mixing left off at: 16 hashes, plus 4 per seed word beyond the fourth.
+    The pool then hashes into 8 words, the 128-bit seed and increment of
+    PCG64, which seeds as state = (inc + seed) * mult + inc with
+    inc = 2 increment + 1, modulo 2**128.
+    """
+    ks = np.arange(lo, hi, dtype=np.uint64)
+    high = (ks >> np.uint64(32)).astype(np.uint32)
+    seed_words = max(1, -(-seed.bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, seed_words - 4), 2**32) & _MASK32
+    pool = np.tile(np.random.SeedSequence(seed).pool, (ks.size, 1))
+    for words, mixes in ((ks.astype(np.uint32), slice(None)), (high, high > 0)):
+        for i in range(4):
+            h, const = _hash(words, const, _MULT_A)
+            mixed = np.uint32(_MIX_MULT_L) * pool[:, i] - np.uint32(_MIX_MULT_R) * h
+            pool[mixes, i] = (mixed ^ (mixed >> np.uint32(16)))[mixes]
+    out, const = [], _INIT_B
+    for i in range(8):
+        h, const = _hash(pool[:, i % 4], const, _MULT_B)
+        out.append(h.astype(np.uint64))
+    # Each 64-bit value is (low word, high word); 128-bit ones are (high, low).
+    seeds_hi, seeds_lo, incs_hi, incs_lo = (out[j] | out[j + 1] << np.uint64(32) for j in range(0, 8, 2))
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seeds_hi.tolist(), seeds_lo.tolist(), incs_hi.tolist(), incs_lo.tolist()):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
 def _random_differences(seed: int, lo: int, hi: int) -> np.ndarray:
     """``sample_random_pair(seed, k).difference()`` for k in [lo, hi), stacked,
     bit for bit and without validation: every step is the same elementwise
     ufunc, and every ket is normalized by ``_ket_norms``.
 
-    One draw of 16 normals per pair is the same stream as the four draws of 4
-    that ``sample_random_pair`` makes.
+    Each pair's stream state comes from ``_pair_states``, and one reused
+    Generator set to it draws the pair's 16 normals: the same stream as the
+    four draws of 4 that ``sample_random_pair`` makes.  Indices must lie
+    below 2**64, where a spawn key has at most two words.
     """
-    z = np.array([_pair_stream(int(seed), k).standard_normal(16) for k in range(lo, hi)])
+    seed, lo, hi = int(seed), int(lo), int(hi)
+    _require_non_negative(seed=seed, index=lo)
+    if hi > 2**64:
+        raise ValueError(f"pair indices [{lo}, {hi}) must lie below 2**64")
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    z = np.empty((max(hi - lo, 0), 16))
+    for row, (state, inc) in zip(z, _pair_states(seed, lo, hi)):
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        rng.standard_normal(out=row)
     z = z.reshape(-1, 2, 2, 4)
     kets = _normalized(z[:, :, 0] + 1j * z[:, :, 1])
     rho = kets[..., :, None] * kets.conj()[..., None, :]
     return rho[:, 0] - rho[:, 1]
 
 
+# Newton steps from above, then fixed-point steps, on the trace-norm cubic of
+# _half_trace_norms: enough to match eigvalsh to ~1e-15 from its start.
+_NEWTON_STEPS, _FIXED_POINT_STEPS = 4, 2
+
+
+def _half_trace_norms(x: np.ndarray) -> np.ndarray:
+    """Half the trace norm of each traceless Hermitian 4x4 matrix of the
+    stack ``x`` (..., 4, 4) that has at most two positive and two negative
+    eigenvalues, without an eigensolve.  ``x`` is scaled in place.
+
+    With eigenvalues a >= b >= 0 >= c >= d, the answer is s = a + b =
+    -(c + d).  With P = ab and Q = cd, the invariants p2 = Tr X^2 =
+    2 s^2 - 2 (P + Q), e3 = Tr X^3 / 3 = s (Q - P) and e4 = det X = PQ make
+    y = s^2 a root of
+
+        g(y) = y (y - p2/2)^2 - 4 e4 y - e3^2,
+
+    whose other roots are (a + c)^2 and (a + d)^2, so y is the largest.  It
+    is a fixed point of the falling map phi(y) = p2/2 + sqrt(e3^2 / y + 4 e4)
+    and lies at or above p2/2, where g is convex; so it lies at or below
+    y0 = phi(p2/2), and Newton steps from y0 fall onto it from above, also
+    where a zero of the decoherence factor makes it a double root.  Steps
+    y = phi(y) then polish it.  e4 comes from LU (``det``), whose error vanishes with the small
+    eigenvalues, and is clipped at its exact lower bound 0.  Each matrix is
+    first scaled by a power of two (exactly) so that its largest real or
+    imaginary part lies in [1/2, 1): p2 of a matrix of entries near 1e-160
+    would underflow.  A zero matrix (p2 = 0) gives 0.
+    """
+    x = np.ascontiguousarray(x)
+    parts = x.view(float).reshape(x.shape[:-2] + (32,))
+    _, exponent = np.frexp(np.abs(parts).max(axis=-1))
+    np.ldexp(parts, -exponent[..., None], out=parts)
+    p2 = np.einsum("...i,...i->...", parts, parts)
+    e3 = np.einsum("...i,...i->...", (x @ x).view(float).reshape(parts.shape), parts) / 3.0
+    h = 0.5 * p2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # A subnormal LU pivot makes det NaN; |det X| < 1e-300 then, and
+        # fmax reads it as 0.
+        e4 = np.fmax(np.linalg.det(x).real, 0.0)
+        y = h + np.sqrt(e3 * e3 / h + 4.0 * e4)
+        for _ in range(_NEWTON_STEPS):
+            u = y - h
+            g = y * u * u - 4.0 * e4 * y - e3 * e3
+            slope = u * u + 2.0 * y * u - 4.0 * e4
+            y -= np.divide(g, slope, out=np.zeros_like(g), where=slope > 0.0)
+        for _ in range(_FIXED_POINT_STEPS):
+            y = h + np.sqrt(e3 * e3 / y + 4.0 * e4)
+    return np.where(p2 > 0.0, np.ldexp(np.sqrt(y), exponent), 0.0)
+
+
 def _trace_distances(family: ChannelFamily, deltas: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Half the trace norm of each evolved difference matrix.
+    """Half the trace norm of each evolved difference matrix, for differences
+    of two pure states (rank at most 2).
 
     ``deltas`` (..., 4, 4) and the decoherence samples ``f`` broadcast as in
     the family's ``act``; channels are linear, so evolving the difference
-    equals the difference of the evolved states.
+    equals the difference of the evolved states.  Such a difference has one
+    positive and one negative eigenvalue, and each channel has Kraus rank 2,
+    so every evolved difference has at most two of each, as
+    ``_half_trace_norms`` needs.
     """
+    return _half_trace_norms(family.act(deltas, f))
+
+
+def _eigen_trace_distances(family: ChannelFamily, deltas: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``_trace_distances`` for any difference matrices, from their spectra."""
     return 0.5 * np.abs(np.linalg.eigvalsh(family.act(deltas, f))).sum(axis=-1)
 
 
-# Evolved 4x4 stacks are built in chunks of about this many entries, each
-# dropped as soon as its spectrum is taken, before the next one is built.
-_CHUNK_ENTRIES = 4_000_000
+# A pair's difference counts as rank 2 when its two middle eigenvalues are
+# within this of zero, relative to its largest one.  Differences of two pure
+# states built in floating point reach 4 eps.
+_RANK_TOL = 64 * np.finfo(float).eps
+
+# Evolved 4x4 stacks are built in chunks of about this many entries.  The
+# trace-norm kernel holds a chunk and its matrix square, and drops both
+# before the next chunk is built.
+_CHUNK_ENTRIES = 2_000_000
 
 
 def _positive_increments(values: np.ndarray, cut_indices=None) -> np.ndarray:
@@ -282,12 +423,19 @@ def _turning_points(absf: np.ndarray, cut_indices=None) -> np.ndarray:
 
 def trace_distance_trajectory(family: ChannelFamily, pair: StatePair, times) -> Trajectory:
     """Trace distance of the evolved pair at each grid time, in chunks of
-    grid points (the spectra are per matrix, so chunking changes no bit)."""
+    grid points (each value is per matrix, so chunking changes no bit).
+
+    A pair whose difference has rank at most 2, such as two pure states,
+    takes ``_trace_distances``; any other pair's evolved differences are
+    eigen-solved.  The pair's own spectrum decides, once.
+    """
     times = np.asarray(times, dtype=float)
     f = np.asarray(family.decoherence(times))
     delta, step = pair.difference(), _CHUNK_ENTRIES // 16
+    w = np.abs(np.linalg.eigvalsh(delta))
+    distances = _trace_distances if max(w[1], w[2]) <= _RANK_TOL * w.max() else _eigen_trace_distances
     # An empty grid still makes one (empty) chunk, for Trajectory to reject.
-    values = [_trace_distances(family, delta, f[lo : lo + step]) for lo in range(0, max(f.size, 1), step)]
+    values = [distances(family, delta, f[lo : lo + step]) for lo in range(0, max(f.size, 1), step)]
     return Trajectory(times, np.concatenate(values))
 
 

@@ -282,6 +282,35 @@ class TestBenchmarkHarness:
             assert expected.check(command, rc, stdout, stderr) == [], command.label
 
 
+def _sweep_config(case, start_fraction, grid, rows, pairs, seed):
+    figure, overrides = case
+    stop_key = "tauc_stop" if figure == "fig1" else "tc_stop"
+    if start_fraction is None:  # both bounds at their defaults
+        del overrides[stop_key]
+    else:
+        overrides[stop_key.replace("stop", "start")] = start_fraction * overrides[stop_key]
+    overrides.update(grid=grid, rows=rows, pairs=pairs, seed=seed)
+    return figure, resolve_config(figure, None, overrides)
+
+
+# fig1 over any theta and fig4 over any width ratio, with their row ranges,
+# grids, row counts, pair counts and seeds.
+_SWEEPS = st.builds(
+    _sweep_config,
+    st.one_of(
+        st.tuples(st.floats(0.0, math.pi / 2), st.floats(0.05, 2.0)).map(
+            lambda c: ("fig1", {"theta": c[0], "tauc_stop": c[1]})),
+        st.tuples(st.floats(0.01, 1.9), st.floats(1.0, 80.0)).map(
+            lambda c: ("fig4", {"width_ratio": c[0], "tc_stop": c[1]})),
+    ),
+    st.floats(0.05, 1.0) | st.none(),
+    st.integers(101, 2001),
+    st.integers(1, 30),
+    st.integers(1, 300),
+    st.integers(0, 2**32 - 1),
+)
+
+
 class TestOptimalColumn:
     """Every pair search's optimal column is the increment sum of |f| at the
     kept points; it must agree with evolving the 352 optimal candidates, and
@@ -300,27 +329,9 @@ class TestOptimalColumn:
         return optimal, random_max
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        st.one_of(
-            st.tuples(st.floats(0.0, math.pi / 2), st.floats(0.05, 2.0)).map(
-                lambda c: ("fig1", {"theta": c[0], "tauc_stop": c[1]})),
-            st.tuples(st.floats(0.01, 1.9), st.floats(1.0, 80.0)).map(
-                lambda c: ("fig4", {"width_ratio": c[0], "tc_stop": c[1]})),
-        ),
-        st.floats(0.05, 1.0) | st.none(),
-        st.integers(101, 2001),
-        st.integers(1, 30),
-        st.integers(1, 300),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_equals_the_candidate_path(self, case, start_fraction, grid, rows, pairs, seed):
-        figure, overrides = case
-        stop_key = "tauc_stop" if figure == "fig1" else "tc_stop"
-        if start_fraction is None:  # both bounds at their defaults
-            del overrides[stop_key]
-        else:
-            overrides[stop_key.replace("stop", "start")] = start_fraction * overrides[stop_key]
-        cfg = resolve_config(figure, None, {**overrides, "grid": grid, "rows": rows, "pairs": pairs, "seed": seed})
+    @given(_SWEEPS)
+    def test_equals_the_candidate_path(self, sweep):
+        figure, cfg = sweep
         calls = []
         sweep = experiments._integral_sweep
         with mock.patch.object(experiments, "_integral_sweep", lambda *a: calls.append(a) or sweep(*a)):
@@ -344,6 +355,15 @@ class TestOptimalColumn:
         times = np.linspace(start_fraction * t1, t1, grid)
         expected = _pair_backflows(family, optimal_candidate_stack(), times).max()
         assert abs(blp_search(family, (times[0], t1), 0, grid, 1).value - expected) <= 4e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(_SWEEPS)
+    def test_random_rows_never_exceed_the_optimal_rows(self, sweep):
+        # The paper's optimality of the zeta/eta pairs on every fig1/fig4 row
+        # cut; a trace norm that reads high would break it.
+        figure, cfg = sweep
+        table = np.array(run_figure(figure, cfg)[1])
+        assert np.all(table[:, 2] <= table[:, 1] * (1.0 + 1e-12) + 1e-14)
 
     def test_window_columns_equal_the_candidate_path(self):
         # fig2's rows at its defaults, then windows of both families of

@@ -10,6 +10,7 @@ from backflow import (
     DephasingChannel,
     DephasingSpec,
     LorentzSpec,
+    StatePair,
     Trajectory,
     blp_integral,
     blp_search,
@@ -33,6 +34,7 @@ from backflow.measures import (
     _CHUNK_ENTRIES,
     _STEP_EXCESS,
     _chunked_backflows,
+    _eigen_trace_distances,
     _ket_norms,
     _mutual_information,
     _pair_backflows,
@@ -42,7 +44,7 @@ from backflow.measures import (
     _window_samples,
 )
 from backflow.experiments import resolve_config, run_figure
-from oracles import binary_entropy, golden_max, optimal_candidate_stack
+from oracles import binary_entropy, bisect_root, golden_max, optimal_candidate_stack, random_density_matrix
 
 DEPHASING = DephasingChannel(DephasingSpec(math.pi / 4))
 LORENTZ = AmplitudeDampingChannel(LorentzSpec(1.0, 0.1))
@@ -139,11 +141,37 @@ class TestRandomPairs:
         assert _random_differences(42, 5, 5).shape == (0, 4, 4)
 
     def test_negative_seed_is_rejected_by_name(self):
-        # Every random pair, sampled one at a time or as a stack, comes from
-        # one stream builder, which names the bad seed.
+        # Every random pair, sampled one at a time or as a stack, names the
+        # bad seed.
         for sample in (lambda: sample_random_pair(-1, 0), lambda: _random_differences(-1, 0, 2)):
             with pytest.raises(ValueError, match=r"^seed=-1 must be at least 0$"):
                 sample()
+
+    def test_negative_index_is_rejected_by_name(self):
+        with pytest.raises(ValueError, match=r"^index=-1 must be at least 0$"):
+            sample_random_pair(1, -1)
+        with pytest.raises(ValueError, match=r"^index=-2 must be at least 0$"):
+            _random_differences(1, -2, 1)
+
+    # Seeds of 1, 2, 3, 4 and 5 entropy words.
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**70, 2**100 + 7, 2**130])
+    def test_stack_seeding_equals_seed_sequence_for_every_seed_width(self, seed):
+        # The stack derives each stream state without a SeedSequence; each
+        # chunk must still draw sample_random_pair(seed, k) bit for bit: from
+        # 0, from inside the run, across 2**32 (where k's spawn key gains a
+        # second word) and up to the last index it takes, 2**64 - 1.
+        for lo, hi in ((0, 12), (337, 343), (2**32 - 3, 2**32 + 3), (2**64 - 2, 2**64)):
+            stack = _random_differences(seed, lo, hi)
+            assert stack.shape == (hi - lo, 4, 4)
+            for k, delta in zip(range(lo, hi), stack):
+                assert np.array_equal(delta, sample_random_pair(seed, k).difference())
+
+    def test_indices_past_two_spawn_key_words_are_rejected(self):
+        # From 2**64 on, a spawn key has three words; the stack does not
+        # derive those streams, while sample_random_pair still draws them.
+        with pytest.raises(ValueError, match=r"must lie below 2\*\*64"):
+            _random_differences(1, 2**64 - 1, 2**64 + 1)
+        sample_random_pair(1, 2**64)
 
     def test_mean_distance_stable_across_seeds(self):
         means = []
@@ -167,8 +195,6 @@ class TestTrajectory:
 
     def test_identical_pair_gives_zero_series(self):
         rho = sample_random_pair(3, 5).rho1
-        from backflow import StatePair
-
         pair = StatePair(rho, rho.copy())
         traj = trace_distance_trajectory(DEPHASING, pair, np.linspace(0, 0.6, 40))
         assert np.max(traj.values) <= 1e-14
@@ -186,6 +212,29 @@ class TestTrajectory:
                 )
                 assert traj.values[k] == pytest.approx(direct, abs=1e-12)
 
+    def test_mixed_pair_is_eigen_solved(self, monkeypatch):
+        # A pure state against a full-rank one: their difference has three
+        # negative eigenvalues, where the pure-pair trace norm does not hold.
+        pure = sample_random_pair(11, 2)
+        pair = StatePair(pure.rho1, random_density_matrix(np.random.default_rng(5), 4))
+        for family, horizon in ((DEPHASING, 0.6), (LORENTZ, 10.0)):
+            times = np.linspace(0.0, horizon, 25)
+            f = np.asarray(family.decoherence(times))
+            traj = trace_distance_trajectory(family, pair, times)
+            for k in (0, 7, 19, 24):
+                t = float(times[k])
+                direct = trace_distance(family.apply(pair.rho1, t), family.apply(pair.rho2, t))
+                assert traj.values[k] == pytest.approx(direct, abs=1e-12)
+            assert np.array_equal(traj.values, _eigen_trace_distances(family, pair.difference(), f))
+            assert np.max(np.abs(_trace_distances(family, pair.difference(), f) - traj.values)) > 1e-3
+            # A pure pair takes the eigensolve-free path, the mixed one not.
+            with monkeypatch.context() as patch:
+                patch.setattr(measures, "_eigen_trace_distances", None)
+                trace_distance_trajectory(family, pure, times)
+            with monkeypatch.context() as patch:
+                patch.setattr(measures, "_trace_distances", None)
+                trace_distance_trajectory(family, pair, times)
+
     def test_grid_longer_than_one_chunk_matches_one_stack(self):
         times = np.linspace(0.0, 30.0, 2 * (_CHUNK_ENTRIES // 16) + 7)
         pair = sample_random_pair(13, 0)
@@ -199,6 +248,72 @@ class TestTrajectory:
         times = np.linspace(0.0, t_rev, 80)
         traj = trace_distance_trajectory(LORENTZ, pair, times)
         assert np.max(np.abs(traj.values - np.abs(chi(LORENTZ.spec, times)))) <= 1e-9
+
+
+# Decoherence magnitudes: 0 and 1 exactly, any value in [0, 1], and values
+# below 1e-154, whose squares underflow.
+_MAGNITUDES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0) | st.floats(1e-300, 1e-154)
+
+
+def _gate(got, want):
+    return np.all(np.abs(got - want) <= 1e-13 * want + 1e-14)
+
+
+class TestTraceNormWithoutEigensolve:
+    """``_trace_distances`` takes the trace norm of evolved pure-pair
+    differences from a cubic in Tr X^2, Tr X^3 and det X; it must match the
+    eigen-solved trace norm."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["dephasing", "lorentz"]),
+        st.integers(0, 2**32 - 1),
+        _ALPHAS,
+        _PHASES,
+        st.sampled_from(["zeta", "eta"]),
+        st.lists(st.tuples(_MAGNITUDES, st.floats(0.0, 2 * math.pi)), min_size=1, max_size=30),
+    )
+    @example("dephasing", 0, 1.0, 0.0, "zeta", [(0.0, 0.0), (1.0, 0.0), (1e-200, 1.0)])
+    @example("lorentz", 1, 0.0, 0.0, "eta", [(0.0, 0.0), (1.0, 4.0), (1e-160, 0.0)])
+    def test_matches_eigvalsh(self, kind, seed, alpha, phase, variant, samples):
+        # Random pairs and a rank-2 (optimal) pair, kappa with any phase and
+        # chi with either sign.
+        r, angle = np.array(samples).T
+        if kind == "dephasing":
+            family, f = DEPHASING, r * np.exp(1j * angle)
+        else:
+            family, f = LORENTZ, np.where(angle < math.pi, r, -r)
+        optimal = optimal_pair(alpha, phase, variant).difference()
+        deltas = np.concatenate([_random_differences(seed, 0, 6), optimal[None]])
+        got = _trace_distances(family, deltas[:, None], f)
+        assert _gate(got, _eigen_trace_distances(family, deltas[:, None], f))
+
+    def test_matches_eigvalsh_through_the_zeros_of_f(self):
+        # Around a zero of f the largest root of the cubic is (nearly)
+        # double.  Samples at the zeros of chi (bisected) and of kappa at
+        # theta = pi/4 (t = pi/dw), and at offsets of 1e-16 .. 1e-2 on both
+        # sides, for 200 random pairs and the optimal candidates.
+        t = np.linspace(0.0, 30.0, 4001)
+        x = np.asarray(LORENTZ.decoherence(t))
+        flips = np.flatnonzero(np.sign(x[1:]) != np.sign(x[:-1]))
+        zeros = {LORENTZ: [bisect_root(lambda s: float(LORENTZ.decoherence(s)), t[i], t[i + 1]) for i in flips],
+                 DEPHASING: [math.pi / 10]}
+        offsets = np.concatenate([[0.0], np.outer([-1.0, 1.0], 10.0 ** -np.arange(2.0, 17.0)).ravel()])
+        deltas = np.concatenate([_random_differences(9, 0, 200), optimal_candidate_stack(5, 4)])
+        for family, roots in zeros.items():
+            assert roots
+            f = np.asarray(family.decoherence(np.add.outer(roots, offsets).ravel()))
+            assert np.min(np.abs(f)) <= 1e-15
+            got = _trace_distances(family, deltas[:, None], f)
+            assert _gate(got, _eigen_trace_distances(family, deltas[:, None], f))
+
+    def test_random_pair_kernel_solves_no_spectrum(self, monkeypatch):
+        def eigvalsh(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        for figure, overrides in (("fig1", {"pairs": 30}), ("fig4", {"pairs": 30}), ("fig2", {"pairs": 3})):
+            run_figure(figure, resolve_config(figure, None, {"grid": 401, **overrides}))
 
 
 class TestBlpIntegral:
