@@ -6,9 +6,10 @@ rectangular table of finite values, and writes CSV plus an adjacent
 ``<out>.meta.json`` recording the resolved configuration, seed and library
 version.
 
-Determinism: every random pair derives from its own seed stream (base seed +
-pair index), row order follows grid order, and worker fan-out only splits the
-pair loop, so serial and parallel runs emit identical bytes.
+Determinism: random pair k draws from its own stream, PCG64 seeded by
+``SeedSequence(seed, spawn_key=(k,))``; row order follows grid order, and
+worker fan-out only splits the pair loop, so serial and parallel runs emit
+identical bytes.
 """
 
 from __future__ import annotations

@@ -27,11 +27,15 @@ Trace norms without spectra: a difference of two pure states has one
 positive and one negative eigenvalue, and both channels have Kraus rank 2,
 so every evolved difference has at most two eigenvalues of each sign.  Its
 trace norm is then the largest root of a cubic in Tr X^2, Tr X^3 and det X
-(``_half_trace_norms``).  Random pairs are pure by construction, so the pair
-searches solve no spectrum; ``trace_distance_trajectory`` eigen-solves the
-evolved differences of a pair only when the pair's difference has rank
-above 2.  The divisibility measure uses the closed-form trace norm of each
-step map's Choi matrix and solves no spectra either.
+(``_half_trace_norms``).  Both channels act blockwise on the noisy qubit,
+so these three invariants are low-degree polynomials in |f|^2 whose
+coefficients come once per pair from the 2x2 blocks of its difference
+(``_PAIR_INVARIANTS``): no evolved matrix is built.  Random pairs are pure
+by construction, so the pair searches solve no spectrum;
+``trace_distance_trajectory`` evolves and eigen-solves the differences of a
+pair only when the pair's difference has rank above 2.  The divisibility
+measure uses the closed-form trace norm of each step map's Choi matrix and
+solves no spectra either.
 """
 
 from __future__ import annotations
@@ -308,15 +312,14 @@ def _random_differences(seed: int, lo: int, hi: int) -> np.ndarray:
 _NEWTON_STEPS, _FIXED_POINT_STEPS = 4, 2
 
 
-def _half_trace_norms(x: np.ndarray) -> np.ndarray:
-    """Half the trace norm of each traceless Hermitian 4x4 matrix of the
-    stack ``x`` (..., 4, 4) that has at most two positive and two negative
-    eigenvalues, without an eigensolve.  ``x`` is scaled in place.
+def _half_trace_norms(p2: np.ndarray, e3: np.ndarray, e4: np.ndarray) -> np.ndarray:
+    """Half the trace norm of traceless Hermitian 4x4 matrices X with at most
+    two positive and two negative eigenvalues, from p2 = Tr X^2,
+    e3 = Tr X^3 / 3 and e4 = det X >= 0, without an eigensolve.
 
     With eigenvalues a >= b >= 0 >= c >= d, the answer is s = a + b =
-    -(c + d).  With P = ab and Q = cd, the invariants p2 = Tr X^2 =
-    2 s^2 - 2 (P + Q), e3 = Tr X^3 / 3 = s (Q - P) and e4 = det X = PQ make
-    y = s^2 a root of
+    -(c + d).  With P = ab and Q = cd, p2 = 2 s^2 - 2 (P + Q),
+    e3 = s (Q - P) and e4 = PQ make y = s^2 a root of
 
         g(y) = y (y - p2/2)^2 - 4 e4 y - e3^2,
 
@@ -325,23 +328,10 @@ def _half_trace_norms(x: np.ndarray) -> np.ndarray:
     and lies at or above p2/2, where g is convex; so it lies at or below
     y0 = phi(p2/2), and Newton steps from y0 fall onto it from above, also
     where a zero of the decoherence factor makes it a double root.  Steps
-    y = phi(y) then polish it.  e4 comes from LU (``det``), whose error vanishes with the small
-    eigenvalues, and is clipped at its exact lower bound 0.  Each matrix is
-    first scaled by a power of two (exactly) so that its largest real or
-    imaginary part lies in [1/2, 1): p2 of a matrix of entries near 1e-160
-    would underflow.  A zero matrix (p2 = 0) gives 0.
+    y = phi(y) then polish it.  p2 = 0 (a zero matrix) gives 0.
     """
-    x = np.ascontiguousarray(x)
-    parts = x.view(float).reshape(x.shape[:-2] + (32,))
-    _, exponent = np.frexp(np.abs(parts).max(axis=-1))
-    np.ldexp(parts, -exponent[..., None], out=parts)
-    p2 = np.einsum("...i,...i->...", parts, parts)
-    e3 = np.einsum("...i,...i->...", (x @ x).view(float).reshape(parts.shape), parts) / 3.0
     h = 0.5 * p2
     with np.errstate(divide="ignore", invalid="ignore"):
-        # A subnormal LU pivot makes det NaN; |det X| < 1e-300 then, and
-        # fmax reads it as 0.
-        e4 = np.fmax(np.linalg.det(x).real, 0.0)
         y = h + np.sqrt(e3 * e3 / h + 4.0 * e4)
         for _ in range(_NEWTON_STEPS):
             u = y - h
@@ -350,7 +340,139 @@ def _half_trace_norms(x: np.ndarray) -> np.ndarray:
             y -= np.divide(g, slope, out=np.zeros_like(g), where=slope > 0.0)
         for _ in range(_FIXED_POINT_STEPS):
             y = h + np.sqrt(e3 * e3 / y + 4.0 * e4)
-    return np.where(p2 > 0.0, np.ldexp(np.sqrt(y), exponent), 0.0)
+    return np.where(p2 > 0.0, np.sqrt(y), 0.0)
+
+
+# The exponent of a zero block or sample: ldexp by it, or by anything near
+# it, gives 0.
+_ZERO_EXPONENT = -4096
+
+
+def _exponents(m: np.ndarray) -> np.ndarray:
+    """The exponent that frexp gives each m >= 0 (m / 2**e lies in [1/2, 1)),
+    or ``_ZERO_EXPONENT`` where m is 0."""
+    return np.where(m > 0.0, np.frexp(m)[1], _ZERO_EXPONENT)
+
+
+def _scaled(*blocks: np.ndarray):
+    """The 2x2 ``blocks`` (each ..., 2, 2) scaled by one power of two per
+    leading index, so that their largest real or imaginary part lies in
+    [1/2, 1), and that power's exponent."""
+    e = _exponents(np.max([np.maximum(abs(b.real), abs(b.imag)).max(axis=(-2, -1)) for b in blocks], axis=0))
+    s = -e[..., None, None]
+    return [np.ldexp(b.real, s) + 1j * np.ldexp(b.imag, s) for b in blocks], e
+
+
+def _hermitian(m: np.ndarray):
+    """Hermitian 2x2 blocks m (..., 2, 2) as the real arrays (m00, m11,
+    Re m01, Im m01)."""
+    return m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1].real, m[..., 0, 1].imag
+
+
+def _gram(b: np.ndarray):
+    """``_hermitian`` of b b† for 2x2 blocks b (..., 2, 2)."""
+    sq = b.real * b.real + b.imag * b.imag
+    z = b[..., 0, 0] * b[..., 1, 0].conj() + b[..., 0, 1] * b[..., 1, 1].conj()
+    return sq[..., 0, 0] + sq[..., 0, 1], sq[..., 1, 0] + sq[..., 1, 1], z.real, z.imag
+
+
+# Tr H^2, Tr H^3, Tr H K and det H of Hermitian 2x2 blocks given as
+# ``_hermitian`` parts.
+def _tr2(h) -> np.ndarray:
+    p, q, x, y = h
+    return p * p + q * q + 2.0 * (x * x + y * y)
+
+
+def _tr3(h) -> np.ndarray:
+    p, q, x, y = h
+    return p * p * p + q * q * q + 3.0 * (x * x + y * y) * (p + q)
+
+
+def _tr_product(h, k) -> np.ndarray:
+    return h[0] * k[0] + h[1] * k[1] + 2.0 * (h[2] * k[2] + h[3] * k[3])
+
+
+def _det(h) -> np.ndarray:
+    p, q, x, y = h
+    return p * q - (x * x + y * y)
+
+
+def _magnitudes(f: np.ndarray):
+    """r = |f|, r / 2**e in [1/2, 1) (0 where f = 0), and e."""
+    r = np.abs(f)
+    e = _exponents(r)
+    return r, np.ldexp(r, -e), e
+
+
+def _dephasing_invariants(deltas: np.ndarray, kappa: np.ndarray):
+    """(p2, e3, e4) of ``DephasingChannel.act(deltas, kappa)`` scaled by
+    2**-e, and e, per evolved difference; see ``_PAIR_INVARIANTS``.
+
+    With x = |kappa|^2 the dephased difference [[A, kappa B], [kappa* B†, C]]
+    has p2 = Tr A^2 + Tr C^2 + 2 x |B|^2, Tr X^3 = Tr A^3 + Tr C^3 +
+    3 x (Tr A B B† + Tr C B† B) and, for a pure-pair difference,
+    det X = (1 - x)^2 det A det C.  A and C share one scale, since dephasing
+    leaves both as they are.
+    """
+    (a, c), ed = _scaled(deltas[..., :2, :2], deltas[..., 2:, 2:])
+    (b,), eb = _scaled(deltas[..., :2, 2:])
+    a, c = _hermitian(a), _hermitian(c)
+    bb, bhb = _gram(b), _gram(b.conj().swapaxes(-1, -2))
+    d2, d3 = _tr2(a) + _tr2(c), (_tr3(a) + _tr3(c)) / 3.0
+    b2, ab = 2.0 * (bb[0] + bb[1]), _tr_product(a, bb) + _tr_product(c, bhb)
+    dets = np.maximum(_det(a) * _det(c), 0.0)
+    r, rn, ef = _magnitudes(kappa)
+    e = np.maximum(ed, ef + eb)
+    rd, k = np.ldexp(1.0, ed - e), np.ldexp(rn, ef + eb - e)
+    k2, rd2 = k * k, rd * rd
+    p2 = rd2 * d2 + k2 * b2
+    e3 = rd * (rd2 * d3 + k2 * ab)
+    e4 = (rd2 * ((1.0 - r) * (1.0 + r))) ** 2 * dets
+    return p2, e3, e4, e
+
+
+def _damping_invariants(deltas: np.ndarray, chi: np.ndarray):
+    """(p2, e3, e4) of ``AmplitudeDampingChannel.act(deltas, chi)`` scaled
+    by 2**-e, and e, per evolved difference; see ``_PAIR_INVARIANTS``.
+
+    With u = chi^2 and G = A + (1 - u) C the damped difference
+    [[G, chi B], [chi B†, u C]] has p2 = Tr G^2 + 2 u |B|^2 + u^2 Tr C^2,
+    Tr X^3 = Tr G^3 + 3 u Tr G B B† + 3 u^2 Tr B† B C + u^3 Tr C^3 and, for
+    a pure-pair difference, det X = u^2 (1 - u)^2 (det C)^2.  G is formed per
+    sample, from its four real parts, so that Tr G^2 stays a sum of squares.
+    """
+    a, c = _hermitian(deltas[..., :2, :2]), _hermitian(deltas[..., 2:, 2:])
+    (b,), eb = _scaled(deltas[..., :2, 2:])
+    (cn,), ec = _scaled(deltas[..., 2:, 2:])
+    cn, bb = _hermitian(cn), _gram(b)
+    b2, c2, c3 = 2.0 * (bb[0] + bb[1]), _tr2(cn), _tr3(cn) / 3.0
+    bhbc, dc = _tr_product(_gram(b.conj().swapaxes(-1, -2)), cn), _det(cn)
+    r, rn, ef = _magnitudes(chi)
+    w = (1.0 - r) * (1.0 + r)
+    g = [x + w * y for x, y in zip(a, c)]
+    e = np.maximum(np.maximum(_exponents(np.maximum.reduce([abs(x) for x in g])), ef + eb), 2 * ef + ec)
+    g = [np.ldexp(x, -e) for x in g]
+    k2, d = np.ldexp(rn, ef + eb - e) ** 2, np.ldexp(rn * rn, 2 * ef + ec - e)
+    p2 = _tr2(g) + k2 * b2 + d * d * c2
+    e3 = _tr3(g) / 3.0 + d * d * d * c3 + k2 * (_tr_product(g, bb) + d * bhbc)
+    e4 = (np.ldexp(rn * rn * dc, 2 * (ef + ec - e)) * w) ** 2
+    return p2, e3, e4, e
+
+
+# Each family's trace invariants of an evolved difference, from the 2x2
+# blocks [[A, B], [B†, C]] of the pair's difference on the noisy qubit: the
+# channels act blockwise, so they are polynomials in |f|^2 with coefficients
+# fixed per pair.  Both det X forms come from the Kraus-rank-2 Gram
+# factorization det X = |det M|^2 (M has the Kraus operators applied to the
+# pair's two kets as columns), so e4 >= 0 and it vanishes exactly where the
+# largest root of the cubic is double.  Each evolved difference is scaled by
+# 2**-e, e bounding the exponent of its largest block, so that no square of
+# an unscaled block or of |f| under- or overflows: the blocks are scaled per
+# pair and |f| per sample, and the exponents combine exactly.
+_PAIR_INVARIANTS = {
+    DephasingChannel: _dephasing_invariants,
+    AmplitudeDampingChannel: _damping_invariants,
+}
 
 
 def _trace_distances(family: ChannelFamily, deltas: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -362,9 +484,11 @@ def _trace_distances(family: ChannelFamily, deltas: np.ndarray, f: np.ndarray) -
     equals the difference of the evolved states.  Such a difference has one
     positive and one negative eigenvalue, and each channel has Kraus rank 2,
     so every evolved difference has at most two of each, as
-    ``_half_trace_norms`` needs.
+    ``_half_trace_norms`` needs.  No evolved matrix is built: the trace
+    invariants come from ``_PAIR_INVARIANTS``.
     """
-    return _half_trace_norms(family.act(deltas, f))
+    p2, e3, e4, e = _PAIR_INVARIANTS[type(family)](np.asarray(deltas, dtype=complex), np.asarray(f))
+    return np.ldexp(_half_trace_norms(p2, e3, e4), e)
 
 
 def _eigen_trace_distances(family: ChannelFamily, deltas: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -377,9 +501,10 @@ def _eigen_trace_distances(family: ChannelFamily, deltas: np.ndarray, f: np.ndar
 # states built in floating point reach 4 eps.
 _RANK_TOL = 64 * np.finfo(float).eps
 
-# Evolved 4x4 stacks are built in chunks of about this many entries.  The
-# trace-norm kernel holds a chunk and its matrix square, and drops both
-# before the next chunk is built.
+# Pairs and samples are evolved in chunks of about this many 4x4 entries,
+# i.e. _CHUNK_ENTRIES / 16 (pair, sample) points.  The trace-norm kernel
+# holds a few dozen float arrays of one value per point of a chunk, and
+# drops them before the next chunk.
 _CHUNK_ENTRIES = 2_000_000
 
 
@@ -423,7 +548,8 @@ def _turning_points(absf: np.ndarray, cut_indices=None) -> np.ndarray:
 
 def trace_distance_trajectory(family: ChannelFamily, pair: StatePair, times) -> Trajectory:
     """Trace distance of the evolved pair at each grid time, in chunks of
-    grid points (each value is per matrix, so chunking changes no bit).
+    grid points (each value depends only on its own sample, so chunking
+    changes no bit).
 
     A pair whose difference has rank at most 2, such as two pure states,
     takes ``_trace_distances``; any other pair's evolved differences are

@@ -293,22 +293,25 @@ def _sweep_config(case, start_fraction, grid, rows, pairs, seed):
     return figure, resolve_config(figure, None, overrides)
 
 
+def _sweeps(cases):
+    return st.builds(
+        _sweep_config,
+        cases,
+        st.floats(0.05, 1.0) | st.none(),
+        st.integers(101, 2001),
+        st.integers(1, 30),
+        st.integers(1, 300),
+        st.integers(0, 2**32 - 1),
+    )
+
+
 # fig1 over any theta and fig4 over any width ratio, with their row ranges,
 # grids, row counts, pair counts and seeds.
-_SWEEPS = st.builds(
-    _sweep_config,
-    st.one_of(
-        st.tuples(st.floats(0.0, math.pi / 2), st.floats(0.05, 2.0)).map(
-            lambda c: ("fig1", {"theta": c[0], "tauc_stop": c[1]})),
-        st.tuples(st.floats(0.01, 1.9), st.floats(1.0, 80.0)).map(
-            lambda c: ("fig4", {"width_ratio": c[0], "tc_stop": c[1]})),
-    ),
-    st.floats(0.05, 1.0) | st.none(),
-    st.integers(101, 2001),
-    st.integers(1, 30),
-    st.integers(1, 300),
-    st.integers(0, 2**32 - 1),
-)
+_FIG1_CASES = st.tuples(st.floats(0.0, math.pi / 2), st.floats(0.05, 2.0)).map(
+    lambda c: ("fig1", {"theta": c[0], "tauc_stop": c[1]}))
+_FIG4_CASES = st.tuples(st.floats(0.01, 1.9), st.floats(1.0, 80.0)).map(
+    lambda c: ("fig4", {"width_ratio": c[0], "tc_stop": c[1]}))
+_SWEEPS = _sweeps(st.one_of(_FIG1_CASES, _FIG4_CASES))
 
 
 class TestOptimalColumn:
@@ -364,6 +367,26 @@ class TestOptimalColumn:
         figure, cfg = sweep
         table = np.array(run_figure(figure, cfg)[1])
         assert np.all(table[:, 2] <= table[:, 1] * (1.0 + 1e-12) + 1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_sweeps(_FIG1_CASES))
+    def test_each_random_pair_stays_within_its_dephasing_bound(self, sweep):
+        # Dephasing moves only the off-diagonal block B of a pair's
+        # difference on the noisy qubit, scaled by kappa, so each prefix
+        # backflow is at most |B|_1 times the increment sum of |kappa|
+        # (reverse triangle inequality; |B|_1 <= 1).
+        figure, cfg = sweep
+        calls = []
+        sweep = experiments._integral_sweep
+        with mock.patch.object(experiments, "_integral_sweep", lambda *a: calls.append(a) or sweep(*a)):
+            optimal = np.array(run_figure(figure, cfg)[1])[:, 1]
+        family, window_end, grid, fractions, n_pairs, seed, _ = calls[0]
+        times = np.linspace(0.0, window_end, grid)
+        deltas = _random_differences(seed, 0, n_pairs)
+        backflows = _pair_backflows(family, deltas, times, np.round(fractions * (grid - 1)).astype(int))
+        bound = np.linalg.svd(deltas[:, :2, 2:], compute_uv=False).sum(axis=-1)
+        assert np.all(bound <= 1.0 + 1e-12)
+        assert np.all(backflows <= bound[:, None] * optimal * (1.0 + 1e-12) + 1e-14)
 
     def test_window_columns_equal_the_candidate_path(self):
         # fig2's rows at its defaults, then windows of both families of

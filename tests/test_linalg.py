@@ -22,7 +22,7 @@ from backflow import (
     trace_norm,
     von_neumann_entropy,
 )
-from backflow.linalg import PAULI_X, PAULI_Z
+from backflow.linalg import PAULI_X, PAULI_Z, hermitian_part
 
 from oracles import (
     binary_entropy,
@@ -109,6 +109,25 @@ def test_trace_distance_of_evolved_optimal_pair():
     assert d == pytest.approx(expected, abs=1e-12)
     assert d == pytest.approx(0.8732056006028054, abs=1e-12)
     assert d == pytest.approx(kappa_abs(spec, 0.1), abs=1e-12)
+
+
+def test_subnormal_parts_of_a_normal_matrix_are_read_as_zero():
+    # alpha = 1.093e-318 leaves subnormal entries in the dephased difference,
+    # whose distance is |kappa| exactly; eigvalsh read 0.7894243245529555.
+    kappa = -0.7294845319876527 + 0.3017357598070638j
+    pair = optimal_pair(1.093e-318, 0.0, "zeta")
+    diff = apply_dephasing(pair.rho1, kappa) - apply_dephasing(pair.rho2, kappa)
+    zeroed = hermitian_part(diff)
+    parts = zeroed.view(float)
+    assert np.any((parts != 0.0) & (np.abs(parts) < np.finfo(float).tiny))
+    parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
+    assert np.array_equal(hermitian_eigenvalues(diff), np.linalg.eigvalsh(zeroed))
+    d = trace_distance(apply_dephasing(pair.rho1, kappa), apply_dephasing(pair.rho2, kappa))
+    assert abs(d - abs(kappa)) <= 4 * np.finfo(float).eps * abs(kappa)
+    # No subnormal part, or every part subnormal: decomposed as given.
+    g = np.random.default_rng(8).standard_normal((4, 8)).view(complex)
+    for m in ((g + g.conj().T) / 2, (g + g.conj().T) * 1e-310):
+        assert np.array_equal(hermitian_eigenvalues(m), np.linalg.eigvalsh(hermitian_part(m)))
 
 
 def test_trace_distance_is_a_metric_on_random_triples():

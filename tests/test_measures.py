@@ -259,6 +259,10 @@ def _gate(got, want):
     return np.all(np.abs(got - want) <= 1e-13 * want + 1e-14)
 
 
+def _close(got, want):
+    return np.all(np.abs(got - want) <= 1e-13 * np.abs(want) + 1e-14)
+
+
 class TestTraceNormWithoutEigensolve:
     """``_trace_distances`` takes the trace norm of evolved pure-pair
     differences from a cubic in Tr X^2, Tr X^3 and det X; it must match the
@@ -288,24 +292,49 @@ class TestTraceNormWithoutEigensolve:
         got = _trace_distances(family, deltas[:, None], f)
         assert _gate(got, _eigen_trace_distances(family, deltas[:, None], f))
 
-    def test_matches_eigvalsh_through_the_zeros_of_f(self):
-        # Around a zero of f the largest root of the cubic is (nearly)
-        # double.  Samples at the zeros of chi (bisected) and of kappa at
-        # theta = pi/4 (t = pi/dw), and at offsets of 1e-16 .. 1e-2 on both
-        # sides, for 200 random pairs and the optimal candidates.
+    @staticmethod
+    def samples_around_the_zeros_of_f():
+        """Each family's decoherence samples at the zeros of chi (bisected)
+        and of kappa at theta = pi/4 (t = pi/dw), and at offsets of
+        1e-16 .. 1e-2 on both sides."""
         t = np.linspace(0.0, 30.0, 4001)
         x = np.asarray(LORENTZ.decoherence(t))
         flips = np.flatnonzero(np.sign(x[1:]) != np.sign(x[:-1]))
         zeros = {LORENTZ: [bisect_root(lambda s: float(LORENTZ.decoherence(s)), t[i], t[i + 1]) for i in flips],
                  DEPHASING: [math.pi / 10]}
         offsets = np.concatenate([[0.0], np.outer([-1.0, 1.0], 10.0 ** -np.arange(2.0, 17.0)).ravel()])
-        deltas = np.concatenate([_random_differences(9, 0, 200), optimal_candidate_stack(5, 4)])
         for family, roots in zeros.items():
             assert roots
             f = np.asarray(family.decoherence(np.add.outer(roots, offsets).ravel()))
             assert np.min(np.abs(f)) <= 1e-15
+            yield family, f
+
+    def test_matches_eigvalsh_through_the_zeros_of_f(self):
+        # Around a zero of f the largest root of the cubic is (nearly)
+        # double; 200 random pairs and the optimal candidates.
+        deltas = np.concatenate([_random_differences(9, 0, 200), optimal_candidate_stack(5, 4)])
+        for family, f in self.samples_around_the_zeros_of_f():
             got = _trace_distances(family, deltas[:, None], f)
             assert _gate(got, _eigen_trace_distances(family, deltas[:, None], f))
+
+    def test_closed_form_invariants_match_the_evolved_matrix(self):
+        # p2, Tr X^3 and det X from each pair's blocks against the einsum
+        # traces and the LU det of the evolved matrix, both scaled by the
+        # same 2**-e: at f = 0, |f| = 1, |f| < 1e-154, random |f| and
+        # around the zeros of f.
+        deltas = np.concatenate([_random_differences(9, 0, 50), optimal_candidate_stack(5, 4)])[:, None]
+        r = np.concatenate([[0.0, 1.0, 1e-155, 3e-200, 1e-300], np.random.default_rng(4).random(20)])
+        phases = np.exp(1j * np.linspace(0.0, 2 * math.pi, r.size, endpoint=False))
+        cases = [(DEPHASING, r * phases), (LORENTZ, r), (LORENTZ, -r), *self.samples_around_the_zeros_of_f()]
+        for family, f in cases:
+            p2, e3, e4, e = measures._PAIR_INVARIANTS[type(family)](deltas, f)
+            evolved = family.act(deltas, f)
+            x = np.ldexp(evolved.real, -e[..., None, None]) + 1j * np.ldexp(evolved.imag, -e[..., None, None])
+            assert np.max(np.abs(x)) < 2.0
+            assert _close(p2, np.einsum("...ij,...ji->...", x, x).real)
+            assert _close(3.0 * e3, np.einsum("...ij,...jk,...ki->...", x, x, x).real)
+            assert _close(e4, np.linalg.det(x).real)
+            assert np.all(e4 >= 0.0)
 
     def test_random_pair_kernel_solves_no_spectrum(self, monkeypatch):
         def eigvalsh(*args, **kwargs):
@@ -314,6 +343,17 @@ class TestTraceNormWithoutEigensolve:
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         for figure, overrides in (("fig1", {"pairs": 30}), ("fig4", {"pairs": 30}), ("fig2", {"pairs": 3})):
             run_figure(figure, resolve_config(figure, None, {"grid": 401, **overrides}))
+
+    def test_pair_searches_build_no_evolved_stack(self, monkeypatch):
+        def act(*args):
+            raise AssertionError("act called")
+
+        for family in (DephasingChannel, AmplitudeDampingChannel):
+            monkeypatch.setattr(family, "act", staticmethod(act))
+        for figure, overrides in (("fig1", {"pairs": 30}), ("fig4", {"pairs": 30}), ("fig2", {"pairs": 3})):
+            run_figure(figure, resolve_config(figure, None, {"grid": 401, **overrides}))
+        for family, window in ((DEPHASING, (0.0, REVIVAL)), (LORENTZ, (0.0, 30.0))):
+            assert blp_search(family, window, 20, 401, 3).value > 0.0
 
 
 class TestBlpIntegral:
