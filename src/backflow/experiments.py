@@ -7,16 +7,16 @@ rectangular table of finite values, and writes CSV plus an adjacent
 version.
 
 Determinism: random pair k draws from its own stream, PCG64 seeded by
-``SeedSequence(seed, spawn_key=(k,))``; row order follows grid order, and
-worker fan-out only splits the pair loop, so serial and parallel runs emit
-identical bytes.
+``SeedSequence(seed, spawn_key=(k,))``; row order follows grid order.  Every
+pair search (fig1, fig4 and fig2) goes through ``measures._random_search``,
+whose worker fan-out only splits the pair loop into chunks folded in order,
+so serial and parallel runs emit identical bytes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from . import __version__
 from .channels import AmplitudeDampingChannel, ChannelFamily, DephasingChannel, apply_amplitude_damping, apply_dephasing
 from .decoherence import DephasingSpec, LorentzSpec, analytic_blp_dephasing, chi, kappa_complex, transition_thetas
 from .decoherence import _kappa_over_thetas
-from .measures import _chunked_backflows, _kept_samples, _random_differences, _window_samples, _window_times
+from .measures import _kept_samples, _random_search, _window_times
 # sample_random_pair is not called here: perfbench/tracer.py wraps it at this name.
 from .measures import sample_random_pair  # noqa: F401
 from .rsp import bell_diagonal, correlation_matrix, rsp_fidelity
@@ -192,39 +192,6 @@ def _lorentz_family(cfg: dict) -> AmplitudeDampingChannel:
     )
 
 
-def _random_chunk_rowmax(args) -> np.ndarray:
-    family, f, reduce, seed, lo, hi = args
-    return _chunked_backflows(family, _random_differences(seed, lo, hi), f, reduce).max(axis=0)
-
-
-def _random_rowmax(
-    family: ChannelFamily,
-    f: np.ndarray,
-    reduce,
-    seed: int,
-    n_pairs: int,
-    workers: int,
-) -> np.ndarray:
-    """Row-wise maximum backflow over seeded random pairs at the kept samples
-    ``f``, reduced by ``reduce`` (both from ``_kept_samples``).
-
-    The pair loop is split into fixed chunks; the max over pairs is
-    associative, so the result does not depend on the worker count.
-    """
-    chunk = 250
-    tasks = [
-        (family, f, reduce, seed, lo, min(lo + chunk, n_pairs))
-        for lo in range(0, n_pairs, chunk)
-    ]
-    if workers > 1 and len(tasks) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=min(workers, len(tasks))) as pool:
-            results = pool.map(_random_chunk_rowmax, tasks)
-    else:
-        results = [_random_chunk_rowmax(t) for t in tasks]
-    return np.maximum.reduce(results)
-
-
 def _integral_sweep(
     family: ChannelFamily,
     window_end: float,
@@ -242,7 +209,9 @@ def _integral_sweep(
     comes from one pass over the window (evaluated only at the points that
     bound a rising step of |f|; see ``measures._turning_points``).  Returns
     the row times, the optimal pairs' integrals and the row-wise maximum over
-    the ``n_pairs`` seeded random pairs.
+    the ``n_pairs`` seeded random pairs, searched in chunks of at most 250
+    pairs with at most one worker process per chunk
+    (``measures._random_search``).
 
     The optimal pairs evolve with trace distance equal to |f| at every time
     (``optimal_pair``; arXiv 1310.1784), so their column is the same sum of
@@ -254,8 +223,8 @@ def _integral_sweep(
     cuts = np.round(row_fractions * (grid - 1)).astype(int)
     if cuts[0] < 1:
         raise ValueError("row positions must be at least one grid step into the window")
-    f, reduce = _kept_samples(family, times, cuts)
-    random_max = _random_rowmax(family, f, reduce, seed, n_pairs, workers)
+    f, reduce = _kept_samples([family.decoherence(times)], cuts)
+    random_max, _ = _random_search(family, f, reduce, seed, n_pairs, workers)
     return times[cuts], reduce(np.abs(f)), random_max
 
 
@@ -322,7 +291,8 @@ def run_fig2(cfg: dict):
     value is the sum of positive increments of |kappa| over its window (the
     optimal pairs' backflow; see ``_integral_sweep``), raised to the
     largest backflow of the ``pairs`` seeded random pairs, which are evolved
-    at the kept points of all windows together.  No witness is built.
+    at the kept points of all windows together, one chunk of at most 250
+    pairs at a time (``measures._random_search``).  No witness is built.
     """
     _require(cfg, {"theta_count": 1, "tauc_count": 1, "grid": 2, "pairs": 0})
     dw = cfg["delta_omega"]
@@ -336,10 +306,9 @@ def run_fig2(cfg: dict):
         windows.extend(_kappa_over_thetas(specs[0], theta_grid, times))
         closed += [(tau_c, theta, analytic_blp_dephasing(spec, float(tau_c)), theta1, theta2)
                    for theta, spec in zip(theta_grid, specs)]
-    f, reduce = _window_samples(windows)
-    deltas = _random_differences(cfg["seed"], 0, cfg["pairs"])
-    random = _chunked_backflows(DephasingChannel(specs[0]), deltas, f, reduce)
-    numeric = np.vstack([reduce(np.abs(f)), random]).max(axis=0)
+    f, reduce = _kept_samples(windows)
+    random_max, _ = _random_search(DephasingChannel(specs[0]), f, reduce, cfg["seed"], cfg["pairs"])
+    numeric = np.maximum(reduce(np.abs(f)), random_max)
     header = ["tau_c", "theta", "N_analytic", "N_numeric", "theta1", "theta2"]
     return header, [(tau_c, theta, n, value, theta1, theta2)
                     for (tau_c, theta, n, theta1, theta2), value in zip(closed, numeric)]

@@ -40,7 +40,9 @@ solves no spectra either.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import multiprocessing
 from dataclasses import dataclass
 from functools import partial
 
@@ -501,11 +503,12 @@ def _eigen_trace_distances(family: ChannelFamily, deltas: np.ndarray, f: np.ndar
 # states built in floating point reach 4 eps.
 _RANK_TOL = 64 * np.finfo(float).eps
 
-# Pairs and samples are evolved in chunks of about this many 4x4 entries,
-# i.e. _CHUNK_ENTRIES / 16 (pair, sample) points.  The trace-norm kernel
-# holds a few dozen float arrays of one value per point of a chunk, and
-# drops them before the next chunk.
-_CHUNK_ENTRIES = 2_000_000
+# Pairs and samples are evolved in chunks of at most this many (pair, sample)
+# points, and random pairs are drawn in chunks of at most _CHUNK_PAIRS pairs,
+# one pool task each.  The trace-norm kernel holds a few dozen float arrays
+# of one value per point of a chunk, and drops them before the next chunk.
+_CHUNK_POINTS = 125_000
+_CHUNK_PAIRS = 250
 
 
 def _positive_increments(values: np.ndarray, cut_indices=None) -> np.ndarray:
@@ -557,7 +560,7 @@ def trace_distance_trajectory(family: ChannelFamily, pair: StatePair, times) -> 
     """
     times = np.asarray(times, dtype=float)
     f = np.asarray(family.decoherence(times))
-    delta, step = pair.difference(), _CHUNK_ENTRIES // 16
+    delta, step = pair.difference(), _CHUNK_POINTS
     w = np.abs(np.linalg.eigvalsh(delta))
     distances = _trace_distances if max(w[1], w[2]) <= _RANK_TOL * w.max() else _eigen_trace_distances
     # An empty grid still makes one (empty) chunk, for Trajectory to reject.
@@ -570,71 +573,85 @@ def blp_integral(traj: Trajectory) -> float:
     return float(_positive_increments(traj.values))
 
 
-def _chunked_backflows(family: ChannelFamily, deltas: np.ndarray, f: np.ndarray, reduce) -> np.ndarray:
-    """``reduce`` of the trace distances of each pair at the samples ``f``,
-    evolved in chunks of pairs of about ``_CHUNK_ENTRIES`` entries and
-    concatenated along the pair axis."""
-    deltas = np.asarray(deltas, dtype=complex)
-    if f.size == 0 or deltas.shape[0] == 0:  # nothing to evolve: every sum is 0
-        return reduce(np.zeros((deltas.shape[0], f.size)))
-    pair_chunk = max(1, _CHUNK_ENTRIES // (16 * f.size))
-    return np.concatenate([
-        reduce(_trace_distances(family, deltas[lo : lo + pair_chunk, None], f))
-        for lo in range(0, deltas.shape[0], pair_chunk)
-    ])
+def _window_increments(values: np.ndarray, starts, cuts) -> np.ndarray:
+    """``_positive_increments`` of each window's segment of ``values``
+    (split along the last axis at ``starts``): one sum per window, shape
+    (..., W), or with ``cuts`` (one array per window) the prefix sums at
+    each window's cuts, concatenated window by window."""
+    segments = np.split(values, starts, axis=-1)
+    if cuts is None:
+        return np.stack([_positive_increments(seg) for seg in segments], axis=-1)
+    return np.concatenate([_positive_increments(seg, c) for seg, c in zip(segments, cuts)], axis=-1)
 
 
-def _pair_backflows(
-    family: ChannelFamily,
-    deltas: np.ndarray,
-    times: np.ndarray,
-    cut_indices: np.ndarray | None = None,
-) -> np.ndarray:
-    """Backflow integrals for a stack of difference matrices.
-
-    Returns shape (P,) for the full window, or (P, len(cut_indices)) of
-    prefix integrals over [times[0], times[cut]] when ``cut_indices`` is
-    given (each cut index must be >= 1).  The pairs are evolved only at the
-    points that bound a rising step of |f| (see the module docstring).
-    """
-    return _chunked_backflows(family, deltas, *_kept_samples(family, times, cut_indices))
-
-
-def _kept_samples(family: ChannelFamily, times: np.ndarray, cut_indices=None):
-    """The decoherence samples at the kept points of ``_turning_points``, and
-    the reduction that turns any series on those points that is a
-    non-decreasing function of |f| (a pair's trace distance, or |f| itself)
-    into ``_pair_backflows``' integrals.
-
-    Each cut reads the prefix sum at the last kept point at or before it:
-    from there to the cut |f| does not rise, so the series adds nothing.  A
-    cut before the first kept point reads position 0, which is 0."""
-    f = np.asarray(family.decoherence(times))
-    kept = _turning_points(np.abs(f), cut_indices)
-    cuts = None
-    if cut_indices is not None:
-        cuts = np.maximum(np.searchsorted(kept, cut_indices, side="right") - 1, 0)
-    return f[kept], partial(_positive_increments, cut_indices=cuts)
-
-
-def _window_samples(windows):
-    """The multi-window twin of ``_kept_samples``: the kept samples of every
-    window concatenated, and the reduction that sums the positive increments
-    of each window's segment on its own, shape (..., W).
+def _kept_samples(windows, cut_indices=None):
+    """The kept samples of every window concatenated, and the reduction that
+    turns any series on them that is a non-decreasing function of |f| (a
+    pair's trace distance, or |f| itself) into backflow integrals.
 
     ``windows`` holds W 1-D arrays of decoherence samples, each on its own
-    window's grid.  One ``_chunked_backflows`` call then evolves the pairs
-    at all windows' kept points together, and column w equals
-    ``_pair_backflows`` over window w alone.  A window where |f| never rises
-    has an empty segment, which gives 0.
+    grid and kept at its ``_turning_points``.  The reduction sums the
+    positive increments of each window's segment, shape (..., W); a window
+    where |f| never rises has an empty segment, which gives 0.  With
+    ``cut_indices`` (each >= 1) it gives each window's prefix sums over
+    [0, cut] instead: a cut reads the prefix sum at the last kept point at or
+    before it (from there to the cut |f| does not rise, so the series adds
+    nothing), or position 0, which is 0.  The reduction is a module-level
+    partial, so it pickles into pool workers.
     """
-    kept = [f[_turning_points(np.abs(f))] for f in windows]
+    kept = [_turning_points(np.abs(w), cut_indices) for w in windows]
     starts = np.cumsum([k.size for k in kept])[:-1]
+    cuts = None
+    if cut_indices is not None:
+        cuts = [np.maximum(np.searchsorted(k, cut_indices, side="right") - 1, 0) for k in kept]
+    f = np.concatenate([np.asarray(w)[k] for w, k in zip(windows, kept)])
+    return f, partial(_window_increments, starts=starts, cuts=cuts)
 
-    def segments(d: np.ndarray) -> np.ndarray:
-        return np.stack([_positive_increments(seg) for seg in np.split(d, starts, axis=-1)], axis=-1)
 
-    return np.concatenate(kept), segments
+def _random_backflows(family: ChannelFamily, f: np.ndarray, reduce, seed: int, lo: int, hi: int) -> np.ndarray:
+    """``reduce`` of the trace distances at the samples ``f`` of random pairs
+    lo..hi-1, one row per pair."""
+    if f.size == 0:  # nothing to evolve: every sum is 0
+        return reduce(np.zeros((hi - lo, 0)))
+    return reduce(_trace_distances(family, _random_differences(seed, lo, hi)[:, None], f))
+
+
+def _chunk_best(task):
+    """Per column, the largest backflow of one chunk of random pairs and the
+    earliest pair index that reaches it."""
+    values = _random_backflows(*task)
+    return values.max(axis=0), values.argmax(axis=0) + task[4]
+
+
+def _random_search(family: ChannelFamily, f: np.ndarray, reduce, seed: int, n_pairs: int, workers: int = 1):
+    """The largest backflow per column of ``reduce`` (from ``_kept_samples``)
+    over the seeded random pairs 0..n_pairs-1, and the earliest pair index
+    that reaches it; -inf and 0 when there is no pair.
+
+    Each chunk of pairs (at most ``_CHUNK_PAIRS`` pairs and, past one pair,
+    ``_CHUNK_POINTS`` points) is drawn, evolved and reduced, then folded into
+    the running result and dropped; a later chunk replaces a column's index
+    only where it is strictly larger.  With ``workers`` > 1 the chunks run in
+    a fork pool of at most one process per chunk, in order, so the result
+    does not depend on the worker count.
+    """
+    n_pairs = int(n_pairs)
+    _require_non_negative(seed=seed)
+    if n_pairs > 2**64:
+        raise ValueError(f"pair indices [0, {n_pairs}) must lie below 2**64")
+    step = max(1, min(_CHUNK_PAIRS, _CHUNK_POINTS // max(f.size, 1)))
+    chunks = -(-n_pairs // step)
+    tasks = ((family, f, reduce, seed, lo, min(lo + step, n_pairs)) for lo in range(0, n_pairs, step))
+    best = reduce(np.zeros((0, f.size))).max(axis=0, initial=-np.inf)
+    first_k = np.zeros(best.shape, dtype=int)
+    pool = None
+    if workers > 1 and chunks > 1:
+        pool = multiprocessing.get_context("fork").Pool(processes=min(workers, chunks))
+    with pool or contextlib.nullcontext():
+        for chunk_best, chunk_k in (pool.imap if pool else map)(_chunk_best, tasks):
+            first_k = np.where(chunk_best > best, chunk_k, first_k)
+            best = np.maximum(best, chunk_best)
+    return best, first_k
 
 
 def _window_times(window: tuple[float, float], grid_size: int) -> np.ndarray:
@@ -666,12 +683,12 @@ def blp_search(
     if n_pairs < 0:
         raise ValueError(f"n_pairs={n_pairs} must be at least 0")
     times = _window_times(window, grid_size)
-    f, reduce = _window_samples([family.decoherence(times)])
-    random = _chunked_backflows(family, _random_differences(seed, 0, n_pairs), f, reduce)
-    values = np.concatenate([reduce(np.abs(f)), random[:, 0]])
-    best = int(np.argmax(values))
-    witness = optimal_pair(1.0, 0.0, "zeta") if best == 0 else sample_random_pair(seed, best - 1)
-    return MeasureReport(value=float(values[best]), kind="blp", grid_size=int(grid_size), witness=witness)
+    f, reduce = _kept_samples([family.decoherence(times)])
+    optimal = reduce(np.abs(f))[0]
+    best, first_k = _random_search(family, f, reduce, seed, n_pairs)
+    if best[0] > optimal:
+        return MeasureReport(float(best[0]), "blp", int(grid_size), witness=sample_random_pair(seed, int(first_k[0])))
+    return MeasureReport(float(optimal), "blp", int(grid_size), witness=optimal_pair(1.0, 0.0, "zeta"))
 
 
 # Trace-norm excess of a step map, trace_norm(intermediate_choi(...)) - 1, in

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths under test: eigenvalues
 come from a textbook cyclic Jacobi iteration instead of LAPACK, partial
 operations use explicit index loops instead of reshapes, and scalar roots
-come from plain bisection.
+come from plain bisection.  The exceptions are the stack helpers at the end
+(``stack_backflows``, ``pair_backflows``), which run the package's own pair
+kernel on stacks that no search draws.
 """
 
 from __future__ import annotations
@@ -196,3 +198,28 @@ def optimal_candidate_stack(alpha_count: int = 11, phase_count: int = 16) -> np.
     phases = np.linspace(0.0, 2.0 * math.pi, phase_count, endpoint=False)
     return np.stack([optimal_pair(float(a), float(ph), v).difference()
                      for a in alphas for ph in phases for v in ("zeta", "eta")])
+
+
+def stack_backflows(family, deltas: np.ndarray, windows, cut_indices=None) -> np.ndarray:
+    """Backflow of each difference matrix in the stack ``deltas`` (P, 4, 4)
+    over each window of decoherence samples: shape (P, W), or (P, W C) with
+    ``cut_indices``.
+
+    Not an independent reference: it runs the package's own kept samples,
+    reduction and pure-pair kernel on an arbitrary stack (such as the
+    optimal candidates), which the random-pair search does not take.
+    """
+    from backflow.measures import _kept_samples, _trace_distances
+
+    f, reduce = _kept_samples(windows, cut_indices)
+    deltas = np.asarray(deltas, dtype=complex)
+    if f.size == 0:  # nothing to evolve: every sum is 0
+        return reduce(np.zeros((deltas.shape[0], 0)))
+    return reduce(_trace_distances(family, deltas[:, None], f))
+
+
+def pair_backflows(family, deltas: np.ndarray, times: np.ndarray, cut_indices=None) -> np.ndarray:
+    """``stack_backflows`` over the one window ``times``: shape (P,), or
+    (P, len(cut_indices)) of prefix integrals over [times[0], times[cut]]."""
+    values = stack_backflows(family, deltas, [family.decoherence(times)], cut_indices)
+    return values[:, 0] if cut_indices is None else values

@@ -29,8 +29,8 @@ from backflow.experiments import (
     write_csv,
     write_metadata,
 )
-from backflow.measures import _pair_backflows, _random_differences, _window_samples
-from oracles import optimal_candidate_stack
+from backflow.measures import _kept_samples, _random_differences
+from oracles import optimal_candidate_stack, pair_backflows, stack_backflows
 
 TINY_FIG1 = {"pairs": 40, "grid": 801, "rows": 8}
 TINY_FIG4 = {"pairs": 40, "grid": 801, "rows": 10}
@@ -317,16 +317,16 @@ _SWEEPS = _sweeps(st.one_of(_FIG1_CASES, _FIG4_CASES))
 class TestOptimalColumn:
     """Every pair search's optimal column is the increment sum of |f| at the
     kept points; it must agree with evolving the 352 optimal candidates, and
-    fig1/fig4's random column must equal the per-chunk ``_pair_backflows``
+    fig1/fig4's random column must equal the per-chunk ``pair_backflows``
     path."""
 
     @staticmethod
     def candidate_sweep(family, window_end, grid, row_fractions, n_pairs, seed, workers):
         times = np.linspace(0.0, window_end, grid)
         cuts = np.round(row_fractions * (grid - 1)).astype(int)
-        optimal = _pair_backflows(family, optimal_candidate_stack(), times, cuts).max(axis=0)
+        optimal = pair_backflows(family, optimal_candidate_stack(), times, cuts).max(axis=0)
         random_max = np.maximum.reduce([
-            _pair_backflows(family, _random_differences(seed, lo, min(lo + 250, n_pairs)), times, cuts).max(axis=0)
+            pair_backflows(family, _random_differences(seed, lo, min(lo + 250, n_pairs)), times, cuts).max(axis=0)
             for lo in range(0, n_pairs, 250)
         ])
         return optimal, random_max
@@ -356,7 +356,7 @@ class TestOptimalColumn:
     )
     def test_blp_search_equals_the_candidate_path(self, family, start_fraction, t1, grid):
         times = np.linspace(start_fraction * t1, t1, grid)
-        expected = _pair_backflows(family, optimal_candidate_stack(), times).max()
+        expected = pair_backflows(family, optimal_candidate_stack(), times).max()
         assert abs(blp_search(family, (times[0], t1), 0, grid, 1).value - expected) <= 4e-15
 
     @settings(max_examples=40, deadline=None)
@@ -383,7 +383,7 @@ class TestOptimalColumn:
         family, window_end, grid, fractions, n_pairs, seed, _ = calls[0]
         times = np.linspace(0.0, window_end, grid)
         deltas = _random_differences(seed, 0, n_pairs)
-        backflows = _pair_backflows(family, deltas, times, np.round(fractions * (grid - 1)).astype(int))
+        backflows = pair_backflows(family, deltas, times, np.round(fractions * (grid - 1)).astype(int))
         bound = np.linalg.svd(deltas[:, :2, 2:], compute_uv=False).sum(axis=-1)
         assert np.all(bound <= 1.0 + 1e-12)
         assert np.all(backflows <= bound[:, None] * optimal * (1.0 + 1e-12) + 1e-14)
@@ -401,9 +401,9 @@ class TestOptimalColumn:
         for ratio, t1, grid in ((0.1, 30.0, 4001), (0.5, 12.0, 801), (1.9, 5.0, 2)):
             families.append(AmplitudeDampingChannel(LorentzSpec(1.0, ratio)))
             windows.append(np.linspace(0.0, t1, grid))
-        expected = np.array([_pair_backflows(family, optimal_candidate_stack(), times).max()
+        expected = np.array([pair_backflows(family, optimal_candidate_stack(), times).max()
                              for family, times in zip(families, windows)])
-        f, reduce = _window_samples([family.decoherence(times) for family, times in zip(families, windows)])
+        f, reduce = _kept_samples([family.decoherence(times) for family, times in zip(families, windows)])
         assert np.all(np.abs(table[:, 3] - expected[:len(table)]) <= 4e-15)
         assert np.all(np.abs(reduce(np.abs(f)) - expected) <= 4e-15)
 
@@ -443,10 +443,10 @@ class TestFig1:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return [fn(task) for task in tasks]
+            def imap(self, fn, tasks):
+                return map(fn, tasks)
 
-        monkeypatch.setattr(experiments.multiprocessing, "get_context", lambda method: mock.Mock(Pool=Pool))
+        monkeypatch.setattr(measures.multiprocessing, "get_context", lambda method: mock.Mock(Pool=Pool))
         outputs = []
         for workers in (1, 2, 8):
             cfg = resolve_config("fig1", None, {**TINY_FIG1, "pairs": 400, "workers": workers})
@@ -565,7 +565,7 @@ class TestFig2OnePass:
         # column evolves no pair.
         monkeypatch.setattr(measures, "_trace_distances", counting)
         kept = sum(measures._turning_points(np.abs(w)).size for w in self._windows(cfg))
-        monkeypatch.setattr(measures, "_CHUNK_ENTRIES", 16 * kept * 3)
+        monkeypatch.setattr(measures, "_CHUNK_POINTS", kept * 3)
         _, rows = run_figure("fig2", cfg)
         assert chunks == [3, 3, 2]
         assert np.array(rows).tobytes() == expected.tobytes()
@@ -578,6 +578,67 @@ class TestFig2OnePass:
             for theta in np.linspace(0.0, math.pi / 2, cfg["theta_count"]):
                 spec = DephasingSpec(float(theta), cfg["omega1"], cfg["omega1"] + dw, cfg["sigma"])
                 yield DephasingChannel(spec).decoherence(times)
+
+
+class TestRandomSearch:
+    """Every pair search draws, evolves and reduces one chunk of at most 250
+    random pairs at a time, with the same values as one stack of them."""
+
+    @staticmethod
+    def recording(monkeypatch):
+        draws, searches = [], []
+        draw, search = measures._random_differences, measures._random_search
+
+        def drawing(seed, lo, hi):
+            draws.append(hi - lo)
+            return draw(seed, lo, hi)
+
+        def searching(*args, **kwargs):
+            searches.append((args, search(*args, **kwargs)))
+            return searches[-1][1]
+
+        monkeypatch.setattr(measures, "_random_differences", drawing)
+        for module in (measures, experiments):
+            monkeypatch.setattr(module, "_random_search", searching)
+        return draws, searches
+
+    def test_no_search_holds_more_than_one_chunk_of_pairs(self, monkeypatch):
+        draws, searches = self.recording(monkeypatch)
+        lorentz = AmplitudeDampingChannel(LorentzSpec(1.0, 0.1))
+        blp_search(lorentz, (0.0, 30.0), 1000, 401, 5)
+        cfg = resolve_config("fig2", None, {"pairs": 600, "grid": 401})
+        run_figure("fig2", cfg)
+        assert draws and max(draws) <= 250
+        assert sum(draws) == 1000 + 600
+        windows = [[lorentz.decoherence(np.linspace(0.0, 30.0, 401))], list(TestFig2OnePass._windows(cfg))]
+        for (args, (best, first_k)), samples in zip(searches, windows, strict=True):
+            family, _, _, seed, n_pairs = args
+            one_stack = stack_backflows(family, _random_differences(seed, 0, n_pairs), samples)
+            assert best.tobytes() == one_stack.max(axis=0).tobytes()
+            assert first_k.tolist() == one_stack.argmax(axis=0).tolist()
+
+    def test_pair_counts_past_2_to_the_64_are_rejected_before_any_draw(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("drew pairs")
+
+        monkeypatch.setattr(measures, "_random_differences", draw)
+        with pytest.raises(ValueError, match=r"must lie below 2\*\*64"):
+            blp_search(AmplitudeDampingChannel(LorentzSpec(1.0, 0.1)), (0.0, 30.0), 2**64 + 1, 401, 5)
+        with pytest.raises(ValueError, match=r"must lie below 2\*\*64"):
+            run_figure("fig1", resolve_config("fig1", None, {"pairs": 2**64 + 1}))
+
+    def test_a_negative_seed_is_rejected_where_no_pair_is_drawn(self, monkeypatch):
+        # No random pair (blp_search, fig2 at its default), or none evolved
+        # (fig1 at theta = 0, where |kappa| never rises).
+        def draw(*args):
+            raise AssertionError("drew pairs")
+
+        monkeypatch.setattr(measures, "_random_differences", draw)
+        with pytest.raises(ValueError, match=r"^seed=-1 must be at least 0$"):
+            blp_search(DephasingChannel(DephasingSpec(math.pi / 4)), (0.0, 0.6), 0, 101, -1)
+        for figure, overrides in (("fig2", {}), ("fig1", {"theta": 0.0, "pairs": 3})):
+            with pytest.raises(ValueError, match=r"^seed=-1 must be at least 0$"):
+                run_figure(figure, resolve_config(figure, None, {**overrides, "seed": -1}))
 
 
 class TestFig3:

@@ -31,20 +31,18 @@ from backflow import (
 
 from backflow import measures
 from backflow.measures import (
-    _CHUNK_ENTRIES,
+    _CHUNK_POINTS,
     _STEP_EXCESS,
-    _chunked_backflows,
     _eigen_trace_distances,
     _ket_norms,
     _mutual_information,
-    _pair_backflows,
     _positive_increments,
     _random_differences,
     _trace_distances,
-    _window_samples,
 )
 from backflow.experiments import resolve_config, run_figure
 from oracles import binary_entropy, bisect_root, golden_max, optimal_candidate_stack, random_density_matrix
+from oracles import pair_backflows, stack_backflows
 
 DEPHASING = DephasingChannel(DephasingSpec(math.pi / 4))
 LORENTZ = AmplitudeDampingChannel(LorentzSpec(1.0, 0.1))
@@ -236,7 +234,7 @@ class TestTrajectory:
                 trace_distance_trajectory(family, pair, times)
 
     def test_grid_longer_than_one_chunk_matches_one_stack(self):
-        times = np.linspace(0.0, 30.0, 2 * (_CHUNK_ENTRIES // 16) + 7)
+        times = np.linspace(0.0, 30.0, 2 * _CHUNK_POINTS + 7)
         pair = sample_random_pair(13, 0)
         traj = trace_distance_trajectory(LORENTZ, pair, times)
         one_stack = _trace_distances(LORENTZ, pair.difference(), np.asarray(LORENTZ.decoherence(times)))
@@ -472,22 +470,28 @@ class TestCandidateStacks:
             assert np.array_equal(report.witness.rho2, zeta.rho2)
         # Random pair k wins only when strictly larger: a one-hot random
         # column above the optimal value names its own pair, one equal to it
-        # or below it leaves the optimal witness.
+        # or below it leaves the optimal witness.  Pairs come in chunks of
+        # 250: pair 260 of 300 wins from the second chunk, and of two equal
+        # maxima at pairs 10 and 260 the earlier wins.
         optimal = blp_search(DEPHASING, self.WINDOW, 0, 101, 9).value
         assert optimal > 0.0
-        n_random = 3
-        for index in range(n_random):
-            for value, winner in ((1.0, sample_random_pair(9, index)), (optimal, zeta), (0.5 * optimal, zeta)):
-                def one_hot(family, deltas, f, reduce, index=index, value=value):
-                    values = np.zeros((deltas.shape[0], 1))
-                    values[index] = value
-                    return values
+        cases = [(3, {index: value}, winner) for index in range(3)
+                 for value, winner in ((1.0, sample_random_pair(9, index)), (optimal, zeta), (0.5 * optimal, zeta))]
+        cases += [(300, {260: 1.0}, sample_random_pair(9, 260)),
+                  (300, {10: 1.0, 260: 1.0}, sample_random_pair(9, 10))]
+        for n_random, hot, winner in cases:
+            def one_hot(family, f, reduce, seed, lo, hi, hot=hot):
+                values = np.zeros((hi - lo, 1))
+                for index, value in hot.items():
+                    if lo <= index < hi:
+                        values[index - lo] = value
+                return values
 
-                monkeypatch.setattr(measures, "_chunked_backflows", one_hot)
-                report = blp_search(DEPHASING, self.WINDOW, n_random, 101, 9)
-                assert report.value == max(value, optimal)
-                assert np.array_equal(report.witness.rho1, winner.rho1)
-                assert np.array_equal(report.witness.rho2, winner.rho2)
+            monkeypatch.setattr(measures, "_random_backflows", one_hot)
+            report = blp_search(DEPHASING, self.WINDOW, n_random, 101, 9)
+            assert report.value == max(*hot.values(), optimal)
+            assert np.array_equal(report.witness.rho1, winner.rho1)
+            assert np.array_equal(report.witness.rho2, winner.rho2)
 
     def test_ket_norms_within_one_ulp_of_linalg_norm(self):
         rng = np.random.default_rng(5)
@@ -523,8 +527,8 @@ class TestPairBackflows:
         cuts = np.array([1, 2, 5000, 23457, 40000])
         for family, horizon in ((DEPHASING, 2.5 * REVIVAL), (LORENTZ, 30.0)):
             times = np.linspace(0.0, horizon, 40001)
-            prefix = _pair_backflows(family, deltas, times, cuts)
-            full = _pair_backflows(family, deltas, times)
+            prefix = pair_backflows(family, deltas, times, cuts)
+            full = pair_backflows(family, deltas, times)
             assert prefix.shape == (len(pairs), len(cuts))
             for i, pair in enumerate(pairs):
                 for j, cut in enumerate(cuts):
@@ -534,11 +538,6 @@ class TestPairBackflows:
             assert np.all(prefix[:, -1] > 0.0)
 
 
-def _window_backflows(family, deltas, windows):
-    """Backflow of each pair over each window, shape (P, W)."""
-    return _chunked_backflows(family, deltas, *_window_samples(windows))
-
-
 class TestWindowBackflows:
     DELTAS = np.concatenate([optimal_candidate_stack(2, 3), _random_differences(8, 0, 5)])
 
@@ -546,22 +545,27 @@ class TestWindowBackflows:
         for family, t1, grid in ((DEPHASING, 2.5 * REVIVAL, 4001), (LORENTZ, 30.0, 2001),
                                  (DEPHASING, 0.5 * REVIVAL, 2)):
             times = np.linspace(0.0, t1, grid)
-            values = _window_backflows(family, self.DELTAS, [family.decoherence(times)])
+            values = stack_backflows(family, self.DELTAS, [family.decoherence(times)])
             assert values.shape == (len(self.DELTAS), 1)
-            assert values[:, 0].tobytes() == _pair_backflows(family, self.DELTAS, times).tobytes()
+            assert values[:, 0].tobytes() == pair_backflows(family, self.DELTAS, times).tobytes()
 
     def test_each_column_equals_its_own_window(self, monkeypatch):
-        # Windows of different lengths and angles; then again with one pair per
-        # chunk, so the segments are cut from many chunks.
+        # Windows of different lengths and angles; then the search over the
+        # stack's random pairs with one pair per chunk, so the segments are
+        # cut from many chunks.
         windows = [np.linspace(0.0, t1, grid) for t1, grid in
                    ((REVIVAL, 401), (1.5 * REVIVAL, 2), (3.0 * REVIVAL, 1201), (0.2 * REVIVAL, 57))]
         families = [DephasingChannel(DephasingSpec(theta)) for theta in (0.0, 0.4, math.pi / 4, 1.5)]
-        expected = np.stack([_pair_backflows(family, self.DELTAS, times)
+        expected = np.stack([pair_backflows(family, self.DELTAS, times)
                              for family, times in zip(families, windows)], axis=-1)
         samples = [family.decoherence(times) for family, times in zip(families, windows)]
-        assert _window_backflows(DEPHASING, self.DELTAS, samples).tobytes() == expected.tobytes()
-        monkeypatch.setattr(measures, "_CHUNK_ENTRIES", 1)
-        assert _window_backflows(DEPHASING, self.DELTAS, samples).tobytes() == expected.tobytes()
+        assert stack_backflows(DEPHASING, self.DELTAS, samples).tobytes() == expected.tobytes()
+        f, reduce = measures._kept_samples(samples)
+        random = expected[-5:]
+        monkeypatch.setattr(measures, "_CHUNK_POINTS", 1)
+        best, first_k = measures._random_search(DEPHASING, f, reduce, 8, 5)
+        assert best.tobytes() == random.max(axis=0).tobytes()
+        assert first_k.tolist() == random.argmax(axis=0).tolist()
 
 
 # Window cases for the turning-point properties: a family and a uniform grid.
@@ -629,7 +633,7 @@ class TestTurningPointReduction:
                            for a, b in zip(kept, kept[1:])], axis=0)
 
         full = np.stack([collapsed(c) for c in cuts], axis=-1) if cuts else collapsed(grid - 1)
-        fast = _pair_backflows(family, deltas, times, cuts)
+        fast = pair_backflows(family, deltas, times, cuts)
         assert fast.shape == full.shape
         assert np.all(np.abs(fast - full) <= 1e-12 * np.abs(full) + 1e-14)
 
@@ -686,7 +690,7 @@ class TestTurningPointReduction:
         distances = _trace_distances(family, deltas[:, None], np.asarray(family.decoherence(times))[old])
         positions = None if cuts is None else np.searchsorted(old, cuts)
         from_old = _positive_increments(distances, positions)
-        fast = _pair_backflows(family, deltas, times, cuts)
+        fast = pair_backflows(family, deltas, times, cuts)
         assert fast.shape == from_old.shape
         assert np.all(fast <= from_old + 1e-14)
         assert np.all(np.abs(fast - from_old) <= 1e-12 * np.abs(from_old) + 1e-14)
@@ -700,10 +704,10 @@ class TestTurningPointReduction:
         calls = []
         monkeypatch.setattr(measures, "_trace_distances", lambda *args: calls.append(args))
         n = len(deltas)
-        assert _pair_backflows(family, deltas, times).tolist() == [0.0] * n
-        assert _pair_backflows(family, deltas, times, [1, 400, 800]).tolist() == [[0.0] * 3] * n
+        assert pair_backflows(family, deltas, times).tolist() == [0.0] * n
+        assert pair_backflows(family, deltas, times, [1, 400, 800]).tolist() == [[0.0] * 3] * n
         windows = [family.decoherence(times), family.decoherence(times[:5])]
-        assert _window_backflows(family, deltas, windows).tolist() == [[0.0, 0.0]] * n
+        assert stack_backflows(family, deltas, windows).tolist() == [[0.0, 0.0]] * n
         assert blp_search(family, (0.0, 2 * REVIVAL), 4, 801, 3).value == 0.0
         assert calls == []
 
