@@ -8,9 +8,12 @@ version.
 
 Determinism: random pair k draws from its own stream, PCG64 seeded by
 ``SeedSequence(seed, spawn_key=(k,))``; row order follows grid order.  Every
-pair search (fig1, fig4 and fig2) goes through ``measures._random_search``,
-whose worker fan-out only splits the pair loop into chunks folded in order,
-so serial and parallel runs emit identical bytes.
+pair search (fig1, fig4 and fig2) goes through ``measures._random_search``.
+``workers`` caps its processes, the parent included; its fan-out only splits
+the chunks of the pair loop into contiguous shares, one per process (no more
+than the CPUs available, and none for fewer than
+``measures._PAIRS_PER_PROCESS`` pairs), folded in pair order, so serial and
+parallel runs emit identical bytes.
 """
 
 from __future__ import annotations
@@ -210,8 +213,8 @@ def _integral_sweep(
     bound a rising step of |f|; see ``measures._turning_points``).  Returns
     the row times, the optimal pairs' integrals and the row-wise maximum over
     the ``n_pairs`` seeded random pairs, searched in chunks of at most 250
-    pairs with at most one worker process per chunk
-    (``measures._random_search``).
+    pairs by at most ``workers`` processes, the parent included, each on a
+    share of the chunks (``measures._random_search``).
 
     The optimal pairs evolve with trace distance equal to |f| at every time
     (``optimal_pair``; arXiv 1310.1784), so their column is the same sum of

@@ -40,9 +40,8 @@ solves no spectra either.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import multiprocessing
+import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -504,11 +503,17 @@ def _eigen_trace_distances(family: ChannelFamily, deltas: np.ndarray, f: np.ndar
 _RANK_TOL = 64 * np.finfo(float).eps
 
 # Pairs and samples are evolved in chunks of at most this many (pair, sample)
-# points, and random pairs are drawn in chunks of at most _CHUNK_PAIRS pairs,
-# one pool task each.  The trace-norm kernel holds a few dozen float arrays
-# of one value per point of a chunk, and drops them before the next chunk.
+# points, and random pairs are drawn in chunks of at most _CHUNK_PAIRS pairs.
+# The trace-norm kernel holds a few dozen float arrays of one value per point
+# of a chunk, and drops them before the next chunk.
 _CHUNK_POINTS = 125_000
 _CHUNK_PAIRS = 250
+
+# A random search starts at most one process per this many pairs
+# (_random_search).  A fork costs ~5-10 ms; on a 2-core x86 host, fig1 and
+# fig4 at two workers first beat one worker at 1,000-2,000 pairs in all
+# (500-1,000 per process), so this leaves a margin over that crossover.
+_PAIRS_PER_PROCESS = 2_000
 
 
 def _positive_increments(values: np.ndarray, cut_indices=None) -> np.ndarray:
@@ -596,8 +601,7 @@ def _kept_samples(windows, cut_indices=None):
     ``cut_indices`` (each >= 1) it gives each window's prefix sums over
     [0, cut] instead: a cut reads the prefix sum at the last kept point at or
     before it (from there to the cut |f| does not rise, so the series adds
-    nothing), or position 0, which is 0.  The reduction is a module-level
-    partial, so it pickles into pool workers.
+    nothing), or position 0, which is 0.
     """
     kept = [_turning_points(np.abs(w), cut_indices) for w in windows]
     starts = np.cumsum([k.size for k in kept])[:-1]
@@ -616,11 +620,78 @@ def _random_backflows(family: ChannelFamily, f: np.ndarray, reduce, seed: int, l
     return reduce(_trace_distances(family, _random_differences(seed, lo, hi)[:, None], f))
 
 
-def _chunk_best(task):
-    """Per column, the largest backflow of one chunk of random pairs and the
-    earliest pair index that reaches it."""
-    values = _random_backflows(*task)
-    return values.max(axis=0), values.argmax(axis=0) + task[4]
+def _fold(best, first_k, later_best, later_k):
+    """Fold the per-column maximum and earliest index of a later range of
+    pairs into those of an earlier one: the later index replaces the earlier
+    only where its maximum is strictly larger, so a tie keeps the earlier
+    pair."""
+    return np.maximum(best, later_best), np.where(later_best > best, later_k, first_k)
+
+
+def _share_best(family: ChannelFamily, f: np.ndarray, reduce, seed: int, step: int, lo: int, hi: int):
+    """Per column, the largest backflow of random pairs lo..hi-1 and the
+    earliest pair index that reaches it (-inf and 0 when lo == hi), searched
+    in chunks of ``step`` pairs, each folded in and dropped."""
+    best = reduce(np.zeros((0, f.size))).max(axis=0, initial=-np.inf)
+    first_k = np.zeros(best.shape, dtype=int)
+    for start in range(lo, hi, step):
+        values = _random_backflows(family, f, reduce, seed, start, min(start + step, hi))
+        best, first_k = _fold(best, first_k, values.max(axis=0), values.argmax(axis=0) + start)
+    return best, first_k
+
+
+def _send_share_best(conn, share) -> None:
+    """Child process body: send ``_share_best(*share)``, or the exception it
+    raised, through the write end ``conn``."""
+    try:
+        result = _share_best(*share)
+    except BaseException as exc:  # re-raised in the parent
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
+def _fan_out(task, bounds):
+    """``_share_best`` over the pairs bounds[0]..bounds[-1]-1, split into the
+    shares [bounds[i], bounds[i+1]).  The parent searches the first share and
+    one forked child each of the others; each child sends back its folded
+    result through a one-way pipe, and the parent folds the shares in pair
+    order.  A child's exception is re-raised here; a child that exits
+    without a result raises RuntimeError; every child is gone on return.
+    """
+    import multiprocessing  # ~9 ms of import that one-process searches skip
+
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            receive, send = context.Pipe(duplex=False)
+            child = context.Process(target=_send_share_best, args=(send, (*task, lo, hi)))
+            child.start()
+            send.close()  # the child holds the only write end, so its exit ends the pipe
+            children.append((child, receive, lo, hi))
+        best, first_k = _share_best(*task, bounds[0], bounds[1])
+        for child, receive, lo, hi in children:
+            try:
+                result = receive.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"the process searching random pairs [{lo}, {hi}) exited with code "
+                    f"{child.exitcode} before sending its result"
+                ) from None
+            if isinstance(result, BaseException):
+                raise result
+            best, first_k = _fold(best, first_k, *result)
+    except BaseException:
+        for child, *_ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receive, *_ in children:
+            child.join()
+            receive.close()
+    return best, first_k
 
 
 def _random_search(family: ChannelFamily, f: np.ndarray, reduce, seed: int, n_pairs: int, workers: int = 1):
@@ -631,9 +702,12 @@ def _random_search(family: ChannelFamily, f: np.ndarray, reduce, seed: int, n_pa
     Each chunk of pairs (at most ``_CHUNK_PAIRS`` pairs and, past one pair,
     ``_CHUNK_POINTS`` points) is drawn, evolved and reduced, then folded into
     the running result and dropped; a later chunk replaces a column's index
-    only where it is strictly larger.  With ``workers`` > 1 the chunks run in
-    a fork pool of at most one process per chunk, in order, so the result
-    does not depend on the worker count.
+    only where it is strictly larger.  ``workers`` caps the processes, this
+    one included: the chunks split into contiguous shares in pair order, one
+    per process (``_fan_out``), but no more shares than the CPUs available,
+    the chunks, or n_pairs // ``_PAIRS_PER_PROCESS``.  The shares fold in
+    pair order the same way, so the result does not depend on the worker
+    count.
     """
     n_pairs = int(n_pairs)
     _require_non_negative(seed=seed)
@@ -641,17 +715,12 @@ def _random_search(family: ChannelFamily, f: np.ndarray, reduce, seed: int, n_pa
         raise ValueError(f"pair indices [0, {n_pairs}) must lie below 2**64")
     step = max(1, min(_CHUNK_PAIRS, _CHUNK_POINTS // max(f.size, 1)))
     chunks = -(-n_pairs // step)
-    tasks = ((family, f, reduce, seed, lo, min(lo + step, n_pairs)) for lo in range(0, n_pairs, step))
-    best = reduce(np.zeros((0, f.size))).max(axis=0, initial=-np.inf)
-    first_k = np.zeros(best.shape, dtype=int)
-    pool = None
-    if workers > 1 and chunks > 1:
-        pool = multiprocessing.get_context("fork").Pool(processes=min(workers, chunks))
-    with pool or contextlib.nullcontext():
-        for chunk_best, chunk_k in (pool.imap if pool else map)(_chunk_best, tasks):
-            first_k = np.where(chunk_best > best, chunk_k, first_k)
-            best = np.maximum(best, chunk_best)
-    return best, first_k
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    procs = max(1, min(workers, cpus, chunks, n_pairs // _PAIRS_PER_PROCESS))
+    task = (family, f, reduce, seed, step)
+    if procs == 1:
+        return _share_best(*task, 0, n_pairs)
+    return _fan_out(task, [min(step * (chunks * i // procs), n_pairs) for i in range(procs + 1)])
 
 
 def _window_times(window: tuple[float, float], grid_size: int) -> np.ndarray:

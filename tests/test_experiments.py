@@ -3,10 +3,13 @@ import importlib
 import importlib.util
 import json
 import math
+import multiprocessing
+import os
 import re
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -427,34 +430,28 @@ class TestFig1:
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_pool_starts_no_more_workers_than_tasks(self, tmp_path, monkeypatch):
-        # 400 pairs make two chunks of 250, so no pool starts more than two
-        # processes.  The fake context records the request and runs the
-        # chunks in this process.
-        requested = []
-
-        class Pool:
-            def __init__(self, processes):
-                requested.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(measures.multiprocessing, "get_context", lambda method: mock.Mock(Pool=Pool))
-        outputs = []
-        for workers in (1, 2, 8):
-            cfg = resolve_config("fig1", None, {**TINY_FIG1, "pairs": 400, "workers": workers})
-            path = tmp_path / f"w{workers}.csv"
-            write_csv(path, *run_figure("fig1", cfg))
-            outputs.append(path.read_bytes())
-        assert requested == [2, 2]
-        assert outputs[0] == outputs[1] == outputs[2]
+    def test_fan_out_starts_processes_only_where_they_pay(self, tmp_path, monkeypatch):
+        # 400 pairs make two chunks of 250.  At fewer than _PAIRS_PER_PROCESS
+        # pairs per process no worker count starts a process; with the
+        # constant at 1, two workers start one child (given two CPUs) and
+        # eight start at most one per CPU and chunk, the parent included.
+        # The fake context records each process and runs it in this one.
+        fork = RecordingFork(monkeypatch, start_processes=False)
+        cpus = len(os.sched_getaffinity(0))
+        outputs, started = [], []
+        for per_process in (measures._PAIRS_PER_PROCESS, 1):
+            monkeypatch.setattr(measures, "_PAIRS_PER_PROCESS", per_process)
+            for workers in (1, 2, 8):
+                fork.shares.clear()
+                cfg = resolve_config("fig1", None, {**TINY_FIG1, "pairs": 400, "workers": workers})
+                path = tmp_path / f"w{workers}_{per_process}.csv"
+                write_csv(path, *run_figure("fig1", cfg))
+                outputs.append(path.read_bytes())
+                started.append(list(fork.shares))
+        assert started[:4] == [[], [], [], []]
+        assert started[4] == [(250, 400)][: min(2, cpus) - 1]
+        assert len(started[5]) <= min(cpus, 2) - 1
+        assert len(set(outputs)) == 1
 
     def test_full_revival_row_value(self):
         # Ending the sweep at 2 pi / dw puts the coherence zero on the master
@@ -639,6 +636,142 @@ class TestRandomSearch:
         for figure, overrides in (("fig2", {}), ("fig1", {"theta": 0.0, "pairs": 3})):
             with pytest.raises(ValueError, match=r"^seed=-1 must be at least 0$"):
                 run_figure(figure, resolve_config(figure, None, {**overrides, "seed": -1}))
+
+
+class RecordingFork:
+    """Stands in for ``multiprocessing.get_context("fork")`` where the
+    fan-out looks it up, and records the pair share [lo, hi) of each process
+    requested.  With ``start_processes`` False it starts none: each
+    process's target runs in this process when it is started."""
+
+    def __init__(self, monkeypatch, start_processes=True):
+        self.fork, self.start_processes, self.shares = multiprocessing.get_context("fork"), start_processes, []
+        monkeypatch.setattr(multiprocessing, "get_context", self.get_context)
+
+    def get_context(self, method):
+        assert method == "fork"
+        return self
+
+    def Pipe(self, duplex):
+        return self.fork.Pipe(duplex)
+
+    def Process(self, target, args):
+        self.shares.append(tuple(args[1][-2:]))
+        if self.start_processes:
+            return self.fork.Process(target=target, args=args)
+        return mock.Mock(start=lambda: target(*args), exitcode=0)
+
+
+class TestFanOut:
+    """The parent searches the first share of the chunks, and each forked
+    child one later share.  With _PAIRS_PER_PROCESS at 1 and two CPUs, a
+    two-worker search of 300 pairs keeps [0, 250) in the parent and starts
+    one real child for [250, 300)."""
+
+    FAMILY = DephasingChannel(DephasingSpec(math.pi / 4))
+    WINDOW = np.linspace(0.0, 0.6, 101)
+
+    @classmethod
+    def search(cls, monkeypatch, backflows, cuts, workers=2):
+        monkeypatch.setattr(measures, "_PAIRS_PER_PROCESS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(measures, "_random_backflows", backflows)
+        f, reduce = _kept_samples([cls.FAMILY.decoherence(cls.WINDOW)], cuts)
+        return measures._random_search(cls.FAMILY, f, reduce, 9, 300, workers)
+
+    def test_a_tie_across_shares_goes_to_the_earliest_pair(self, monkeypatch):
+        # Column 0 ties the parent's pair 10 with the child's pair 260,
+        # column 1 has the child's pair 260 strictly larger, and column 2
+        # ties pairs 260 and 299 inside the child's share.
+        hot = {(10, 0): 1.0, (260, 0): 1.0, (10, 1): 0.5, (260, 1): 1.0, (260, 2): 1.0, (299, 2): 1.0}
+
+        def backflows(family, f, reduce, seed, lo, hi):
+            values = np.zeros((hi - lo, 3))
+            for (k, column), value in hot.items():
+                if lo <= k < hi:
+                    values[k - lo, column] = value
+            return values
+
+        fork = RecordingFork(monkeypatch)
+        results = [self.search(monkeypatch, backflows, [10, 40, 90], workers) for workers in (1, 2)]
+        assert fork.shares == [(250, 300)]
+        assert multiprocessing.active_children() == []
+        for best, first_k in results:
+            assert best.tolist() == [1.0, 1.0, 1.0]
+            assert first_k.tolist() == [10, 260, 260]
+
+    def test_a_child_exception_is_raised_in_the_parent(self, monkeypatch):
+        def backflows(family, f, reduce, seed, lo, hi):
+            if lo >= 250:
+                raise ZeroDivisionError(f"no pairs from {lo}")
+            return np.zeros((hi - lo, 1))
+
+        fork = RecordingFork(monkeypatch)
+        with pytest.raises(ZeroDivisionError, match=r"^no pairs from 250$"):
+            self.search(monkeypatch, backflows, None)
+        assert fork.shares == [(250, 300)]
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_that_exits_without_a_result_names_its_pairs(self, monkeypatch):
+        def backflows(family, f, reduce, seed, lo, hi):
+            if lo >= 250:
+                os._exit(3)
+            return np.zeros((hi - lo, 1))
+
+        fork = RecordingFork(monkeypatch)
+        with pytest.raises(RuntimeError, match=r"random pairs \[250, 300\) exited with code 3 "):
+            self.search(monkeypatch, backflows, None)
+        assert fork.shares == [(250, 300)]
+        assert multiprocessing.active_children() == []
+
+    def test_an_interrupted_parent_stops_every_child(self, monkeypatch):
+        # The child would search for a minute; the parent's own share is
+        # interrupted at once, and the child is terminated and joined.
+        def backflows(family, f, reduce, seed, lo, hi):
+            if lo >= 250:
+                time.sleep(60.0)
+            raise KeyboardInterrupt
+
+        fork = RecordingFork(monkeypatch)
+        began = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            self.search(monkeypatch, backflows, None)
+        assert time.monotonic() - began < 30.0
+        assert fork.shares == [(250, 300)]
+        assert multiprocessing.active_children() == []
+
+    def test_processes_are_capped_by_the_cpus_available(self, monkeypatch):
+        # --workers 100000 --pairs 100000000 starts one process per CPU,
+        # the parent included, each on a contiguous share of whole chunks.
+        # The fake context starts none, and no pair is evolved.
+        fork = RecordingFork(monkeypatch, start_processes=False)
+        monkeypatch.setattr(measures, "_share_best", lambda *task: (np.zeros(1), np.array([task[-2]])))
+        f, reduce = _kept_samples([self.FAMILY.decoherence(self.WINDOW)])
+        # Where os.sched_getaffinity is missing, os.cpu_count() counts, or 1
+        # when it is unknown.
+        cases = ((6, "sched_getaffinity", lambda pid: set(range(6))), (3, "cpu_count", lambda: 3),
+                 (1, "cpu_count", lambda: None))
+        for cpus, name, count in cases:
+            fork.shares.clear()
+            if name == "cpu_count":
+                monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, name, count)
+            best, first_k = measures._random_search(self.FAMILY, f, reduce, 9, 10**8, 100_000)
+            bounds = [0] + [lo for lo, _ in fork.shares] + [10**8]
+            assert len(fork.shares) == cpus - 1
+            assert fork.shares == list(zip(bounds[1:-1], bounds[2:]))
+            assert all(lo % 250 == 0 for lo in bounds[:-1])
+            assert (best.tolist(), first_k.tolist()) == ([0.0], [0])
+
+    def test_a_one_process_search_imports_no_multiprocessing(self, tmp_path):
+        script = (
+            "import sys; from backflow import cli\n"
+            f"cli.main(['fig1', '--pairs', '400', '--workers', '8', '--out', {str(tmp_path / 'a.csv')!r}])\n"
+            "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported'\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(backflow.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestFig3:
