@@ -121,6 +121,16 @@ def _two_qubit_state(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
+def _require_contraction(family: type, f) -> None:
+    """Reject any factor of ``f`` (a scalar or an array) with |f| > 1, where
+    ``family.act`` is no contraction; the message names the first one."""
+    magnitude = np.abs(f)
+    over = magnitude > 1.0 + _CONTRACTION_SLACK
+    if np.any(over):
+        name, what = ("kappa", "dephasing factor") if family is DephasingChannel else ("chi", "damping amplitude")
+        raise ValueError(f"|{name}| = {magnitude[over].flat[0]:.12g} > 1: not a valid {what}")
+
+
 def apply_dephasing(rho: np.ndarray, kappa: complex) -> np.ndarray:
     """Dephase the first qubit of a two-qubit state by the complex factor kappa.
 
@@ -129,8 +139,7 @@ def apply_dephasing(rho: np.ndarray, kappa: complex) -> np.ndarray:
     untouched.  Rejects |kappa| > 1 (not a contraction).
     """
     kappa = complex(kappa)
-    if abs(kappa) > 1.0 + _CONTRACTION_SLACK:
-        raise ValueError(f"|kappa| = {abs(kappa):.12g} > 1: not a valid dephasing factor")
+    _require_contraction(DephasingChannel, kappa)
     return DephasingChannel.act(_two_qubit_state(rho), kappa)
 
 
@@ -142,8 +151,7 @@ def apply_amplitude_damping(rho: np.ndarray, chi_value: float) -> np.ndarray:
     second qubit.  Rejects |chi| > 1.
     """
     x = float(chi_value)
-    if abs(x) > 1.0 + _CONTRACTION_SLACK:
-        raise ValueError(f"|chi| = {abs(x):.12g} > 1: not a valid damping amplitude")
+    _require_contraction(AmplitudeDampingChannel, x)
     return AmplitudeDampingChannel.act(_two_qubit_state(rho), x)
 
 

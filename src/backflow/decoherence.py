@@ -84,6 +84,9 @@ class LorentzSpec:
             raise ValueError("gamma0 must be positive")
         if not self.width > 0.0:
             raise ValueError("width must be positive")
+        # epsilon's width**2 raises OverflowError where this is not finite.
+        if not math.isfinite(self.width * self.width - 2.0 * self.gamma0 * self.width):
+            raise ValueError(f"width={self.width} and gamma0={self.gamma0} overflow width**2 - 2*gamma0*width")
 
     @property
     def epsilon(self) -> float:
@@ -122,13 +125,17 @@ def _kappa_over_thetas(spec: DephasingSpec, thetas, t) -> np.ndarray:
 def kappa_abs(spec: DephasingSpec, tau):
     """|kappa(tau)| via the closed form
     exp(-sigma^2 tau^2/2) sqrt(1 - sin^2(2 theta) sin^2(dw tau / 2))."""
-    t = np.asarray(tau, dtype=float)
-    s = math.sin(2.0 * spec.theta) ** 2
-    osc = 1.0 - s * np.sin(0.5 * spec.delta_omega * t) ** 2
-    value = np.exp(-0.5 * (spec.sigma * t) ** 2) * np.sqrt(np.clip(osc, 0.0, None))
+    value = _kappa_abs(spec, math.sin(2.0 * spec.theta) ** 2, np.asarray(tau, dtype=float))
     if np.ndim(tau) == 0:
         return float(value)
     return value
+
+
+def _kappa_abs(spec: DephasingSpec, s, t: np.ndarray):
+    """|kappa|'s closed form with s = sin^2(2 theta) given apart from
+    ``spec`` (whose theta is not read)."""
+    osc = 1.0 - s * np.sin(0.5 * spec.delta_omega * t) ** 2
+    return np.exp(-0.5 * (spec.sigma * t) ** 2) * np.sqrt(np.clip(osc, 0.0, None))
 
 
 def _two_peak_density(spec: DephasingSpec, omega: float) -> float:
@@ -221,10 +228,8 @@ def chi(spec: LorentzSpec, t):
     return value
 
 
-def _delta_floor(spec: DephasingSpec) -> float:
-    return abs(math.cos(2.0 * spec.theta)) * math.exp(
-        -0.5 * (math.pi * spec.sigma / spec.delta_omega) ** 2
-    )
+def _delta_floor(spec: DephasingSpec, theta: float) -> float:
+    return abs(math.cos(2.0 * theta)) * math.exp(-0.5 * (math.pi * spec.sigma / spec.delta_omega) ** 2)
 
 
 def _check_window(delta_omega: float, tau_c: float, closed_left: bool) -> None:
@@ -264,7 +269,17 @@ def analytic_blp_dephasing(spec: DephasingSpec, tau_c: float) -> float:
     """
     tau_c = float(tau_c)
     _check_window(spec.delta_omega, tau_c, closed_left=True)
-    return max(0.0, kappa_abs(spec, tau_c) - _delta_floor(spec))
+    return max(0.0, kappa_abs(spec, tau_c) - _delta_floor(spec, spec.theta))
+
+
+def _analytic_blp_over_thetas(spec: DephasingSpec, thetas, tau_c: float) -> np.ndarray:
+    """``analytic_blp_dephasing`` at ``tau_c`` for each angle in ``thetas``
+    (not ``spec``'s), bit for bit: the same math.sin/math.cos scalars."""
+    tau_c = float(tau_c)
+    _check_window(spec.delta_omega, tau_c, closed_left=True)
+    s = np.array([math.sin(2.0 * theta) ** 2 for theta in thetas])
+    floor = np.array([_delta_floor(spec, theta) for theta in thetas])
+    return np.maximum(0.0, _kappa_abs(spec, s, np.asarray(tau_c)) - floor)
 
 
 def transition_thetas(delta_omega: float, sigma: float, tau_c: float) -> tuple[float, float]:
@@ -279,13 +294,19 @@ def transition_thetas(delta_omega: float, sigma: float, tau_c: float) -> tuple[f
     if delta_omega <= 0.0 or sigma <= 0.0:
         raise ValueError("delta_omega and sigma must be positive")
     _check_window(delta_omega, tau_c, closed_left=False)
-    u = math.exp((sigma * tau_c) ** 2)
-    v = math.exp((math.pi * sigma / delta_omega) ** 2)
+    c = math.cos(delta_omega * tau_c)
+    try:
+        u = math.exp((sigma * tau_c) ** 2)
+        v = math.exp((math.pi * sigma / delta_omega) ** 2)
+        radicand = 2.0 * u * v * (1.0 + c) - (v * math.sin(delta_omega * tau_c)) ** 2
+    except OverflowError:
+        radicand = math.inf
+    # A finite radicand leaves u, v, u*v and so p and q finite.
+    if not math.isfinite(radicand):
+        raise ValueError(f"sigma={sigma} and tau_c={tau_c} overflow the transition-angle equation")
     if u <= v:
         raise NoTransitionError(f"u={u:.6g} <= v={v:.6g}: no real transition angle")
-    c = math.cos(delta_omega * tau_c)
     p = (u + v * c) / (u - v)
-    radicand = 2.0 * u * v * (1.0 + c) - (v * math.sin(delta_omega * tau_c)) ** 2
     if radicand < 0.0:
         raise NoTransitionError("negative discriminant: no real transition angle")
     q = math.sqrt(radicand) / (u - v)

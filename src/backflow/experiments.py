@@ -25,11 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import AmplitudeDampingChannel, ChannelFamily, DephasingChannel, apply_amplitude_damping, apply_dephasing
-from .decoherence import DephasingSpec, LorentzSpec, analytic_blp_dephasing, chi, kappa_complex, transition_thetas
-from .decoherence import _kappa_over_thetas
+from .channels import AmplitudeDampingChannel, ChannelFamily, DephasingChannel, _require_contraction
+from .decoherence import DephasingSpec, LorentzSpec, chi, transition_thetas
+from .decoherence import _analytic_blp_over_thetas, _kappa_over_thetas
 from .measures import _kept_samples, _random_search, _window_times
-# sample_random_pair is not called here: perfbench/tracer.py wraps it at this name.
+# Not called here: perfbench/tracer.py wraps them at these names.
+from .decoherence import analytic_blp_dephasing, kappa_complex  # noqa: F401
 from .measures import sample_random_pair  # noqa: F401
 from .rsp import bell_diagonal, correlation_matrix, rsp_fidelity
 
@@ -301,16 +302,16 @@ def run_fig2(cfg: dict):
     dw = cfg["delta_omega"]
     tauc_grid = np.linspace(1.2 * math.pi / dw, 2.0 * math.pi / dw, cfg["tauc_count"])
     theta_grid = np.linspace(0.0, math.pi / 2, cfg["theta_count"])
+    spec = _dephasing_spec(cfg, theta_grid[0])
     closed, windows = [], []
     for tau_c in tauc_grid:
         theta1, theta2 = transition_thetas(dw, cfg["sigma"], tau_c)
-        specs = [_dephasing_spec(cfg, theta) for theta in theta_grid]
         times = _window_times((0.0, float(tau_c)), cfg["grid"])
-        windows.extend(_kappa_over_thetas(specs[0], theta_grid, times))
-        closed += [(tau_c, theta, analytic_blp_dephasing(spec, float(tau_c)), theta1, theta2)
-                   for theta, spec in zip(theta_grid, specs)]
+        windows.extend(_kappa_over_thetas(spec, theta_grid, times))
+        closed += [(tau_c, theta, n, theta1, theta2)
+                   for theta, n in zip(theta_grid, _analytic_blp_over_thetas(spec, theta_grid, tau_c))]
     f, reduce = _kept_samples(windows)
-    random_max, _ = _random_search(DephasingChannel(specs[0]), f, reduce, cfg["seed"], cfg["pairs"])
+    random_max, _ = _random_search(DephasingChannel(spec), f, reduce, cfg["seed"], cfg["pairs"])
     numeric = np.maximum(reduce(np.abs(f)), random_max)
     header = ["tau_c", "theta", "N_analytic", "N_numeric", "theta1", "theta2"]
     return header, [(tau_c, theta, n, value, theta1, theta2)
@@ -320,8 +321,16 @@ def run_fig2(cfg: dict):
 def rsp_fidelity_after(c, apply, value) -> float:
     """RSP fidelity of the Bell-diagonal state with triple ``c`` after the
     channel ``apply(rho, value)`` (``apply_dephasing`` or
-    ``apply_amplitude_damping``)."""
+    ``apply_amplitude_damping``): one row of ``_preset_fidelities``, bit for bit."""
     return rsp_fidelity(correlation_matrix(apply(bell_diagonal(c), value)))
+
+
+def _preset_fidelities(family: type, f: np.ndarray) -> np.ndarray:
+    """(len(f), 2) RSP fidelities of the two resource presets after
+    ``family.act`` with each factor of ``f``: one stacked pass for all rows."""
+    _require_contraction(family, f)
+    presets = np.array([bell_diagonal(_STATE_A), bell_diagonal(_STATE_B)])
+    return rsp_fidelity(correlation_matrix(family.act(presets, f[:, None])))
 
 
 def run_fig3(cfg: dict, variant: str):
@@ -337,17 +346,10 @@ def run_fig3(cfg: dict, variant: str):
     tau_c = 1.5 * math.pi / dw if variant == "a" else 2.0 * math.pi / dw
     theta1, theta2 = transition_thetas(dw, cfg["sigma"], tau_c)
     theta_grid = np.linspace(theta1, theta2, cfg["theta_count"])
-    header = ["theta", "N", "F1", "F2"]
-    rows = []
-    for theta in theta_grid:
-        spec = _dephasing_spec(cfg, theta)
-        n_value = analytic_blp_dephasing(spec, tau_c)
-        kappa = kappa_complex(spec, tau_c)
-        rows.append(
-            (theta, n_value, rsp_fidelity_after(_STATE_A, apply_dephasing, kappa),
-             rsp_fidelity_after(_STATE_B, apply_dephasing, kappa))
-        )
-    return header, rows
+    spec = _dephasing_spec(cfg, theta_grid[0])
+    fidelities = _preset_fidelities(DephasingChannel, _kappa_over_thetas(spec, theta_grid, tau_c)[:, 0])
+    rows = zip(theta_grid, _analytic_blp_over_thetas(spec, theta_grid, tau_c), *fidelities.T)
+    return ["theta", "N", "F1", "F2"], list(rows)
 
 
 def run_fig5(cfg: dict):
@@ -363,17 +365,13 @@ def run_fig5(cfg: dict):
     ratios = np.linspace(cfg["ratio_min"], cfg["ratio_max"], cfg["ratio_count"])
     if ratios.min() <= 0.0 or ratios.max() >= 2.0:
         raise ValueError("ratio grid must stay strictly inside (0, 2)")
-    header = ["ratio", "N", "F1", "F2"]
-    rows = []
+    columns = []
     for ratio in ratios:
         spec = LorentzSpec(gamma0=gamma0, width=float(ratio) * gamma0)
-        t_c = 2.0 * math.pi / spec.epsilon
-        n_value = math.exp(-math.pi * spec.width / spec.epsilon)
-        chi_tc = chi(spec, t_c)
-        f1 = rsp_fidelity_after(_STATE_A, apply_amplitude_damping, chi_tc)
-        f2 = rsp_fidelity_after(_STATE_B, apply_amplitude_damping, chi_tc)
-        rows.append((ratio, n_value, f1, f2))
-    return header, rows
+        columns.append((math.exp(-math.pi * spec.width / spec.epsilon), chi(spec, 2.0 * math.pi / spec.epsilon)))
+    n_values, chi_tc = np.array(columns).T
+    fidelities = _preset_fidelities(AmplitudeDampingChannel, chi_tc)
+    return ["ratio", "N", "F1", "F2"], list(zip(ratios, n_values, *fidelities.T))
 
 
 _RUNNERS = {

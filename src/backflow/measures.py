@@ -533,10 +533,10 @@ def _positive_increments(values: np.ndarray, cut_indices=None) -> np.ndarray:
 
 def _turning_points(absf: np.ndarray, cut_indices=None) -> np.ndarray:
     """Sorted grid indices that a sum of positive increments needs when the
-    series is a non-decreasing function of ``absf``: of the first and last
-    index, the indices where the sign of the step of ``absf`` changes (a
-    zero step counts as a sign of its own) and the cut indices, those that
-    bound a rising step (the step into or out of the index rises).
+    series is a non-decreasing function of ``absf``: the edges of the rising
+    steps of ``absf`` (an index whose step in rises and whose step out does
+    not, or the reverse; past either end nothing rises), and the cut indices
+    that bound a rising step.
 
     Between two consecutive kept indices ``absf`` either rises throughout,
     so such a series is monotone there and its positive increments add up to
@@ -544,14 +544,13 @@ def _turning_points(absf: np.ndarray, cut_indices=None) -> np.ndarray:
     the series does not rise either and adds nothing.  An ``absf`` that never
     rises keeps no index.
     """
-    steps = np.diff(absf)
-    signs = np.sign(steps)
-    turns = np.flatnonzero(signs[1:] != signs[:-1]) + 1
-    cuts = () if cut_indices is None else cut_indices
-    candidates = np.unique(np.concatenate(([0, absf.size - 1], turns, cuts)).astype(int))
-    rises = steps > 0.0
-    bounds_rise = np.concatenate(([False], rises)) | np.concatenate((rises, [False]))
-    return candidates[bounds_rise[candidates]]
+    # rises[i] says whether the step into index i rises, rises[i + 1] the step out.
+    rises = np.concatenate(([False], np.diff(absf) > 0.0, [False]))
+    keep = rises[1:] != rises[:-1]
+    if cut_indices is not None:
+        cuts = np.asarray(cut_indices, dtype=int)
+        keep[cuts] |= rises[cuts] | rises[cuts + 1]
+    return np.flatnonzero(keep)
 
 
 def trace_distance_trajectory(family: ChannelFamily, pair: StatePair, times) -> Trajectory:

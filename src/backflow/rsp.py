@@ -48,21 +48,24 @@ def bell_diagonal(c) -> np.ndarray:
 
 
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:
-    """3x3 real matrix of Pauli-Pauli expectations tr[rho sigma_j x sigma_j']."""
+    """3x3 real matrix of Pauli-Pauli expectations tr[rho sigma_j x sigma_j'],
+    for each 4x4 state of a stack (..., 4, 4)."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 state, got shape {rho.shape}")
-    return np.trace(rho @ _PAULI_PRODUCTS, axis1=-2, axis2=-1).real
+    return np.trace(rho[..., None, None, :, :] @ _PAULI_PRODUCTS, axis1=-2, axis2=-1).real
 
 
-def rsp_fidelity(c: np.ndarray) -> float:
-    """Mean of the two smallest eigenvalues of C^T C.
+def rsp_fidelity(c: np.ndarray) -> float | np.ndarray:
+    """Mean of the two smallest eigenvalues of C^T C, for each 3x3 matrix of a
+    stack (..., 3, 3); a float for a single matrix.
 
     The fidelity depends only on the spectrum of C^T C, so it is invariant
     under sign flips and row/column permutations of the correlation matrix.
     """
     c = np.asarray(c, dtype=float)
-    if c.shape != (3, 3):
+    if c.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 correlation matrix, got shape {c.shape}")
-    eigs = np.linalg.eigvalsh(c.T @ c)
-    return float(0.5 * (eigs[0] + eigs[1]))
+    eigs = np.linalg.eigvalsh(np.swapaxes(c, -1, -2) @ c)
+    value = 0.5 * (eigs[..., 0] + eigs[..., 1])
+    return float(value) if c.ndim == 2 else value

@@ -200,6 +200,21 @@ def optimal_candidate_stack(alpha_count: int = 11, phase_count: int = 16) -> np.
                      for a in alphas for ph in phases for v in ("zeta", "eta")])
 
 
+def turning_points_by_sign_change(absf: np.ndarray, cut_indices=None) -> np.ndarray:
+    """The kept indices of the turning-point reduction as first defined: of
+    the first and last index, the indices where the sign of the step of
+    ``absf`` changes (a zero step counts as a sign of its own) and the cut
+    indices, those that bound a rising step."""
+    steps = np.diff(absf)
+    signs = np.sign(steps)
+    turns = np.flatnonzero(signs[1:] != signs[:-1]) + 1
+    cuts = () if cut_indices is None else cut_indices
+    candidates = np.unique(np.concatenate(([0, absf.size - 1], turns, cuts)).astype(int))
+    rises = steps > 0.0
+    bounds_rise = np.concatenate(([False], rises)) | np.concatenate((rises, [False]))
+    return candidates[bounds_rise[candidates]]
+
+
 def stack_backflows(family, deltas: np.ndarray, windows, cut_indices=None) -> np.ndarray:
     """Backflow of each difference matrix in the stack ``deltas`` (P, 4, 4)
     over each window of decoherence samples: shape (P, W), or (P, W C) with

@@ -22,12 +22,15 @@ from hypothesis import strategies as st
 import backflow
 from backflow import AmplitudeDampingChannel, DephasingChannel, DephasingSpec, LorentzSpec
 from backflow import analytic_blp_dephasing, blp_search, transition_thetas
+from backflow import apply_amplitude_damping, apply_dephasing, bell_diagonal, chi, kappa_complex
 from backflow import cli, experiments, measures
 from backflow.experiments import (
     FIGURES,
+    _preset_fidelities,
     default_config,
     figure_keys,
     resolve_config,
+    rsp_fidelity_after,
     run_figure,
     write_csv,
     write_metadata,
@@ -800,6 +803,75 @@ class TestFig3:
         assert np.max(np.abs(arr[:, 3] - f2)) <= 1e-12
 
 
+_PRESETS = ((1.0, -1.0, 1.0), (-0.5, 0.4, 0.8))
+
+
+class TestStackedFidelityFigures:
+    """fig3a, fig3b and fig5 compute every row in one stacked pass; each row
+    must equal, bit for bit, the per-row path kept as the reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 40), st.floats(1e-3, 3.0), st.floats(1.0, 40.0), st.floats(-5.0, 5.0))
+    def test_fig3_rows_equal_the_per_row_path(self, theta_count, sigma_over_dw, delta_omega, omega1):
+        # Past sigma/dw ~ 3.8, u v = exp(5 (pi sigma/dw)**2) overflows at
+        # tau_c = 2 pi/dw and fig3b refuses the transition angles.
+        sigma = sigma_over_dw * delta_omega
+        cfg = {"theta_count": theta_count, "sigma": sigma, "delta_omega": delta_omega, "omega1": omega1}
+        for variant, tau_c in (("fig3a", 1.5 * math.pi / delta_omega), ("fig3b", 2.0 * math.pi / delta_omega)):
+            rows = run_figure(variant, resolve_config(variant, None, cfg))[1]
+            assert len(rows) == theta_count
+            for theta, n_value, *fidelities in rows:
+                spec = DephasingSpec(float(theta), omega1, omega1 + delta_omega, sigma)
+                kappa = kappa_complex(spec, tau_c)
+                assert n_value == analytic_blp_dephasing(spec, tau_c)
+                assert fidelities == [rsp_fidelity_after(c, apply_dephasing, kappa) for c in _PRESETS]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 40), st.floats(1e-3, 1.999), st.floats(1e-3, 1.999), st.floats(0.01, 100.0))
+    def test_fig5_rows_equal_the_per_row_path(self, ratio_count, ratio_min, ratio_max, gamma0):
+        # README allows a descending grid (ratio_min > ratio_max).
+        cfg = {"ratio_count": ratio_count, "ratio_min": ratio_min, "ratio_max": ratio_max, "gamma0": gamma0}
+        rows = run_figure("fig5", resolve_config("fig5", None, cfg))[1]
+        expected_ratios = np.linspace(ratio_min, ratio_max, ratio_count)
+        assert [row[0] for row in rows] == expected_ratios.tolist()
+        for ratio, n_value, *fidelities in rows:
+            spec = LorentzSpec(gamma0=gamma0, width=float(ratio) * gamma0)
+            chi_tc = chi(spec, 2.0 * math.pi / spec.epsilon)
+            assert n_value == math.exp(-math.pi * spec.width / spec.epsilon)
+            assert fidelities == [rsp_fidelity_after(c, apply_amplitude_damping, chi_tc) for c in _PRESETS]
+
+    def test_the_stacked_contraction_check_gives_the_per_row_message(self):
+        rho = bell_diagonal(_PRESETS[0])
+        for family, apply, values, bad in (
+            (DephasingChannel, apply_dephasing, [0.5, 0.3j, 1.2 + 0.1j, 2.0], 1.2 + 0.1j),
+            (AmplitudeDampingChannel, apply_amplitude_damping, [0.5, -1.0, -1.5, 3.0], -1.5),
+        ):
+            with pytest.raises(ValueError) as per_row:
+                apply(rho, bad)
+            with pytest.raises(ValueError) as stacked:
+                _preset_fidelities(family, np.array(values))
+            assert str(stacked.value) == str(per_row.value)
+            assert "> 1: not a valid" in str(stacked.value)
+
+    def test_one_eigensolve_and_one_channel_action_per_run(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        for family in (DephasingChannel, AmplitudeDampingChannel):
+            monkeypatch.setattr(family, "act", staticmethod(counted("act", family.act)))
+        for figure in ("fig3a", "fig3b", "fig5"):
+            calls.clear()
+            rows = run_figure(figure, resolve_config(figure))[1]
+            assert len(rows) in (20, 25)
+            assert calls == {"eigvalsh": 1, "act": 1}, figure
+
+
 class TestFig4:
     def test_ordering_and_pre_revival_zeros(self):
         cfg = resolve_config("fig4", None, TINY_FIG4)
@@ -910,9 +982,6 @@ class TestCli:
         assert float(out.stdout) == pytest.approx(0.25, abs=1e-12)
 
     def test_fidelity_accepts_a_negative_triple_in_both_spellings(self):
-        from backflow import apply_dephasing
-        from backflow.experiments import rsp_fidelity_after
-
         for kappa in ("0.5", "-0.5+0.1j"):
             expected = rsp_fidelity_after((-0.5, 0.4, 0.8), apply_dephasing, complex(kappa))
             for flags in (("--c", "-0.5,0.4,0.8"), ("--c=-0.5,0.4,0.8",)):
@@ -1113,6 +1182,27 @@ class TestCli:
             assert out.returncode == 0, out.stderr
             recorded = json.loads((tmp_path / "f.csv.meta.json").read_text())["config"][key]
             assert recorded == value and type(recorded) is type(value)
+
+    @pytest.mark.parametrize("argv, line", [
+        (("fig4", "--gamma0", "1e300"), "error: width=1e+299 and gamma0=1e+300 overflow width**2 - 2*gamma0*width"),
+        (("fig5", "--gamma0", "1e300"), "error: width=1e+297 and gamma0=1e+300 overflow width**2 - 2*gamma0*width"),
+        (("chi", "--gamma0", "1e300", "--width", "1e300", "--t", "1"),
+         "error: width=1e+300 and gamma0=1e+300 overflow width**2 - 2*gamma0*width"),
+        (("measure", "--measure", "divisibility", "--family", "lorentz", "--width", "1e200", "--t1", "1"),
+         "error: width=1e+200 and gamma0=1.0 overflow width**2 - 2*gamma0*width"),
+        (("transition", "--dw", "10", "--sigma", "100", "--tauc", "0.5"),
+         "error: sigma=100.0 and tau_c=0.5 overflow the transition-angle equation"),
+        (("transition", "--dw", "10", "--sigma", "50", "--tauc", "0.5"),
+         "error: sigma=50.0 and tau_c=0.5 overflow the transition-angle equation"),
+        (("fig3a", "--sigma", "100"), f"error: sigma=100.0 and tau_c={1.5 * math.pi / 10} overflow the transition-angle equation"),
+    ])
+    def test_overflowing_parameters_are_named(self, argv, line, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(list(argv)) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [line]
+        assert list(tmp_path.iterdir()) == []
 
     def test_fig5_rejects_a_descending_grid_leaving_the_domain(self, tmp_path):
         out = run_cli("fig5", "--ratio-min", "2.5", "--ratio-max", "0.5", "--ratio-count", "3",

@@ -42,7 +42,7 @@ from backflow.measures import (
 )
 from backflow.experiments import resolve_config, run_figure
 from oracles import binary_entropy, bisect_root, golden_max, optimal_candidate_stack, random_density_matrix
-from oracles import pair_backflows, stack_backflows
+from oracles import pair_backflows, stack_backflows, turning_points_by_sign_change
 
 DEPHASING = DephasingChannel(DephasingSpec(math.pi / 4))
 LORENTZ = AmplitudeDampingChannel(LorentzSpec(1.0, 0.1))
@@ -598,6 +598,15 @@ _WINDOWS = st.one_of(
 )
 
 
+@st.composite
+def _series_and_cuts(draw):
+    # Small integers give plateaus and exact zero steps; floats give the rest.
+    series = draw(st.lists(st.integers(0, 3).map(float) | st.floats(0.0, 1.0), min_size=1, max_size=40))
+    if len(series) < 2:
+        return series, None
+    return series, draw(st.none() | st.lists(st.integers(1, len(series) - 1), max_size=6))
+
+
 class TestTurningPointReduction:
     """The increment measures take spectra only where |f| turns; they must
     agree with the same reduction over every grid point, which rests on the
@@ -694,6 +703,22 @@ class TestTurningPointReduction:
         assert fast.shape == from_old.shape
         assert np.all(fast <= from_old + 1e-14)
         assert np.all(np.abs(fast - from_old) <= 1e-12 * np.abs(from_old) + 1e-14)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_series_and_cuts())
+    @example(([3.0, 2.0, 2.0, 1.0, 0.0], [1, 2, 4]))  # never rises
+    @example(([0.5, 0.5, 0.5], None))  # exact zero steps only
+    @example(([0.2, 0.5], [1]))
+    @example(([0.5, 0.2], [1]))
+    @example(([0.3, 0.3], None))
+    @example(([0.7], None))
+    @example(([1.0, 2.0, 2.0, 3.0, 1.0, 1.0, 4.0, 4.0], [1, 2, 2, 5, 7]))
+    def test_turning_points_match_the_sign_change_definition(self, series_and_cuts):
+        series, cuts = series_and_cuts
+        absf = np.array(series, dtype=float)
+        kept = measures._turning_points(absf, cuts)
+        assert kept.dtype.kind == "i"
+        assert kept.tolist() == turning_points_by_sign_change(absf, cuts).tolist()
 
     def test_never_rising_window_evolves_nothing(self, monkeypatch):
         # At theta = 0, |kappa| is a falling Gaussian.
