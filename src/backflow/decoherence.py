@@ -22,6 +22,7 @@ is used.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,9 +85,13 @@ class LorentzSpec:
             raise ValueError("gamma0 must be positive")
         if not self.width > 0.0:
             raise ValueError("width must be positive")
-        # epsilon's width**2 raises OverflowError where this is not finite.
-        if not math.isfinite(self.width * self.width - 2.0 * self.gamma0 * self.width):
+        # epsilon's width**2 raises OverflowError where this is not finite;
+        # where both terms underflow, epsilon comes out 0 or with few bits.
+        terms = self.width * self.width, 2.0 * self.gamma0 * self.width
+        if not math.isfinite(terms[0] - terms[1]):
             raise ValueError(f"width={self.width} and gamma0={self.gamma0} overflow width**2 - 2*gamma0*width")
+        if max(terms) < sys.float_info.min:
+            raise ValueError(f"width={self.width} and gamma0={self.gamma0} underflow width**2 - 2*gamma0*width")
 
     @property
     def epsilon(self) -> float:
@@ -124,18 +129,28 @@ def _kappa_over_thetas(spec: DephasingSpec, thetas, t) -> np.ndarray:
 
 def kappa_abs(spec: DephasingSpec, tau):
     """|kappa(tau)| via the closed form
-    exp(-sigma^2 tau^2/2) sqrt(1 - sin^2(2 theta) sin^2(dw tau / 2))."""
-    value = _kappa_abs(spec, math.sin(2.0 * spec.theta) ** 2, np.asarray(tau, dtype=float))
+    exp(-sigma^2 tau^2/2) sqrt(cos^2(2 theta) + sin^2(2 theta) cos^2(dw tau / 2)).
+
+    That is 1 - sin^2(2 theta) sin^2(dw tau / 2) under the square root, as a
+    sum of two non-negative terms: the difference would cancel near the
+    zeros of kappa (theta near pi/4, tau near odd multiples of pi/dw).
+    """
+    value = _kappa_abs(spec, *_double_angle_weights(spec.theta), np.asarray(tau, dtype=float))
     if np.ndim(tau) == 0:
         return float(value)
     return value
 
 
-def _kappa_abs(spec: DephasingSpec, s, t: np.ndarray):
-    """|kappa|'s closed form with s = sin^2(2 theta) given apart from
-    ``spec`` (whose theta is not read)."""
-    osc = 1.0 - s * np.sin(0.5 * spec.delta_omega * t) ** 2
-    return np.exp(-0.5 * (spec.sigma * t) ** 2) * np.sqrt(np.clip(osc, 0.0, None))
+def _double_angle_weights(theta: float) -> tuple[float, float]:
+    """(cos^2(2 theta), sin^2(2 theta)), the weights of ``_kappa_abs``."""
+    return math.cos(2.0 * theta) ** 2, math.sin(2.0 * theta) ** 2
+
+
+def _kappa_abs(spec: DephasingSpec, c, s, t: np.ndarray):
+    """|kappa|'s closed form with c = cos^2(2 theta) and s = sin^2(2 theta)
+    given apart from ``spec`` (whose theta is not read)."""
+    osc = c + s * np.cos(0.5 * spec.delta_omega * t) ** 2
+    return np.exp(-0.5 * (spec.sigma * t) ** 2) * np.sqrt(osc)
 
 
 def _two_peak_density(spec: DephasingSpec, omega: float) -> float:
@@ -277,9 +292,9 @@ def _analytic_blp_over_thetas(spec: DephasingSpec, thetas, tau_c: float) -> np.n
     (not ``spec``'s), bit for bit: the same math.sin/math.cos scalars."""
     tau_c = float(tau_c)
     _check_window(spec.delta_omega, tau_c, closed_left=True)
-    s = np.array([math.sin(2.0 * theta) ** 2 for theta in thetas])
+    c, s = np.array([_double_angle_weights(theta) for theta in thetas]).reshape(-1, 2).T
     floor = np.array([_delta_floor(spec, theta) for theta in thetas])
-    return np.maximum(0.0, _kappa_abs(spec, s, np.asarray(tau_c)) - floor)
+    return np.maximum(0.0, _kappa_abs(spec, c, s, np.asarray(tau_c)) - floor)
 
 
 def transition_thetas(delta_omega: float, sigma: float, tau_c: float) -> tuple[float, float]:

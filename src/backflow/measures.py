@@ -2,9 +2,11 @@
 
 Four measures are implemented: the information-flow measure (sum of positive
 trace-distance increments, maximized over initial state pairs), a
-divisibility measure built from intermediate Choi matrices, an
-entanglement-based measure (negativity of the evolved maximally entangled
-state) and a mutual-information-based measure.
+divisibility measure built from intermediate Choi matrices, and the
+negativity and mutual information of the evolved maximally entangled state,
+in closed form (``_SCORES``): with r = |f| and h the binary entropy in bits,
+r + 1/2 and 4 - h((1 - r)/2) for dephasing, r^2 + 1/2 and
+3 + h(r^2/2) - h((1 - r^2)/2) for damping.
 
 All backflow integrals are sums of positive increments on a uniform grid,
 which is exact for piecewise-monotone series once every monotone segment is
@@ -13,29 +15,24 @@ resolved; no derivative quadrature is used.
 Rising-stretch reduction: both channel families compose multiplicatively in
 their decoherence factor f (D(a)D(b) = D(ab), AD(x)AD(y) = AD(xy)), and the
 phase of kappa or the sign of chi is a local unitary.  So the trace distance
-of any evolved pair, and the negativity and mutual information of the evolved
-maximally entangled state, are non-decreasing functions of |f| alone, and
-each is monotone wherever |f| is.  On a stretch where |f| falls or stays
-flat such a series does not rise, so the stretch adds exactly zero to the
-grid sum of its positive increments (Breuer, Laine & Piilo, PRL 103, 210401
-(2009)).  The sum therefore equals the same sum over the grid points that
-bound a rising step of |f|: the minimum and maximum around each rising
-stretch, and the prefix cuts inside one.  Only those points are evolved; a
-window where |f| never rises evolves nothing and gives 0.
+of any evolved pair, and the closed-form scores above, are non-decreasing
+functions of |f| alone, and each is monotone wherever |f| is.  On a stretch
+where |f| falls or stays flat such a series does not rise, so the stretch
+adds exactly zero to the grid sum of its positive increments (Breuer, Laine &
+Piilo, PRL 103, 210401 (2009)).  The sum therefore equals the same sum over
+the grid points that bound a rising step of |f|: the minimum and maximum
+around each rising stretch, and the prefix cuts inside one.  Only those
+points are evaluated; a window where |f| never rises evaluates nothing and
+gives 0.
 
-Trace norms without spectra: a difference of two pure states has one
-positive and one negative eigenvalue, and both channels have Kraus rank 2,
-so every evolved difference has at most two eigenvalues of each sign.  Its
-trace norm is then the largest root of a cubic in Tr X^2, Tr X^3 and det X
-(``_half_trace_norms``).  Both channels act blockwise on the noisy qubit,
-so these three invariants are low-degree polynomials in |f|^2 whose
-coefficients come once per pair from the 2x2 blocks of its difference
-(``_PAIR_INVARIANTS``): no evolved matrix is built.  Random pairs are pure
-by construction, so the pair searches solve no spectrum;
-``trace_distance_trajectory`` evolves and eigen-solves the differences of a
-pair only when the pair's difference has rank above 2.  The divisibility
-measure uses the closed-form trace norm of each step map's Choi matrix and
-solves no spectra either.
+Trace norms without spectra: an evolved difference of two pure states has
+at most two eigenvalues of each sign (both channels have Kraus rank 2), so
+its trace norm is the largest root of a cubic (``_half_trace_norms``) in
+trace invariants that are polynomials in |f|^2, with coefficients from the
+pair's 2x2 blocks (``_PAIR_INVARIANTS``).  So the pair searches solve no
+spectrum and build no evolved matrix; ``trace_distance_trajectory``
+eigen-solves only a pair whose difference has rank above 2.  The divisibility
+measure takes each step map's Choi trace norm in closed form (``_STEP_EXCESS``).
 """
 
 from __future__ import annotations
@@ -47,8 +44,8 @@ from functools import partial
 
 import numpy as np
 
-# intermediate_choi and trace_norm are not called here: perfbench/tracer.py
-# wraps them at these names, so they stay importable from this module.
+# choi_state, intermediate_choi, trace_norm and von_neumann_entropy are not called
+# here: perfbench/tracer.py wraps them at these names (getattr) in every traced run.
 from .channels import (  # noqa: F401
     AmplitudeDampingChannel,
     ChannelFamily,
@@ -57,7 +54,7 @@ from .channels import (  # noqa: F401
     choi_state,
     intermediate_choi,
 )
-from .linalg import assert_density_matrix, negativity, partial_trace, trace_norm, von_neumann_entropy  # noqa: F401
+from .linalg import assert_density_matrix, trace_norm, von_neumann_entropy  # noqa: F401
 
 __all__ = [
     "Trajectory",
@@ -731,6 +728,31 @@ def _window_times(window: tuple[float, float], grid_size: int) -> np.ndarray:
     return np.linspace(t0, t1, int(grid_size))
 
 
+def _entropy_bits(*probabilities: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of probabilities that add up to 1; 0 log 0 = 0."""
+    return -sum(p * np.log2(p, out=np.zeros_like(p), where=p > 0.0) for p in probabilities)
+
+
+# Each increment measure's score of r = |f| by (family type, kind), less its
+# constant term, which adds no increment; blp's is the optimal pairs' trace distance.
+_SCORES = {
+    (DephasingChannel, "blp"): lambda r: r,
+    (AmplitudeDampingChannel, "blp"): lambda r: r,
+    (DephasingChannel, "entanglement"): lambda r: r,
+    (AmplitudeDampingChannel, "entanglement"): lambda r: r * r,
+    (DephasingChannel, "mutual-info"): lambda r: -_entropy_bits(0.5 * (1.0 - r), 0.5 * (1.0 + r)),
+    (AmplitudeDampingChannel, "mutual-info"): lambda r: (
+        _entropy_bits(0.5 * r * r, 1.0 - 0.5 * r * r) - _entropy_bits(0.5 * (1.0 - r) * (1.0 + r), 0.5 * (1.0 + r * r))
+    ),
+}
+
+
+def _scored(family: ChannelFamily, window, grid_size: int, kind: str):
+    """The window's ``_kept_samples`` f and reduce, and reduce of ``_SCORES`` at |f|."""
+    f, reduce = _kept_samples([family.decoherence(_window_times(window, grid_size))])
+    return f, reduce, float(reduce(_SCORES[type(family), kind](np.abs(f)))[0])
+
+
 def blp_search(
     family: ChannelFamily,
     window: tuple[float, float],
@@ -748,15 +770,12 @@ def blp_search(
     when its backflow is strictly larger (the earliest such k on a tie), so
     the result is deterministic for a given seed.
     """
-    if n_pairs < 0:
-        raise ValueError(f"n_pairs={n_pairs} must be at least 0")
-    times = _window_times(window, grid_size)
-    f, reduce = _kept_samples([family.decoherence(times)])
-    optimal = reduce(np.abs(f))[0]
+    _require_non_negative(n_pairs=n_pairs)
+    f, reduce, optimal = _scored(family, window, grid_size, "blp")
     best, first_k = _random_search(family, f, reduce, seed, n_pairs)
     if best[0] > optimal:
         return MeasureReport(float(best[0]), "blp", int(grid_size), witness=sample_random_pair(seed, int(first_k[0])))
-    return MeasureReport(float(optimal), "blp", int(grid_size), witness=optimal_pair(1.0, 0.0, "zeta"))
+    return MeasureReport(optimal, "blp", int(grid_size), witness=optimal_pair(1.0, 0.0, "zeta"))
 
 
 # Trace-norm excess of a step map, trace_norm(intermediate_choi(...)) - 1, in
@@ -789,25 +808,13 @@ def divisibility_measure(
     singular = zero & (rise > 0.0)
     if np.any(singular):
         where = float(times[np.argmax(singular)])
-        return MeasureReport(
-            value=math.inf, kind="divisibility", grid_size=int(grid_size), singularity=where
-        )
+        return MeasureReport(value=math.inf, kind="divisibility", grid_size=int(grid_size), singularity=where)
     # (|f(t + eps)| - |f(t)|) / |f(t)| rather than |r| - 1, which cancels.  A
     # non-increasing step adds nothing, including one from an exact zero
     # (frozen dynamics; the increasing ones are flagged above).
     e = rise / np.where(zero, 1.0, absf[:-1])
     value = float(_STEP_EXCESS[type(family)](e).sum())
     return MeasureReport(value=value, kind="divisibility", grid_size=int(grid_size))
-
-
-def _choi_measure(family: ChannelFamily, window, grid_size: int, score, kind: str) -> MeasureReport:
-    """Sum of positive increments of ``score`` of the evolved maximally
-    entangled state (system = both qubits, dimension 4), evaluated only at
-    the points that bound a rising step of |f| (see the module docstring)."""
-    times = _window_times(window, grid_size)
-    kept = times[_turning_points(np.abs(family.decoherence(times)))]
-    values = np.array([score(choi_state(family, float(t), 4)) for t in kept])
-    return MeasureReport(value=float(_positive_increments(values)), kind=kind, grid_size=int(grid_size))
 
 
 def entanglement_measure(
@@ -817,15 +824,7 @@ def entanglement_measure(
 ) -> MeasureReport:
     """Sum of positive negativity increments of the evolved maximally
     entangled state (system = both qubits, dimension 4)."""
-    score = partial(negativity, subsystem=1, dims=(4, 4))
-    return _choi_measure(family, window, grid_size, score, "entanglement")
-
-
-def _mutual_information(rho16: np.ndarray) -> float:
-    s_joint = von_neumann_entropy(rho16)
-    s_sys = von_neumann_entropy(partial_trace(rho16, 0, (4, 4)))
-    s_anc = von_neumann_entropy(partial_trace(rho16, 1, (4, 4)))
-    return s_sys + s_anc - s_joint
+    return MeasureReport(_scored(family, window, grid_size, "entanglement")[2], "entanglement", int(grid_size))
 
 
 def mutual_info_measure(
@@ -835,4 +834,4 @@ def mutual_info_measure(
 ) -> MeasureReport:
     """Sum of positive increments of the quantum mutual information of the
     evolved maximally entangled state (system = both qubits)."""
-    return _choi_measure(family, window, grid_size, _mutual_information, "mutual-info")
+    return MeasureReport(_scored(family, window, grid_size, "mutual-info")[2], "mutual-info", int(grid_size))

@@ -3,9 +3,12 @@
 Everything here deliberately avoids the code paths under test: eigenvalues
 come from a textbook cyclic Jacobi iteration instead of LAPACK, partial
 operations use explicit index loops instead of reshapes, and scalar roots
-come from plain bisection.  The exceptions are the stack helpers at the end
-(``stack_backflows``, ``pair_backflows``), which run the package's own pair
-kernel on stacks that no search draws.
+come from plain bisection.  The exceptions are the helpers at the end: the
+stack helpers (``stack_backflows``, ``pair_backflows``), which run the
+package's own pair kernel on stacks that no search draws, and
+``mutual_information``, the 16x16 route that the closed-form scores of
+``backflow.measures`` replaced, built from the package's own entropy and
+partial trace.
 """
 
 from __future__ import annotations
@@ -238,3 +241,15 @@ def pair_backflows(family, deltas: np.ndarray, times: np.ndarray, cut_indices=No
     (P, len(cut_indices)) of prefix integrals over [times[0], times[cut]]."""
     values = stack_backflows(family, deltas, [family.decoherence(times)], cut_indices)
     return values[:, 0] if cut_indices is None else values
+
+
+def mutual_information(rho16: np.ndarray) -> float:
+    """Quantum mutual information, in bits, of a 16x16 state across its two
+    4-dimensional factors (such as ``choi_state(family, t, 4)``), from the
+    spectra of the state and of its two marginals."""
+    from backflow.linalg import partial_trace, von_neumann_entropy
+
+    s_joint = von_neumann_entropy(rho16)
+    s_sys = von_neumann_entropy(partial_trace(rho16, 0, (4, 4)))
+    s_anc = von_neumann_entropy(partial_trace(rho16, 1, (4, 4)))
+    return s_sys + s_anc - s_joint

@@ -45,7 +45,6 @@ from backflow import (
     transition_thetas,
 )
 from backflow.channels import SINGULARITY_TOL
-from backflow.measures import _mutual_information
 
 from acceptance_report import record
 from oracles import (
@@ -53,6 +52,7 @@ from oracles import (
     bisect_root,
     dephasing_extremes,
     dephasing_kappa_modulus,
+    mutual_information,
     random_bell_diagonal_triple,
 )
 
@@ -212,7 +212,7 @@ def test_criterion_5_closed_form_measure_identities():
         rho = choi_state(family, float(t), 4)
         worst_neg = max(worst_neg, abs(negativity(rho, 1, (4, 4)) - (k + 0.5)))
         worst_info = max(
-            worst_info, abs(_mutual_information(rho) - (4.0 - binary_entropy((1.0 - k) / 2.0)))
+            worst_info, abs(mutual_information(rho) - (4.0 - binary_entropy((1.0 - k) / 2.0)))
         )
 
     grid = 4001

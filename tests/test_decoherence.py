@@ -61,6 +61,17 @@ class TestKappa:
             diff = np.abs(np.abs(kappa_complex(s, taus)) - kappa_abs(s, taus))
             assert diff.max() <= 1e-12
 
+    @pytest.mark.parametrize("theta", [math.pi / 4, math.pi / 4 - 1e-6, math.pi / 4 + 1e-6])
+    def test_magnitude_keeps_its_digits_near_the_zeros(self, theta):
+        # Near tau = pi/dw (and 3 pi/dw) at theta ~ pi/4, |kappa| is small
+        # and 1 - sin^2(2 theta) sin^2(dw tau / 2) under the root would
+        # cancel; the complex form loses no digits there.
+        offsets = np.outer([-1.0, 1.0], 10.0 ** -np.arange(2.0, 11.0)).ravel()
+        for zero in (math.pi / DW, 3 * math.pi / DW):
+            taus = zero + offsets
+            want = np.abs(kappa_complex(spec(theta), taus))
+            assert np.all(np.abs(kappa_abs(spec(theta), taus) - want) <= 1e-9 * want)
+
     def test_weight_symmetry_of_magnitude(self):
         taus = np.linspace(0.0, 1.0, 17)
         for theta in (0.1, 0.4, 0.7):
@@ -149,6 +160,17 @@ class TestChi:
             above = LorentzSpec(1.0, 2.0 + 1e-7)
             assert chi(below, t) == pytest.approx(limit, rel=1e-6)
             assert chi(above, t) == pytest.approx(limit, rel=1e-6)
+
+    def test_underflowing_width_and_gamma0_are_rejected(self):
+        # Both terms of width**2 - 2 gamma0 width underflow, so epsilon would
+        # be 0 (a division by zero in chi) or keep only a few bits.
+        for gamma0, width in ((1e-300, 1e-301), (1e-160, 1e-161), (1e-300, 2e-300)):
+            with pytest.raises(ValueError, match=r"underflow width\*\*2 - 2\*gamma0\*width"):
+                LorentzSpec(gamma0, width)
+        # One term alone may underflow; the critical point stays valid.
+        assert LorentzSpec(1.0, 1e-200).epsilon == math.sqrt(2e-200)
+        assert chi(LorentzSpec(1.0, 1e-200), 1.0) == 1.0
+        assert chi(LorentzSpec(1e-150, 2e-150), 1.0) == 1.0
 
     def test_overdamped_branch_decays_monotonically(self):
         s = LorentzSpec(1.0, 3.0)

@@ -1204,6 +1204,16 @@ class TestCli:
         assert out.err.splitlines() == [line]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, line", [
+        (("fig4", "--gamma0", "1e-300"), "error: width=1e-301 and gamma0=1e-300 underflow width**2 - 2*gamma0*width"),
+        (("fig5", "--gamma0", "1e-300"),
+         "error: width=1.0000000000000001e-303 and gamma0=1e-300 underflow width**2 - 2*gamma0*width"),
+        (("chi", "--gamma0", "1e-300", "--width", "1e-301", "--t", "1"),
+         "error: width=1e-301 and gamma0=1e-300 underflow width**2 - 2*gamma0*width"),
+    ])
+    def test_underflowing_parameters_are_named(self, argv, line, tmp_path, monkeypatch, capsys):
+        self.test_overflowing_parameters_are_named(argv, line, tmp_path, monkeypatch, capsys)
+
     def test_fig5_rejects_a_descending_grid_leaving_the_domain(self, tmp_path):
         out = run_cli("fig5", "--ratio-min", "2.5", "--ratio-max", "0.5", "--ratio-count", "3",
                       "--out", str(tmp_path / "f.csv"))

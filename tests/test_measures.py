@@ -20,6 +20,7 @@ from backflow import (
     entanglement_measure,
     intermediate_choi,
     kappa_abs,
+    maximally_entangled,
     mutual_info_measure,
     negativity,
     optimal_pair,
@@ -29,20 +30,19 @@ from backflow import (
     trace_norm,
 )
 
-from backflow import measures
+from backflow import channels, measures
 from backflow.measures import (
     _CHUNK_POINTS,
     _STEP_EXCESS,
     _eigen_trace_distances,
     _ket_norms,
-    _mutual_information,
     _positive_increments,
     _random_differences,
     _trace_distances,
 )
 from backflow.experiments import resolve_config, run_figure
-from oracles import binary_entropy, bisect_root, golden_max, optimal_candidate_stack, random_density_matrix
-from oracles import pair_backflows, stack_backflows, turning_points_by_sign_change
+from oracles import binary_entropy, bisect_root, golden_max, mutual_information, optimal_candidate_stack
+from oracles import pair_backflows, random_density_matrix, stack_backflows, turning_points_by_sign_change
 
 DEPHASING = DephasingChannel(DephasingSpec(math.pi / 4))
 LORENTZ = AmplitudeDampingChannel(LorentzSpec(1.0, 0.1))
@@ -665,7 +665,7 @@ class TestTurningPointReduction:
         ends = _monotone_stretch_ends(np.abs(family.decoherence(times)).tolist())
         for measure, score in (
             (entanglement_measure, lambda rho: negativity(rho, 1, (4, 4))),
-            (mutual_info_measure, _mutual_information),
+            (mutual_info_measure, mutual_information),
         ):
             scores = [score(rho) for rho in states]
             full = sum(max(scores[b] - scores[a], 0.0) for a, b in zip(ends, ends[1:]))
@@ -819,7 +819,73 @@ class TestDivisibility:
         assert report.value > 0.0
 
 
+# Each 16x16 score of the evolved maximally entangled state less its
+# ``_SCORES`` entry: the constant term that the table drops.
+_DROPPED_CONSTANTS = {
+    (DephasingChannel, "entanglement"): 0.5,
+    (AmplitudeDampingChannel, "entanglement"): 0.5,
+    (DephasingChannel, "mutual-info"): 4.0,
+    (AmplitudeDampingChannel, "mutual-info"): 3.0,
+}
+
+
+def _assert_scores_are_the_choi_scores_less_a_constant(family, f):
+    # choi_state(family, t, 4) is this state at f = family.decoherence(t).
+    states = family.act(maximally_entangled(4), f)
+    for kind, score in (("entanglement", lambda rho: negativity(rho, 1, (4, 4))),
+                        ("mutual-info", mutual_information)):
+        table = measures._SCORES[type(family), kind](np.abs(f))
+        choi = np.array([score(rho) for rho in states])
+        assert np.all(np.abs(choi - table - _DROPPED_CONSTANTS[type(family), kind]) <= 1e-13)
+
+
 class TestChoiBasedMeasures:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["dephasing", "lorentz"]),
+           st.lists(st.tuples(_MAGNITUDES, st.floats(0.0, 2 * math.pi)), min_size=1, max_size=10))
+    @example("dephasing", [(0.0, 0.0), (1.0, 1.0), (1e-300, 2.0), (1e-160, 3.0)])
+    @example("lorentz", [(0.0, 0.0), (1.0, 4.0), (1e-300, 4.0), (1e-160, 1.0)])
+    def test_scores_are_the_choi_scores_less_a_constant(self, kind, samples):
+        # kappa with any phase and chi with either sign.
+        r, angle = np.array(samples).T
+        if kind == "dephasing":
+            family, f = DEPHASING, r * np.exp(1j * angle)
+        else:
+            family, f = LORENTZ, np.where(angle < math.pi, r, -r)
+        _assert_scores_are_the_choi_scores_less_a_constant(family, f)
+
+    def test_scores_match_the_choi_scores_through_the_zeros_of_f(self):
+        for family, f in TestTraceNormWithoutEigensolve.samples_around_the_zeros_of_f():
+            _assert_scores_are_the_choi_scores_less_a_constant(family, f)
+
+    def test_measures_build_no_choi_state(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Choi state or spectrum was built")
+
+        for module in (channels, measures):
+            monkeypatch.setattr(module, "choi_state", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for family in (DephasingChannel, AmplitudeDampingChannel):
+            monkeypatch.setattr(family, "act", staticmethod(refuse))
+        for family, window in ((DephasingChannel(DephasingSpec(math.pi / 8)), (0.0, REVIVAL)),
+                               (LORENTZ, (0.0, 30.0))):
+            assert entanglement_measure(family, window, 4001).value > 0.0
+            assert mutual_info_measure(family, window, 4001).value > 0.0
+
+    @pytest.mark.parametrize("theta, t1, grid", [
+        (math.pi / 8, REVIVAL, 4001),
+        (math.pi / 4, REVIVAL, 4001),
+        (math.pi / 5, 3 * REVIVAL, 1001),
+        (1.2, 2.5 * REVIVAL, 333),
+    ])
+    def test_dephasing_entanglement_is_the_blp_optimal_value(self, theta, t1, grid):
+        # The negativity less its 1/2 is |kappa|, the optimal pairs' trace
+        # distance, so the two measures are one reduction of one series.
+        family = DephasingChannel(DephasingSpec(theta))
+        value = entanglement_measure(family, (0.0, t1), grid).value
+        assert value > 0.0
+        assert value == blp_search(family, (0.0, t1), 0, grid, 0).value
+
     def test_negativity_trajectory_tracks_kappa(self):
         times = np.linspace(0.0, REVIVAL, 40)
         from backflow import choi_state, negativity
@@ -842,18 +908,17 @@ class TestChoiBasedMeasures:
         assert mutual_info_measure(DEPHASING, (0.0, 0.9 * math.pi / 10), 201).value == 0.0
 
     def test_mutual_information_closed_form(self):
-        from backflow.measures import _mutual_information
         from backflow import choi_state
 
-        assert _mutual_information(choi_state(DEPHASING, 0.0, 4)) == pytest.approx(4.0, abs=1e-10)
+        assert mutual_information(choi_state(DEPHASING, 0.0, 4)) == pytest.approx(4.0, abs=1e-10)
         # At the coherence zero the joint state carries exactly one bit less.
-        assert _mutual_information(
+        assert mutual_information(
             choi_state(DEPHASING, math.pi / 10, 4)
         ) == pytest.approx(3.0, abs=1e-9)
         for t in (0.05, 0.21, 0.5):
             k = kappa_abs(DEPHASING.spec, t)
             expected = 4.0 - binary_entropy((1.0 - k) / 2.0)
-            assert _mutual_information(choi_state(DEPHASING, t, 4)) == pytest.approx(
+            assert mutual_information(choi_state(DEPHASING, t, 4)) == pytest.approx(
                 expected, abs=1e-9
             )
 
@@ -890,10 +955,8 @@ class TestMeasureCoherence:
             neg = np.array(
                 [negativity(choi_state(family, float(t), 4), 1, (4, 4)) for t in times]
             )
-            from backflow.measures import _mutual_information
-
             info = np.array(
-                [_mutual_information(choi_state(family, float(t), 4)) for t in times]
+                [mutual_information(choi_state(family, float(t), 4)) for t in times]
             )
 
             def signs(series, tol=1e-9):
