@@ -4,6 +4,8 @@ Both channel families act on the first qubit (the noisy one); the second
 qubit is noise-free.  Channel action is specified pointwise in the scalar
 decoherence parameter (kappa or chi), with thin time wrappers on the family
 objects, so parameter-level identities stay testable without time grids.
+Each family's ``magnitude`` gives |f| alone, which is all that a trace
+distance or an increment measure reads.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import DephasingSpec, LorentzSpec, chi, kappa_complex
+from .decoherence import DephasingSpec, LorentzSpec, chi, kappa_abs, kappa_complex
 
 __all__ = [
     "DephasingChannel",
@@ -64,6 +66,11 @@ class DephasingChannel:
     def decoherence(self, t):
         return kappa_complex(self.spec, t)
 
+    def magnitude(self, t):
+        """|kappa(t)| from its closed form (``kappa_abs``), with no complex
+        factor formed."""
+        return kappa_abs(self.spec, t)
+
     def apply(self, rho: np.ndarray, t: float) -> np.ndarray:
         return apply_dephasing(rho, self.decoherence(t))
 
@@ -93,6 +100,10 @@ class AmplitudeDampingChannel:
 
     def decoherence(self, t):
         return chi(self.spec, t)
+
+    def magnitude(self, t):
+        """|chi(t)|."""
+        return abs(chi(self.spec, t))
 
     def apply(self, rho: np.ndarray, t: float) -> np.ndarray:
         return apply_amplitude_damping(rho, self.decoherence(t))

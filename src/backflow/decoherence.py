@@ -121,7 +121,9 @@ def _kappa(spec: DephasingSpec, c2, s2, t: np.ndarray):
 def _kappa_over_thetas(spec: DephasingSpec, thetas, t) -> np.ndarray:
     """kappa on the 1-D grid ``t`` for each angle in ``thetas``, one row per
     angle: row i equals kappa_complex(replace(spec, theta=thetas[i]), t) bit
-    for bit (the weights are the same math.cos/math.sin scalars)."""
+    for bit (the weights are the same math.cos/math.sin scalars).  Only the
+    fidelity figures need the complex factor; readers of |kappa| take
+    ``_kappa_abs_over_thetas``."""
     c2 = np.array([[math.cos(theta) ** 2] for theta in thetas])
     s2 = np.array([[math.sin(theta) ** 2] for theta in thetas])
     return _kappa(spec, c2, s2, np.asarray(t, dtype=float))
@@ -135,7 +137,8 @@ def kappa_abs(spec: DephasingSpec, tau):
     sum of two non-negative terms: the difference would cancel near the
     zeros of kappa (theta near pi/4, tau near odd multiples of pi/dw).
     """
-    value = _kappa_abs(spec, *_double_angle_weights(spec.theta), np.asarray(tau, dtype=float))
+    factors = _kappa_abs_factors(spec, np.asarray(tau, dtype=float))
+    value = _kappa_abs(*factors, *_double_angle_weights(spec.theta))
     if np.ndim(tau) == 0:
         return float(value)
     return value
@@ -146,11 +149,36 @@ def _double_angle_weights(theta: float) -> tuple[float, float]:
     return math.cos(2.0 * theta) ** 2, math.sin(2.0 * theta) ** 2
 
 
-def _kappa_abs(spec: DephasingSpec, c, s, t: np.ndarray):
-    """|kappa|'s closed form with c = cos^2(2 theta) and s = sin^2(2 theta)
-    given apart from ``spec`` (whose theta is not read)."""
-    osc = c + s * np.cos(0.5 * spec.delta_omega * t) ** 2
-    return np.exp(-0.5 * (spec.sigma * t) ** 2) * np.sqrt(osc)
+def _kappa_abs_factors(spec: DephasingSpec, t: np.ndarray):
+    """The angle-free factors of |kappa| on ``t``: the envelope
+    exp(-sigma^2 t^2 / 2) and cos^2(dw t / 2) (``spec``'s theta is not read)."""
+    return np.exp(-0.5 * (spec.sigma * t) ** 2), np.cos(0.5 * spec.delta_omega * t) ** 2
+
+
+def _kappa_abs(envelope, osc, c, s) -> np.ndarray:
+    """|kappa|'s closed form, envelope sqrt(c + s osc), from
+    ``_kappa_abs_factors`` and the weights c = cos^2(2 theta) and
+    s = sin^2(2 theta), all broadcasting.  It is formed in place in one array
+    of the broadcast shape, so it makes no temporary of that size."""
+    shape = np.broadcast_shapes(*map(np.shape, (envelope, osc, c, s)))
+    value = np.multiply(s, osc, out=np.empty(shape))
+    value += c
+    np.sqrt(value, out=value)
+    value *= envelope
+    return value
+
+
+def _weights_over_thetas(thetas) -> tuple[np.ndarray, np.ndarray]:
+    """``_double_angle_weights`` of each angle in ``thetas``, as the arrays (c, s)."""
+    return np.array([_double_angle_weights(theta) for theta in thetas]).reshape(-1, 2).T
+
+
+def _kappa_abs_over_thetas(spec: DephasingSpec, thetas, t) -> np.ndarray:
+    """|kappa| on the 1-D grid ``t`` for each angle in ``thetas``, one row per
+    angle: row i equals kappa_abs(replace(spec, theta=thetas[i]), t) bit for
+    bit.  The angle-free factors are computed once for all rows."""
+    c, s = _weights_over_thetas(thetas)
+    return _kappa_abs(*_kappa_abs_factors(spec, np.asarray(t, dtype=float)), c[:, None], s[:, None])
 
 
 def _two_peak_density(spec: DephasingSpec, omega: float) -> float:
@@ -292,9 +320,9 @@ def _analytic_blp_over_thetas(spec: DephasingSpec, thetas, tau_c: float) -> np.n
     (not ``spec``'s), bit for bit: the same math.sin/math.cos scalars."""
     tau_c = float(tau_c)
     _check_window(spec.delta_omega, tau_c, closed_left=True)
-    c, s = np.array([_double_angle_weights(theta) for theta in thetas]).reshape(-1, 2).T
+    c, s = _weights_over_thetas(thetas)
     floor = np.array([_delta_floor(spec, theta) for theta in thetas])
-    return np.maximum(0.0, _kappa_abs(spec, c, s, np.asarray(tau_c)) - floor)
+    return np.maximum(0.0, _kappa_abs(*_kappa_abs_factors(spec, np.asarray(tau_c)), c, s) - floor)
 
 
 def transition_thetas(delta_omega: float, sigma: float, tau_c: float) -> tuple[float, float]:

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .channels import AmplitudeDampingChannel, ChannelFamily, DephasingChannel, _require_contraction
 from .decoherence import DephasingSpec, LorentzSpec, chi, transition_thetas
-from .decoherence import _analytic_blp_over_thetas, _kappa_over_thetas
+from .decoherence import _analytic_blp_over_thetas, _kappa_abs_over_thetas, _kappa_over_thetas
 from .measures import _kept_samples, _random_search, _window_times
 # Not called here: perfbench/tracer.py wraps them at these names.
 from .decoherence import analytic_blp_dephasing, kappa_complex  # noqa: F401
@@ -211,7 +211,8 @@ def _integral_sweep(
     point (index = fraction * (grid-1)), and each row's integral is a prefix
     sum of positive trace-distance increments up to that point, so every row
     comes from one pass over the window (evaluated only at the points that
-    bound a rising step of |f|; see ``measures._turning_points``).  Returns
+    bound a rising step of |f|, read from ``family.magnitude``; see
+    ``measures._turning_mask``).  Returns
     the row times, the optimal pairs' integrals and the row-wise maximum over
     the ``n_pairs`` seeded random pairs, searched in chunks of at most 250
     pairs by at most ``workers`` processes, the parent included, each on a
@@ -227,9 +228,9 @@ def _integral_sweep(
     cuts = np.round(row_fractions * (grid - 1)).astype(int)
     if cuts[0] < 1:
         raise ValueError("row positions must be at least one grid step into the window")
-    f, reduce = _kept_samples([family.decoherence(times)], cuts)
+    f, reduce = _kept_samples([family.magnitude(times)], cuts)
     random_max, _ = _random_search(family, f, reduce, seed, n_pairs, workers)
-    return times[cuts], reduce(np.abs(f)), random_max
+    return times[cuts], reduce(f), random_max
 
 
 def run_fig1(cfg: dict):
@@ -290,13 +291,15 @@ def run_fig2(cfg: dict):
     """Closed-form and numeric backflow over the (tau_c, theta) plane.
 
     The numeric column is ``blp_search(...).value`` on the window
-    [0, tau_c] for each row, computed for all windows at once: kappa is
-    evaluated for every theta at once per control time, and each row's
-    value is the sum of positive increments of |kappa| over its window (the
-    optimal pairs' backflow; see ``_integral_sweep``), raised to the
-    largest backflow of the ``pairs`` seeded random pairs, which are evolved
-    at the kept points of all windows together, one chunk of at most 250
-    pairs at a time (``measures._random_search``).  No witness is built.
+    [0, tau_c] for each row, bit for bit, computed for all windows at once.
+    Per control time, |kappa| is formed for every theta from one envelope
+    and one cos^2(dw tau/2) (``kappa_abs``'s closed form; no complex kappa),
+    and each row's value is the sum of positive increments of |kappa| over
+    its window (the optimal pairs' backflow; see ``_integral_sweep``), one
+    segmented sum for all windows, raised to the largest backflow of the
+    ``pairs`` seeded random pairs, which are evolved at the kept points of
+    all windows together, one chunk of at most 250 pairs at a time
+    (``measures._random_search``).  No witness is built.
     """
     _require(cfg, {"theta_count": 1, "tauc_count": 1, "grid": 2, "pairs": 0})
     dw = cfg["delta_omega"]
@@ -307,12 +310,12 @@ def run_fig2(cfg: dict):
     for tau_c in tauc_grid:
         theta1, theta2 = transition_thetas(dw, cfg["sigma"], tau_c)
         times = _window_times((0.0, float(tau_c)), cfg["grid"])
-        windows.extend(_kappa_over_thetas(spec, theta_grid, times))
+        windows.append(_kappa_abs_over_thetas(spec, theta_grid, times))
         closed += [(tau_c, theta, n, theta1, theta2)
                    for theta, n in zip(theta_grid, _analytic_blp_over_thetas(spec, theta_grid, tau_c))]
     f, reduce = _kept_samples(windows)
     random_max, _ = _random_search(DephasingChannel(spec), f, reduce, cfg["seed"], cfg["pairs"])
-    numeric = np.maximum(reduce(np.abs(f)), random_max)
+    numeric = np.maximum(reduce(f), random_max)
     header = ["tau_c", "theta", "N_analytic", "N_numeric", "theta1", "theta2"]
     return header, [(tau_c, theta, n, value, theta1, theta2)
                     for (tau_c, theta, n, theta1, theta2), value in zip(closed, numeric)]

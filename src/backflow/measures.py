@@ -23,7 +23,10 @@ Piilo, PRL 103, 210401 (2009)).  The sum therefore equals the same sum over
 the grid points that bound a rising step of |f|: the minimum and maximum
 around each rising stretch, and the prefix cuts inside one.  Only those
 points are evaluated; a window where |f| never rises evaluates nothing and
-gives 0.
+gives 0.  So every increment measure but divisibility reads |f| alone, from
+``family.magnitude`` (for dephasing the closed form ``kappa_abs``; no complex
+kappa is formed), and the sums of many windows are one segmented sum
+(``_window_increments``).
 
 Trace norms without spectra: an evolved difference of two pure states has
 at most two eigenvalues of each sign (both channels have Kraus rank 2), so
@@ -528,12 +531,13 @@ def _positive_increments(values: np.ndarray, cut_indices=None) -> np.ndarray:
     return prefix[..., np.asarray(cut_indices, dtype=int)]
 
 
-def _turning_points(absf: np.ndarray, cut_indices=None) -> np.ndarray:
-    """Sorted grid indices that a sum of positive increments needs when the
-    series is a non-decreasing function of ``absf``: the edges of the rising
-    steps of ``absf`` (an index whose step in rises and whose step out does
-    not, or the reverse; past either end nothing rises), and the cut indices
-    that bound a rising step.
+def _turning_mask(absf: np.ndarray, cut_indices=None) -> np.ndarray:
+    """The grid indices that a sum of positive increments needs when the
+    series is a non-decreasing function of ``absf``, as a mask along the
+    last axis (one series per leading index): the edges of the rising steps
+    of ``absf`` (an index whose step in rises and whose step out does not, or
+    the reverse; past either end nothing rises), and the cut indices that
+    bound a rising step.
 
     Between two consecutive kept indices ``absf`` either rises throughout,
     so such a series is monotone there and its positive increments add up to
@@ -541,13 +545,14 @@ def _turning_points(absf: np.ndarray, cut_indices=None) -> np.ndarray:
     the series does not rise either and adds nothing.  An ``absf`` that never
     rises keeps no index.
     """
-    # rises[i] says whether the step into index i rises, rises[i + 1] the step out.
-    rises = np.concatenate(([False], np.diff(absf) > 0.0, [False]))
-    keep = rises[1:] != rises[:-1]
+    # rises[..., i] says whether the step into index i rises, rises[..., i + 1] the step out.
+    rises = np.zeros(absf.shape[:-1] + (absf.shape[-1] + 1,), dtype=bool)
+    np.greater(np.diff(absf, axis=-1), 0.0, out=rises[..., 1:-1])
+    keep = rises[..., 1:] != rises[..., :-1]
     if cut_indices is not None:
         cuts = np.asarray(cut_indices, dtype=int)
-        keep[cuts] |= rises[cuts] | rises[cuts + 1]
-    return np.flatnonzero(keep)
+        keep[..., cuts] |= rises[..., cuts] | rises[..., cuts + 1]
+    return keep
 
 
 def trace_distance_trajectory(family: ChannelFamily, pair: StatePair, times) -> Trajectory:
@@ -574,38 +579,57 @@ def blp_integral(traj: Trajectory) -> float:
     return float(_positive_increments(traj.values))
 
 
-def _window_increments(values: np.ndarray, starts, cuts) -> np.ndarray:
-    """``_positive_increments`` of each window's segment of ``values``
-    (split along the last axis at ``starts``): one sum per window, shape
-    (..., W), or with ``cuts`` (one array per window) the prefix sums at
-    each window's cuts, concatenated window by window."""
-    segments = np.split(values, starts, axis=-1)
-    if cuts is None:
-        return np.stack([_positive_increments(seg) for seg in segments], axis=-1)
-    return np.concatenate([_positive_increments(seg, c) for seg, c in zip(segments, cuts)], axis=-1)
+def _window_increments(values: np.ndarray, sizes: np.ndarray, cuts) -> np.ndarray:
+    """``_positive_increments`` of each window's segment of ``values`` (the
+    windows lie along the last axis, ``sizes`` samples each): one sum per
+    window, shape (..., W), or with ``cuts`` (one array per window) the
+    prefix sums at each window's cuts, concatenated window by window.
+
+    The sums are one segmented sum: the positive steps with a 0 in place of
+    the step into each window's first sample, reduced at the window starts.
+    So each window's segment is a 0 followed by its own steps, which
+    ``np.add.reduceat`` adds as ``sum`` adds the steps alone (the 0 in the
+    place of the identity, then the pairwise sum): bit for bit.  An empty
+    window gives 0.
+    """
+    bounds = np.cumsum(sizes)
+    if cuts is not None:
+        segments = np.split(values, bounds[:-1], axis=-1)
+        return np.concatenate([_positive_increments(seg, c) for seg, c in zip(segments, cuts)], axis=-1)
+    filled = sizes > 0
+    starts = (bounds - sizes)[filled]
+    steps = np.clip(np.diff(values, axis=-1, prepend=0.0), 0.0, None)
+    steps[..., starts] = 0.0
+    out = np.zeros(values.shape[:-1] + (len(sizes),))
+    if starts.size:
+        out[..., filled] = np.add.reduceat(steps, starts, axis=-1)
+    return out
 
 
 def _kept_samples(windows, cut_indices=None):
     """The kept samples of every window concatenated, and the reduction that
     turns any series on them that is a non-decreasing function of |f| (a
-    pair's trace distance, or |f| itself) into backflow integrals.
+    pair's trace distance, a closed-form score, or |f| itself) into backflow
+    integrals.
 
-    ``windows`` holds W 1-D arrays of decoherence samples, each on its own
-    grid and kept at its ``_turning_points``.  The reduction sums the
-    positive increments of each window's segment, shape (..., W); a window
-    where |f| never rises has an empty segment, which gives 0.  With
-    ``cut_indices`` (each >= 1) it gives each window's prefix sums over
+    ``windows`` holds arrays of |f| (``family.magnitude``): each a 1-D window
+    on its own grid, or a 2-D stack of windows on one grid, one per row.
+    Each window is kept at its ``_turning_mask``, so the kept samples are |f|
+    there, window by window.  The reduction sums the positive increments of
+    each window's segment, shape (..., W) for W windows; a window where |f|
+    never rises has an empty segment, which gives 0.  With ``cut_indices``
+    (each >= 1; 1-D windows only) it gives each window's prefix sums over
     [0, cut] instead: a cut reads the prefix sum at the last kept point at or
     before it (from there to the cut |f| does not rise, so the series adds
     nothing), or position 0, which is 0.
     """
-    kept = [_turning_points(np.abs(w), cut_indices) for w in windows]
-    starts = np.cumsum([k.size for k in kept])[:-1]
+    masks = [_turning_mask(w, cut_indices) for w in windows]
+    sizes = np.concatenate([np.count_nonzero(m, axis=-1).reshape(-1) for m in masks])
     cuts = None
     if cut_indices is not None:
-        cuts = [np.maximum(np.searchsorted(k, cut_indices, side="right") - 1, 0) for k in kept]
-    f = np.concatenate([np.asarray(w)[k] for w, k in zip(windows, kept)])
-    return f, partial(_window_increments, starts=starts, cuts=cuts)
+        cuts = [np.maximum(np.searchsorted(np.flatnonzero(m), cut_indices, side="right") - 1, 0) for m in masks]
+    f = np.concatenate([w[m] for w, m in zip(windows, masks)])
+    return f, partial(_window_increments, sizes=sizes, cuts=cuts)
 
 
 def _random_backflows(family: ChannelFamily, f: np.ndarray, reduce, seed: int, lo: int, hi: int) -> np.ndarray:
@@ -748,9 +772,9 @@ _SCORES = {
 
 
 def _scored(family: ChannelFamily, window, grid_size: int, kind: str):
-    """The window's ``_kept_samples`` f and reduce, and reduce of ``_SCORES`` at |f|."""
-    f, reduce = _kept_samples([family.decoherence(_window_times(window, grid_size))])
-    return f, reduce, float(reduce(_SCORES[type(family), kind](np.abs(f)))[0])
+    """The window's ``_kept_samples`` |f| and reduce, and reduce of ``_SCORES`` at |f|."""
+    f, reduce = _kept_samples([family.magnitude(_window_times(window, grid_size))])
+    return f, reduce, float(reduce(_SCORES[type(family), kind](f))[0])
 
 
 def blp_search(

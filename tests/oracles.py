@@ -220,8 +220,8 @@ def turning_points_by_sign_change(absf: np.ndarray, cut_indices=None) -> np.ndar
 
 def stack_backflows(family, deltas: np.ndarray, windows, cut_indices=None) -> np.ndarray:
     """Backflow of each difference matrix in the stack ``deltas`` (P, 4, 4)
-    over each window of decoherence samples: shape (P, W), or (P, W C) with
-    ``cut_indices``.
+    over each window of |f| samples (``family.magnitude``): shape (P, W), or
+    (P, W C) with ``cut_indices``.
 
     Not an independent reference: it runs the package's own kept samples,
     reduction and pure-pair kernel on an arbitrary stack (such as the
@@ -239,7 +239,7 @@ def stack_backflows(family, deltas: np.ndarray, windows, cut_indices=None) -> np
 def pair_backflows(family, deltas: np.ndarray, times: np.ndarray, cut_indices=None) -> np.ndarray:
     """``stack_backflows`` over the one window ``times``: shape (P,), or
     (P, len(cut_indices)) of prefix integrals over [times[0], times[cut]]."""
-    values = stack_backflows(family, deltas, [family.decoherence(times)], cut_indices)
+    values = stack_backflows(family, deltas, [family.magnitude(times)], cut_indices)
     return values[:, 0] if cut_indices is None else values
 
 

@@ -409,7 +409,7 @@ class TestOptimalColumn:
             windows.append(np.linspace(0.0, t1, grid))
         expected = np.array([pair_backflows(family, optimal_candidate_stack(), times).max()
                              for family, times in zip(families, windows)])
-        f, reduce = _kept_samples([family.decoherence(times) for family, times in zip(families, windows)])
+        f, reduce = _kept_samples([family.magnitude(times) for family, times in zip(families, windows)])
         assert np.all(np.abs(table[:, 3] - expected[:len(table)]) <= 4e-15)
         assert np.all(np.abs(reduce(np.abs(f)) - expected) <= 4e-15)
 
@@ -564,11 +564,30 @@ class TestFig2OnePass:
         # Three pairs per chunk: the 8 random pairs span 3; the optimal
         # column evolves no pair.
         monkeypatch.setattr(measures, "_trace_distances", counting)
-        kept = sum(measures._turning_points(np.abs(w)).size for w in self._windows(cfg))
+        kept = sum(np.count_nonzero(measures._turning_mask(w)) for w in self._windows(cfg))
         monkeypatch.setattr(measures, "_CHUNK_POINTS", kept * 3)
         _, rows = run_figure("fig2", cfg)
         assert chunks == [3, 3, 2]
         assert np.array(rows).tobytes() == expected.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(1e-3, 3.0), st.floats(1.0, 40.0), st.floats(-5.0, 5.0),
+           st.integers(1, 20), st.integers(1, 6), st.integers(2, 1001))
+    def test_each_window_is_the_magnitude_of_its_row(self, sigma_over_dw, dw, omega1, theta_count, tauc_count, grid):
+        # The windows fig2 reduces, row by row, are kappa_abs of each row's
+        # (tau_c, theta) on its own grid, bit for bit.
+        sigma = sigma_over_dw * dw
+        cfg = resolve_config("fig2", None, {"sigma": sigma, "delta_omega": dw, "omega1": omega1,
+                                            "theta_count": theta_count, "tauc_count": tauc_count, "grid": grid})
+        calls = []
+        kept = experiments._kept_samples
+        with mock.patch.object(experiments, "_kept_samples", lambda windows: calls.append(windows) or kept(windows)):
+            rows = run_figure("fig2", cfg)[1]
+        windows = [row for stack in calls[0] for row in np.atleast_2d(stack)]
+        assert len(windows) == len(rows) == theta_count * tauc_count
+        for (tau_c, theta, *_), window in zip(rows, windows):
+            spec = DephasingSpec(float(theta), omega1, omega1 + dw, sigma)
+            assert window.tobytes() == DephasingChannel(spec).magnitude(np.linspace(0.0, tau_c, grid)).tobytes()
 
     @staticmethod
     def _windows(cfg):
@@ -577,7 +596,7 @@ class TestFig2OnePass:
             times = np.linspace(0.0, float(tau_c), cfg["grid"])
             for theta in np.linspace(0.0, math.pi / 2, cfg["theta_count"]):
                 spec = DephasingSpec(float(theta), cfg["omega1"], cfg["omega1"] + dw, cfg["sigma"])
-                yield DephasingChannel(spec).decoherence(times)
+                yield DephasingChannel(spec).magnitude(times)
 
 
 class TestRandomSearch:
@@ -610,7 +629,7 @@ class TestRandomSearch:
         run_figure("fig2", cfg)
         assert draws and max(draws) <= 250
         assert sum(draws) == 1000 + 600
-        windows = [[lorentz.decoherence(np.linspace(0.0, 30.0, 401))], list(TestFig2OnePass._windows(cfg))]
+        windows = [[lorentz.magnitude(np.linspace(0.0, 30.0, 401))], list(TestFig2OnePass._windows(cfg))]
         for (args, (best, first_k)), samples in zip(searches, windows, strict=True):
             family, _, _, seed, n_pairs = args
             one_stack = stack_backflows(family, _random_differences(seed, 0, n_pairs), samples)
@@ -679,7 +698,7 @@ class TestFanOut:
         monkeypatch.setattr(measures, "_PAIRS_PER_PROCESS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(measures, "_random_backflows", backflows)
-        f, reduce = _kept_samples([cls.FAMILY.decoherence(cls.WINDOW)], cuts)
+        f, reduce = _kept_samples([cls.FAMILY.magnitude(cls.WINDOW)], cuts)
         return measures._random_search(cls.FAMILY, f, reduce, 9, 300, workers)
 
     def test_a_tie_across_shares_goes_to_the_earliest_pair(self, monkeypatch):
@@ -749,7 +768,7 @@ class TestFanOut:
         # The fake context starts none, and no pair is evolved.
         fork = RecordingFork(monkeypatch, start_processes=False)
         monkeypatch.setattr(measures, "_share_best", lambda *task: (np.zeros(1), np.array([task[-2]])))
-        f, reduce = _kept_samples([self.FAMILY.decoherence(self.WINDOW)])
+        f, reduce = _kept_samples([self.FAMILY.magnitude(self.WINDOW)])
         # Where os.sched_getaffinity is missing, os.cpu_count() counts, or 1
         # when it is unknown.
         cases = ((6, "sched_getaffinity", lambda pid: set(range(6))), (3, "cpu_count", lambda: 3),

@@ -30,7 +30,7 @@ from backflow import (
     trace_norm,
 )
 
-from backflow import channels, measures
+from backflow import channels, decoherence, experiments, measures
 from backflow.measures import (
     _CHUNK_POINTS,
     _STEP_EXCESS,
@@ -545,7 +545,7 @@ class TestWindowBackflows:
         for family, t1, grid in ((DEPHASING, 2.5 * REVIVAL, 4001), (LORENTZ, 30.0, 2001),
                                  (DEPHASING, 0.5 * REVIVAL, 2)):
             times = np.linspace(0.0, t1, grid)
-            values = stack_backflows(family, self.DELTAS, [family.decoherence(times)])
+            values = stack_backflows(family, self.DELTAS, [family.magnitude(times)])
             assert values.shape == (len(self.DELTAS), 1)
             assert values[:, 0].tobytes() == pair_backflows(family, self.DELTAS, times).tobytes()
 
@@ -558,7 +558,7 @@ class TestWindowBackflows:
         families = [DephasingChannel(DephasingSpec(theta)) for theta in (0.0, 0.4, math.pi / 4, 1.5)]
         expected = np.stack([pair_backflows(family, self.DELTAS, times)
                              for family, times in zip(families, windows)], axis=-1)
-        samples = [family.decoherence(times) for family, times in zip(families, windows)]
+        samples = [family.magnitude(times) for family, times in zip(families, windows)]
         assert stack_backflows(DEPHASING, self.DELTAS, samples).tobytes() == expected.tobytes()
         f, reduce = measures._kept_samples(samples)
         random = expected[-5:]
@@ -566,6 +566,32 @@ class TestWindowBackflows:
         best, first_k = measures._random_search(DEPHASING, f, reduce, 8, 5)
         assert best.tobytes() == random.max(axis=0).tobytes()
         assert first_k.tolist() == random.argmax(axis=0).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # Window sizes: empty, one sample (no step), a few steps, and 8 steps
+        # or more, where numpy's sum switches to pairwise summation (in
+        # blocks of 128 past 128 steps).
+        st.lists(st.just(0) | st.just(1) | st.integers(2, 8) | st.integers(9, 300), min_size=1, max_size=8),
+        st.sampled_from([(), (1,), (3,), (0,)]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @example([0, 0, 20, 0, 0, 1, 0], (2,), False, 1)  # empty first, consecutive and last windows
+    @example([0, 0, 0], (), False, 2)
+    def test_segmented_sum_equals_the_per_window_sums(self, sizes, leading, plateaus, seed):
+        # One window sum per segment, as the separate _positive_increments
+        # of each segment gives it, bit for bit; on 1-D values and on
+        # (pairs, samples) stacks, the empty stack included.
+        rng = np.random.default_rng(seed)
+        values = rng.random(leading + (sum(sizes),))
+        if plateaus:  # exact zero steps
+            values = np.round(values, 1)
+        segments = np.split(values, np.cumsum(sizes)[:-1], axis=-1)
+        expected = np.stack([_positive_increments(seg) for seg in segments], axis=-1)
+        got = measures._window_increments(values, np.array(sizes), None)
+        assert got.shape == leading + (len(sizes),)
+        assert got.tobytes() == expected.tobytes()
 
 
 # Window cases for the turning-point properties: a family and a uniform grid.
@@ -686,7 +712,7 @@ class TestTurningPointReduction:
         times = np.linspace(0.0, t1, grid)
         cuts = [1 + round(x * (grid - 2)) for x in fractions] or None
         absf = np.abs(np.asarray(family.decoherence(times)))
-        kept = measures._turning_points(absf, cuts)
+        kept = np.flatnonzero(measures._turning_mask(absf, cuts))
         old = sorted(set(_monotone_stretch_ends(absf.tolist())) | set(cuts or ()))
         rises = np.diff(absf) > 0.0
         assert set(kept.tolist()) <= set(old)
@@ -716,7 +742,7 @@ class TestTurningPointReduction:
     def test_turning_points_match_the_sign_change_definition(self, series_and_cuts):
         series, cuts = series_and_cuts
         absf = np.array(series, dtype=float)
-        kept = measures._turning_points(absf, cuts)
+        kept = np.flatnonzero(measures._turning_mask(absf, cuts))
         assert kept.dtype.kind == "i"
         assert kept.tolist() == turning_points_by_sign_change(absf, cuts).tolist()
 
@@ -725,13 +751,13 @@ class TestTurningPointReduction:
         family = DephasingChannel(DephasingSpec(0.0))
         times = np.linspace(0.0, 2 * REVIVAL, 801)
         deltas = np.concatenate([optimal_candidate_stack(2, 3), _random_differences(3, 0, 4)])
-        assert measures._turning_points(np.abs(family.decoherence(times)), [1, 400, 800]).size == 0
+        assert not measures._turning_mask(family.magnitude(times), [1, 400, 800]).any()
         calls = []
         monkeypatch.setattr(measures, "_trace_distances", lambda *args: calls.append(args))
         n = len(deltas)
         assert pair_backflows(family, deltas, times).tolist() == [0.0] * n
         assert pair_backflows(family, deltas, times, [1, 400, 800]).tolist() == [[0.0] * 3] * n
-        windows = [family.decoherence(times), family.decoherence(times[:5])]
+        windows = [family.magnitude(times), family.magnitude(times[:5])]
         assert stack_backflows(family, deltas, windows).tolist() == [[0.0, 0.0]] * n
         assert blp_search(family, (0.0, 2 * REVIVAL), 4, 801, 3).value == 0.0
         assert calls == []
@@ -871,6 +897,22 @@ class TestChoiBasedMeasures:
                                (LORENTZ, (0.0, 30.0))):
             assert entanglement_measure(family, window, 4001).value > 0.0
             assert mutual_info_measure(family, window, 4001).value > 0.0
+
+    def test_magnitude_readers_form_no_complex_kappa(self, monkeypatch):
+        # fig2, blp_search and the closed-form measures read |kappa| alone,
+        # from kappa_abs: no complex kappa, one angle or a stack of them.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a complex kappa was formed")
+
+        for module in (decoherence, channels, experiments):
+            monkeypatch.setattr(module, "kappa_complex", refuse)
+        monkeypatch.setattr(decoherence, "_kappa", refuse)
+        rows = np.array(run_figure("fig2", resolve_config("fig2", None, {"grid": 401, "pairs": 3}))[1])
+        assert np.all(rows[:, 3] >= 0.0) and np.any(rows[:, 3] > 0.0)
+        family = DephasingChannel(DephasingSpec(math.pi / 8))
+        assert blp_search(family, (0.0, REVIVAL), 5, 4001, 1).value > 0.0
+        assert entanglement_measure(family, (0.0, REVIVAL), 4001).value > 0.0
+        assert mutual_info_measure(family, (0.0, REVIVAL), 4001).value > 0.0
 
     @pytest.mark.parametrize("theta, t1, grid", [
         (math.pi / 8, REVIVAL, 4001),
