@@ -8,10 +8,12 @@ import functools
 import math
 import sys
 
+import numpy as np
+
 from .channels import AmplitudeDampingChannel, DephasingChannel, apply_dephasing
-from .decoherence import DephasingSpec, LorentzSpec, chi, kappa_abs, transition_thetas
-from .experiments import FIGURES, figure_keys, resolve_config, rsp_fidelity_after, run_figure, write_csv, write_metadata
-from .experiments import _FAMILY_DEFAULTS, _SHARED_DEFAULTS
+from .decoherence import LorentzSpec, chi, kappa_abs, transition_thetas
+from .experiments import FIGURES, _dephasing_spec, command_keys, resolve_config, rsp_fidelity_after, run_figure
+from .experiments import write_csv, write_metadata
 from .measures import blp_search, divisibility_measure, entanglement_measure, mutual_info_measure
 
 
@@ -23,22 +25,12 @@ def _fmt(x: float) -> str:
 _FLAG_ALIASES = {"delta_omega": ("--dw", "--delta-omega"), "width_ratio": ("--ratio",)}
 
 
-def _add_figure_parser(sub, name: str) -> None:
-    # Flags are matched in full: with abbreviations, a flag that is gone (such
-    # as fig2's --theta) would be taken as a prefix of another (--theta-count).
-    p = sub.add_parser(name, help=f"write the {name} data table as CSV", allow_abbrev=False)
-    p.add_argument("--config", help="JSON config file (flag > config > default)")
-    for key, kind in figure_keys(name).items():
-        p.add_argument(*_FLAG_ALIASES.get(key, ("--" + key.replace("_", "-"),)), dest=key, type=kind)
+def _flags(key: str) -> tuple:
+    return _FLAG_ALIASES.get(key, ("--" + key.replace("_", "-"),))
 
 
 def _figure_overrides(args: argparse.Namespace) -> dict:
-    skip = {"command", "config"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
-
-
-def _dephasing_spec(args: argparse.Namespace, theta: float) -> DephasingSpec:
-    return DephasingSpec(theta=theta, omega1=args.omega1, omega2=args.omega1 + args.dw, sigma=args.sigma)
+    return {k: v for k, v in vars(args).items() if k not in ("command", "config")}
 
 
 def _run_figure_command(args: argparse.Namespace) -> int:
@@ -51,8 +43,11 @@ def _run_figure_command(args: argparse.Namespace) -> int:
 
 
 def _run_kappa(args: argparse.Namespace) -> int:
-    spec = _dephasing_spec(args, args.theta)
-    print(_fmt(kappa_abs(spec, args.tau)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is named below
+        value = kappa_abs(_dephasing_spec(vars(args), args.theta), args.tau)
+    if not math.isfinite(value):
+        raise ValueError(f"|kappa| is not finite at tau={args.tau}")
+    print(_fmt(value))
     return 0
 
 
@@ -62,7 +57,7 @@ def _run_chi(args: argparse.Namespace) -> int:
 
 
 def _run_transition(args: argparse.Namespace) -> int:
-    theta1, theta2 = transition_thetas(args.dw, args.sigma, args.tauc)
+    theta1, theta2 = transition_thetas(args.delta_omega, args.sigma, args.tauc)
     print(f"{_fmt(theta1)} {_fmt(theta2)}")
     return 0
 
@@ -86,7 +81,7 @@ def _run_fidelity(args: argparse.Namespace) -> int:
 
 def _run_measure(args: argparse.Namespace) -> int:
     if args.family == "dephasing":
-        family = DephasingChannel(_dephasing_spec(args, args.theta))
+        family = DephasingChannel(_dephasing_spec(vars(args), args.theta))
     else:
         family = AmplitudeDampingChannel(LorentzSpec(gamma0=args.gamma0, width=args.width))
     window = (args.t0, args.t1)
@@ -104,63 +99,43 @@ def _run_measure(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each other command's handler and one-line help.
+_COMMANDS = {
+    "kappa": (_run_kappa, "print |kappa(tau)| for a dephasing spec"),
+    "chi": (_run_chi, "print chi(t) for a Lorentzian spec"),
+    "transition": (_run_transition, "print the two transition angles theta1 theta2"),
+    "fidelity": (_run_fidelity, "RSP fidelity of a dephased Bell-diagonal state"),
+    "measure": (_run_measure, "evaluate one backflow measure on a window"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per figure and per other command, each with one flag per
+    key of ``command_keys``: a tuple of choices is a required choice, a type
+    is a required flag (a figure's value then comes from ``resolve_config``),
+    and any other value is the flag's default."""
     parser = argparse.ArgumentParser(
         prog="backflow",
         description="Two-qubit open-system simulations: decoherence, backflow measures, RSP fidelity.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in FIGURES:
-        _add_figure_parser(sub, name)
-
-    p = sub.add_parser("kappa", help="print |kappa(tau)| for a dephasing spec")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--dw", "--delta-omega", dest="dw", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--omega1", type=float, default=0.0)
-
-    p = sub.add_parser("chi", help="print chi(t) for a Lorentzian spec")
-    p.add_argument("--gamma0", type=float, required=True)
-    p.add_argument("--width", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
-
-    p = sub.add_parser("transition", help="print the two transition angles theta1 theta2")
-    p.add_argument("--dw", "--delta-omega", dest="dw", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--tauc", type=float, required=True)
-
-    p = sub.add_parser("fidelity", help="RSP fidelity of a dephased Bell-diagonal state")
-    p.add_argument("--c", required=True, help="Bell-diagonal triple, e.g. 1,-1,1")
-    p.add_argument("--kappa", required=True, help="dephasing factor (real or complex literal)")
-
-    p = sub.add_parser("measure", help="evaluate one backflow measure on a window")
-    p.add_argument("--measure", required=True,
-                   choices=["blp", "divisibility", "entanglement", "mutual-info"])
-    p.add_argument("--family", required=True, choices=["dephasing", "lorentz"])
-    p.add_argument("--theta", type=float, default=0.7853981633974483)
-    p.add_argument("--dw", "--delta-omega", dest="dw", type=float, default=_FAMILY_DEFAULTS["dephasing"]["delta_omega"])
-    p.add_argument("--sigma", type=float, default=_FAMILY_DEFAULTS["dephasing"]["sigma"])
-    p.add_argument("--omega1", type=float, default=_FAMILY_DEFAULTS["dephasing"]["omega1"])
-    p.add_argument("--gamma0", type=float, default=_FAMILY_DEFAULTS["lorentz"]["gamma0"])
-    p.add_argument("--width", type=float, default=0.1)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--grid", type=int, default=4001)
-    p.add_argument("--pairs", type=int, default=0)
-    p.add_argument("--seed", type=int, default=_SHARED_DEFAULTS["seed"])
-
+    for name in (*FIGURES, *_COMMANDS):
+        figure = name in FIGURES
+        # Figure flags are matched in full: with abbreviations, a flag that is
+        # gone (such as fig2's --theta) would be taken as a prefix of another
+        # (--theta-count).
+        summary = f"write the {name} data table as CSV" if figure else _COMMANDS[name][1]
+        p = sub.add_parser(name, help=summary, allow_abbrev=not figure)
+        if figure:
+            p.add_argument("--config", help="JSON config file (flag > config > default)")
+        for key, entry in command_keys(name).items():
+            if isinstance(entry, tuple):
+                p.add_argument(*_flags(key), dest=key, required=True, choices=entry)
+            elif isinstance(entry, type):
+                p.add_argument(*_flags(key), dest=key, type=entry, required=not figure)
+            else:
+                p.add_argument(*_flags(key), dest=key, type=type(entry), default=entry)
     return parser
-
-
-_COMMANDS = {
-    "kappa": _run_kappa,
-    "chi": _run_chi,
-    "transition": _run_transition,
-    "fidelity": _run_fidelity,
-    "measure": _run_measure,
-}
 
 
 def _is_float(text: str) -> bool:
@@ -194,9 +169,10 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
 def _require_finite(args: argparse.Namespace) -> None:
     """Reject a non-finite float flag of a non-figure command by name (the
     figure configs are checked by ``resolve_config``)."""
-    for dest, value in vars(args).items():
+    for key in command_keys(args.command):
+        value = getattr(args, key)
         if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"--{dest} must be a finite number")
+            raise ValueError(f"{_flags(key)[0]} must be a finite number")
 
 
 # One parser per process: parse_args keeps no state between calls, and
@@ -210,7 +186,7 @@ def main(argv=None) -> int:
         if args.command in FIGURES:
             return _run_figure_command(args)
         _require_finite(args)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except Exception as exc:  # single-line diagnostic, nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -62,6 +62,13 @@ class DephasingSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.theta <= math.pi / 2:
             raise ValueError(f"theta={self.theta} outside [0, pi/2]")
+        # A non-finite peak, width or gap would make kappa NaN at every t > 0.
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"sigma={self.sigma} must be a finite number")
+        if not math.isfinite(self.omega2 - self.omega1):
+            raise ValueError(
+                f"omega1={self.omega1} and omega2={self.omega2} must be finite and a finite distance apart"
+            )
         if not self.omega2 > self.omega1:
             raise ValueError("omega2 must exceed omega1")
         if not self.sigma > 0.0:

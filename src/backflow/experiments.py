@@ -4,7 +4,8 @@ Each runner resolves its configuration from built-in defaults, an optional
 JSON config file and CLI overrides (flag > config > default), computes a
 rectangular table of finite values, and writes CSV plus an adjacent
 ``<out>.meta.json`` recording the resolved configuration, seed and library
-version.
+version.  The same table lists the keys of the CLI's other commands, with
+their defaults (``command_keys``), so every flag is built from it.
 
 Determinism: random pair k draws from its own stream, PCG64 seeded by
 ``SeedSequence(seed, spawn_key=(k,))``; row order follows grid order.  Every
@@ -36,6 +37,7 @@ from .rsp import bell_diagonal, correlation_matrix, rsp_fidelity
 
 __all__ = [
     "FIGURES",
+    "command_keys",
     "default_config",
     "figure_keys",
     "resolve_config",
@@ -103,6 +105,25 @@ _FIGURE_DEFAULTS = {
 
 FIGURES = tuple(_FIGURE_DEFAULTS)
 
+# The keys of the other commands, which take no config file: a type marks a
+# required key of that type, a tuple a required choice among its strings, and
+# any other value is the key's default.  Family keys and the seed default as
+# they do for the figures.
+_DEPHASING = _FAMILY_DEFAULTS["dephasing"]
+_COMMAND_KEYS = {
+    "kappa": {"theta": float, "delta_omega": float, "sigma": float, "tau": float, "omega1": _DEPHASING["omega1"]},
+    "chi": {"gamma0": float, "width": float, "t": float},
+    "transition": {"delta_omega": float, "sigma": float, "tauc": float},
+    # Parsed by the command itself: a Bell-diagonal triple and a complex literal.
+    "fidelity": {"c": str, "kappa": str},
+    "measure": {
+        "measure": ("blp", "divisibility", "entanglement", "mutual-info"), "family": tuple(_FAMILY_DEFAULTS),
+        "theta": math.pi / 4, **{key: _DEPHASING[key] for key in ("delta_omega", "sigma", "omega1")},
+        **_FAMILY_DEFAULTS["lorentz"], "width": 0.1, "t0": 0.0, "t1": float, "grid": 4001, "pairs": 0,
+        "seed": _SHARED_DEFAULTS["seed"],
+    },
+}
+
 
 def _value_type(default) -> type:
     # An optional bound (default None) takes a float.
@@ -114,6 +135,13 @@ def figure_keys(figure: str) -> dict:
     family, shared, own = _FIGURE_DEFAULTS[figure]
     keys = {**{key: _SHARED_DEFAULTS[key] for key in shared}, **_FAMILY_DEFAULTS[family], **own}
     return {key: _value_type(d) for key, d in keys.items()}
+
+
+def command_keys(command: str) -> dict:
+    """The keys ``command`` reads: a figure's as ``figure_keys`` types them
+    (``resolve_config`` supplies their values), another command's as
+    ``_COMMAND_KEYS`` gives them (a type, a tuple of choices or a default)."""
+    return figure_keys(command) if command in _FIGURE_DEFAULTS else dict(_COMMAND_KEYS[command])
 
 
 def default_config(figure: str) -> dict:

@@ -752,6 +752,19 @@ def _window_times(window: tuple[float, float], grid_size: int) -> np.ndarray:
     return np.linspace(t0, t1, int(grid_size))
 
 
+def _finite_magnitude(times: np.ndarray, magnitude) -> np.ndarray:
+    """``magnitude(times)``, the |f| samples, once each is finite.  Where a
+    time overflows the phase (cos of inf is NaN), the kept-point mask would
+    drop the sample and the measure would read 0: that time is named instead
+    of numpy's overflow warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        absf = magnitude(times)
+    bad = ~np.isfinite(absf)
+    if bad.any():
+        raise ValueError(f"|f| is not finite at t={float(times[np.argmax(bad)])}")
+    return absf
+
+
 def _entropy_bits(*probabilities: np.ndarray) -> np.ndarray:
     """Shannon entropy in bits of probabilities that add up to 1; 0 log 0 = 0."""
     return -sum(p * np.log2(p, out=np.zeros_like(p), where=p > 0.0) for p in probabilities)
@@ -773,7 +786,8 @@ _SCORES = {
 
 def _scored(family: ChannelFamily, window, grid_size: int, kind: str):
     """The window's ``_kept_samples`` |f| and reduce, and reduce of ``_SCORES`` at |f|."""
-    f, reduce = _kept_samples([family.magnitude(_window_times(window, grid_size))])
+    times = _window_times(window, grid_size)
+    f, reduce = _kept_samples([_finite_magnitude(times, family.magnitude)])
     return f, reduce, float(reduce(_SCORES[type(family), kind](f))[0])
 
 
@@ -826,7 +840,7 @@ def divisibility_measure(
     with the location of the zero.
     """
     times = _window_times(window, grid_size)
-    absf = np.abs(np.asarray(family.decoherence(times)))
+    absf = _finite_magnitude(times, lambda t: np.abs(np.asarray(family.decoherence(t))))
     rise = np.clip(np.diff(absf), 0.0, None)
     zero = absf[:-1] <= SINGULARITY_TOL
     singular = zero & (rise > 0.0)

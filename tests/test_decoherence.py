@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,21 @@ class TestKappa:
         value = kappa_abs(spec(math.pi / 4), 2 * math.pi / 10)
         assert value == pytest.approx(math.exp(-0.5 * (2 * math.pi / 10) ** 2), abs=1e-15)
         assert value == pytest.approx(0.8208687174155399, abs=1e-13)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"sigma": math.inf}, "sigma=inf must be a finite number"),
+        ({"sigma": math.nan}, "sigma=nan must be a finite number"),
+        ({"omega2": math.inf}, "omega1=0.0 and omega2=inf must be finite and a finite distance apart"),
+        ({"omega1": -math.inf}, "omega1=-inf and omega2=10.0 must be finite and a finite distance apart"),
+        ({"omega1": math.nan}, "omega1=nan and omega2=10.0 must be finite and a finite distance apart"),
+        # Both finite, but omega2 - omega1 overflows.
+        ({"omega1": -1e308, "omega2": 1e308},
+         "omega1=-1e+308 and omega2=1e+308 must be finite and a finite distance apart"),
+    ])
+    def test_non_finite_parameters_are_named(self, kwargs, message):
+        # Accepted, each would make kappa NaN at every t > 0.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DephasingSpec(0.3, **kwargs)
 
     def test_magnitude_matches_complex_form_on_grid(self):
         thetas = np.linspace(0.0, math.pi / 2, 25)

@@ -141,6 +141,49 @@ FIGURE_FLAGS = {
     "fig5": ["--config", "--gamma0", "--out", "--ratio-count", "--ratio-max", "--ratio-min"],
 }
 
+# The other commands' flags before they were built from the config table, in
+# parser order: per flag, its option strings, whether it is required, its
+# choices and its default.  Then each command's one-line help.  Unlike the
+# figures, these commands accept abbreviated flags.
+COMMAND_FLAGS = {
+    "kappa": [
+        (("--theta",), True, None, None),
+        (("--dw", "--delta-omega"), True, None, None),
+        (("--sigma",), True, None, None),
+        (("--tau",), True, None, None),
+        (("--omega1",), False, None, 0.0),
+    ],
+    "chi": [(("--gamma0",), True, None, None), (("--width",), True, None, None), (("--t",), True, None, None)],
+    "transition": [
+        (("--dw", "--delta-omega"), True, None, None),
+        (("--sigma",), True, None, None),
+        (("--tauc",), True, None, None),
+    ],
+    "fidelity": [(("--c",), True, None, None), (("--kappa",), True, None, None)],
+    "measure": [
+        (("--measure",), True, ("blp", "divisibility", "entanglement", "mutual-info"), None),
+        (("--family",), True, ("dephasing", "lorentz"), None),
+        (("--theta",), False, None, 0.7853981633974483),
+        (("--dw", "--delta-omega"), False, None, 10.0),
+        (("--sigma",), False, None, 1.0),
+        (("--omega1",), False, None, 0.0),
+        (("--gamma0",), False, None, 1.0),
+        (("--width",), False, None, 0.1),
+        (("--t0",), False, None, 0.0),
+        (("--t1",), True, None, None),
+        (("--grid",), False, None, 4001),
+        (("--pairs",), False, None, 0),
+        (("--seed",), False, None, 42),
+    ],
+}
+COMMAND_HELP = {
+    "kappa": "print |kappa(tau)| for a dephasing spec",
+    "chi": "print chi(t) for a Lorentzian spec",
+    "transition": "print the two transition angles theta1 theta2",
+    "fidelity": "RSP fidelity of a dephased Bell-diagonal state",
+    "measure": "evaluate one backflow measure on a window",
+}
+
 # Small runs of every figure, for tests that execute the runners.
 TINY = {
     "fig1": {"pairs": 3, "grid": 101, "rows": 2},
@@ -155,9 +198,12 @@ FIGURE_KEYS = [(figure, key) for figure in FIGURES for key in figure_keys(figure
 ABSENT = object()
 
 
+def subparsers() -> argparse._SubParsersAction:
+    return next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+
 def figure_parsers() -> dict:
-    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {figure: sub.choices[figure] for figure in FIGURES}
+    return {figure: subparsers().choices[figure] for figure in FIGURES}
 
 
 def key_actions(parser) -> list:
@@ -189,6 +235,20 @@ class TestConfigTable:
         for figure, parser in figure_parsers().items():
             flags = sorted(s for a in parser._actions for s in a.option_strings if a.dest != "help")
             assert flags == FIGURE_FLAGS[figure], figure
+
+    def test_command_flags_are_pinned(self):
+        sub = subparsers()
+        assert list(sub.choices) == [*FIGURES, *COMMAND_FLAGS]
+        assert {c.dest: c.help for c in sub._choices_actions if c.dest in COMMAND_HELP} == COMMAND_HELP
+        for command, pinned in COMMAND_FLAGS.items():
+            parser = sub.choices[command]
+            flags = [(tuple(a.option_strings), a.required, tuple(a.choices) if a.choices else None, a.default)
+                     for a in parser._actions if a.dest != "help"]
+            assert flags == pinned, command
+            # 0 and 0.0 compare equal: the defaults' types are pinned too.
+            assert [type(f[3]) for f in flags] == [type(f[3]) for f in pinned], command
+            assert parser.allow_abbrev, command
+        assert not any(sub.choices[figure].allow_abbrev for figure in FIGURES)
 
     def test_every_key_a_runner_reads_has_exactly_one_action(self):
         for figure, parser in figure_parsers().items():
@@ -1214,7 +1274,23 @@ class TestCli:
         (("transition", "--dw", "10", "--sigma", "50", "--tauc", "0.5"),
          "error: sigma=50.0 and tau_c=0.5 overflow the transition-angle equation"),
         (("fig3a", "--sigma", "100"), f"error: sigma=100.0 and tau_c={1.5 * math.pi / 10} overflow the transition-angle equation"),
+        # Before, these printed nan or 0, or fig1 wrote a CSV of zeros.
+        (("kappa", "--theta", "0.3", "--omega1", "1e308", "--dw", "1e308", "--sigma", "1", "--tau", "0.5"),
+         "error: omega1=1e+308 and omega2=inf must be finite and a finite distance apart"),
+        (("fig1", "--omega1", "1e308", "--dw", "1e308", "--pairs", "3", "--grid", "101", "--rows", "2"),
+         "error: omega1=1e+308 and omega2=inf must be finite and a finite distance apart"),
+        (("measure", "--measure", "blp", "--family", "dephasing", "--omega1", "1e308", "--dw", "1e308",
+          "--t1", "1", "--grid", "11"),
+         "error: omega1=1e+308 and omega2=inf must be finite and a finite distance apart"),
+        (("kappa", "--theta", "0.3", "--dw", "10", "--sigma", "1", "--tau", "1e308"),
+         "error: |kappa| is not finite at tau=1e+308"),
+        *((("measure", "--measure", measure, "--family", "dephasing", "--t1", "1e308", "--grid", "11"),
+           f"error: |f| is not finite at t={time}")
+          for measure, time in (("blp", "4e+307"), ("entanglement", "4e+307"), ("mutual-info", "4e+307"),
+                                ("divisibility", "2e+307"))),
     ])
+    # A numpy warning, raised here, would be a second line on stderr.
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_parameters_are_named(self, argv, line, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert cli.main(list(argv)) == 1
@@ -1259,6 +1335,7 @@ class TestCli:
         (("measure", "--measure", "divisibility", "--family", "lorentz", "--width", "inf",
           "--t1", "30", "--grid", "101"), "--width"),
         (("fidelity", "--c", "1,-1,1", "--kappa", "nan+1j"), "--kappa"),
+        (("kappa", "--theta", "0.3", "--dw", "nan", "--sigma", "1", "--tau", "0.5"), "--dw"),
     ])
     def test_non_finite_flags_of_the_other_commands_are_named(self, argv, flag):
         out = run_cli(*argv)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -455,6 +456,19 @@ class TestBlpSearch:
         for measure in (divisibility_measure, entanglement_measure, mutual_info_measure):
             with pytest.raises(ValueError, match="grid_size=1"):
                 measure(DEPHASING, self.WINDOW, 1)
+
+    @pytest.mark.parametrize("measure, time", [
+        (lambda family, window, grid: blp_search(family, window, 3, grid, 1), "4e+307"),
+        (entanglement_measure, "4e+307"),
+        (mutual_info_measure, "4e+307"),
+        # The complex kappa's phase omega2 t overflows first.
+        (divisibility_measure, "2e+307"),
+    ])
+    def test_a_window_where_f_overflows_names_its_first_time(self, measure, time):
+        # cos of an overflowed phase is NaN, which the kept-point mask would
+        # drop, so the measure would read 0.
+        with pytest.raises(ValueError, match=f"^{re.escape(f'|f| is not finite at t={time}')}$"):
+            measure(DEPHASING, (0.0, 1e308), 11)
 
 
 class TestCandidateStacks:
