@@ -5,7 +5,7 @@ qubit is noise-free.  Channel action is specified pointwise in the scalar
 decoherence parameter (kappa or chi), with thin time wrappers on the family
 objects, so parameter-level identities stay testable without time grids.
 Each family's ``magnitude`` gives |f| alone, which is all that a trace
-distance or an increment measure reads.
+distance, a memory-effect measure or an RSP fidelity reads.
 """
 
 from __future__ import annotations

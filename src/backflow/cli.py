@@ -10,9 +10,9 @@ import sys
 
 import numpy as np
 
-from .channels import AmplitudeDampingChannel, DephasingChannel, apply_dephasing
+from .channels import AmplitudeDampingChannel, DephasingChannel
 from .decoherence import LorentzSpec, chi, kappa_abs, transition_thetas
-from .experiments import FIGURES, _dephasing_spec, command_keys, resolve_config, rsp_fidelity_after, run_figure
+from .experiments import FIGURES, _dephasing_spec, _preset_fidelities, command_keys, resolve_config, run_figure
 from .experiments import write_csv, write_metadata
 from .measures import blp_search, divisibility_measure, entanglement_measure, mutual_info_measure
 
@@ -75,7 +75,7 @@ def _run_fidelity(args: argparse.Namespace) -> int:
         raise ValueError(f"--kappa expects a real or complex number, got {args.kappa!r}") from None
     if not cmath.isfinite(kappa):
         raise ValueError("--kappa must be a finite number")
-    print(_fmt(rsp_fidelity_after(c, apply_dephasing, kappa)))
+    print(_fmt(_preset_fidelities(DephasingChannel, abs(kappa), (c,))[0]))
     return 0
 
 

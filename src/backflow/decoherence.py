@@ -111,29 +111,11 @@ def kappa_complex(spec: DephasingSpec, tau):
     Accepts a scalar or an array of reduced times.
     """
     t = np.asarray(tau, dtype=float)
-    value = _kappa(spec, math.cos(spec.theta) ** 2, math.sin(spec.theta) ** 2, t)
+    value = np.exp(-0.5 * (spec.sigma * t) ** 2) * (math.cos(spec.theta) ** 2 * np.exp(1j * spec.omega1 * t)
+                                                   + math.sin(spec.theta) ** 2 * np.exp(1j * spec.omega2 * t))
     if np.ndim(tau) == 0:
         return complex(value)
     return value
-
-
-def _kappa(spec: DephasingSpec, c2, s2, t: np.ndarray):
-    """kappa's expression with the peak weights c2 = cos^2(theta) and
-    s2 = sin^2(theta) given apart from ``spec`` (whose theta is not read);
-    weights of shape (n, 1) broadcast it over n angles."""
-    envelope = np.exp(-0.5 * (spec.sigma * t) ** 2)
-    return envelope * (c2 * np.exp(1j * spec.omega1 * t) + s2 * np.exp(1j * spec.omega2 * t))
-
-
-def _kappa_over_thetas(spec: DephasingSpec, thetas, t) -> np.ndarray:
-    """kappa on the 1-D grid ``t`` for each angle in ``thetas``, one row per
-    angle: row i equals kappa_complex(replace(spec, theta=thetas[i]), t) bit
-    for bit (the weights are the same math.cos/math.sin scalars).  Only the
-    fidelity figures need the complex factor; readers of |kappa| take
-    ``_kappa_abs_over_thetas``."""
-    c2 = np.array([[math.cos(theta) ** 2] for theta in thetas])
-    s2 = np.array([[math.sin(theta) ** 2] for theta in thetas])
-    return _kappa(spec, c2, s2, np.asarray(t, dtype=float))
 
 
 def kappa_abs(spec: DephasingSpec, tau):
@@ -278,6 +260,12 @@ def chi(spec: LorentzSpec, t):
     return value
 
 
+def _oscillates(spec: LorentzSpec) -> bool:
+    """Whether ``chi`` takes its oscillating branch: width < 2 gamma0, outside
+    the band where it takes the critical limit."""
+    return spec.width * spec.width - 2.0 * spec.gamma0 * spec.width <= -_CRITICAL_DAMPING_TOL * spec.gamma0**2
+
+
 def _delta_floor(spec: DephasingSpec, theta: float) -> float:
     return abs(math.cos(2.0 * theta)) * math.exp(-0.5 * (math.pi * spec.sigma / spec.delta_omega) ** 2)
 
@@ -327,9 +315,8 @@ def _analytic_blp_over_thetas(spec: DephasingSpec, thetas, tau_c: float) -> np.n
     (not ``spec``'s), bit for bit: the same math.sin/math.cos scalars."""
     tau_c = float(tau_c)
     _check_window(spec.delta_omega, tau_c, closed_left=True)
-    c, s = _weights_over_thetas(thetas)
     floor = np.array([_delta_floor(spec, theta) for theta in thetas])
-    return np.maximum(0.0, _kappa_abs(*_kappa_abs_factors(spec, np.asarray(tau_c)), c, s) - floor)
+    return np.maximum(0.0, _kappa_abs_over_thetas(spec, thetas, [tau_c])[:, 0] - floor)
 
 
 def transition_thetas(delta_omega: float, sigma: float, tau_c: float) -> tuple[float, float]:

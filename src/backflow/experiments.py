@@ -15,6 +15,11 @@ the chunks of the pair loop into contiguous shares, one per process (no more
 than the CPUs available, and none for fewer than
 ``measures._PAIRS_PER_PROCESS`` pairs), folded in pair order, so serial and
 parallel runs emit identical bytes.
+
+The fidelity figures read |f| alone: after either channel, a Bell-diagonal
+state's RSP fidelity is half the sum of the two smallest (c_j t_j)^2, with
+Pauli-axis factors t = (r, r, 1) for dephasing and (r, r, r^2) for damping
+at r = |f| (``_preset_fidelities``).
 """
 
 from __future__ import annotations
@@ -28,12 +33,13 @@ import numpy as np
 from . import __version__
 from .channels import AmplitudeDampingChannel, ChannelFamily, DephasingChannel, _require_contraction
 from .decoherence import DephasingSpec, LorentzSpec, chi, transition_thetas
-from .decoherence import _analytic_blp_over_thetas, _kappa_abs_over_thetas, _kappa_over_thetas
-from .measures import _kept_samples, _random_search, _window_times
+from .decoherence import _analytic_blp_over_thetas, _kappa_abs_over_thetas
+from .measures import _kept_samples, _random_search, _require, _window_times
+from .rsp import _bell_triple
 # Not called here: perfbench/tracer.py wraps them at these names.
 from .decoherence import analytic_blp_dephasing, kappa_complex  # noqa: F401
 from .measures import sample_random_pair  # noqa: F401
-from .rsp import bell_diagonal, correlation_matrix, rsp_fidelity
+from .rsp import bell_diagonal, correlation_matrix, rsp_fidelity  # noqa: F401
 
 __all__ = [
     "FIGURES",
@@ -41,15 +47,13 @@ __all__ = [
     "default_config",
     "figure_keys",
     "resolve_config",
-    "rsp_fidelity_after",
     "run_figure",
     "write_csv",
     "write_metadata",
 ]
 
 # Bell-diagonal resource presets used by the fidelity figures.
-_STATE_A = (1.0, -1.0, 1.0)
-_STATE_B = (-0.5, 0.4, 0.8)
+_PRESETS = ((1.0, -1.0, 1.0), (-0.5, 0.4, 0.8))
 
 # Keys every figure's config (and so its .meta.json) carries, then the keys of
 # each physics family.
@@ -204,12 +208,6 @@ def resolve_config(figure: str, config_path: str | None = None, overrides: dict 
     return cfg
 
 
-def _require(cfg: dict, minima: dict) -> None:
-    for key, lo in minima.items():
-        if cfg[key] < lo:
-            raise ValueError(f"{key}={cfg[key]} must be at least {lo}")
-
-
 def _dephasing_spec(cfg: dict, theta) -> DephasingSpec:
     return DephasingSpec(float(theta), cfg["omega1"], cfg["omega1"] + cfg["delta_omega"], cfg["sigma"])
 
@@ -349,19 +347,33 @@ def run_fig2(cfg: dict):
                     for (tau_c, theta, n, theta1, theta2), value in zip(closed, numeric)]
 
 
-def rsp_fidelity_after(c, apply, value) -> float:
-    """RSP fidelity of the Bell-diagonal state with triple ``c`` after the
-    channel ``apply(rho, value)`` (``apply_dephasing`` or
-    ``apply_amplitude_damping``): one row of ``_preset_fidelities``, bit for bit."""
-    return rsp_fidelity(correlation_matrix(apply(bell_diagonal(c), value)))
+# Each family's Pauli-axis factors (t_x, t_y, t_z) as functions of r = |f|:
+# the channel takes a Bell-diagonal state's correlation matrix diag(c) to
+# diag(c t).  Damping also adds a local Bloch vector, which no fidelity reads.
+_AXIS_FACTORS = {
+    DephasingChannel: lambda r: (r, r, 1.0),
+    AmplitudeDampingChannel: lambda r: (r, r, r * r),
+}
 
 
-def _preset_fidelities(family: type, f: np.ndarray) -> np.ndarray:
-    """(len(f), 2) RSP fidelities of the two resource presets after
-    ``family.act`` with each factor of ``f``: one stacked pass for all rows."""
-    _require_contraction(family, f)
-    presets = np.array([bell_diagonal(_STATE_A), bell_diagonal(_STATE_B)])
-    return rsp_fidelity(correlation_matrix(family.act(presets, f[:, None])))
+def _preset_fidelities(family: type, r, presets=_PRESETS) -> np.ndarray:
+    """RSP fidelities of the Bell-diagonal states with the triples ``presets``
+    after ``family`` at |f| = ``r`` (a scalar or an array), shape
+    np.shape(r) + (len(presets),); each value equals the one taken alone, bit
+    for bit.
+
+    The triples are checked as ``bell_diagonal`` checks them and r as
+    ``apply_dephasing``/``apply_amplitude_damping`` check f, with their
+    messages.  The fidelity is half the sum of the two smallest eigenvalues
+    of C^T C (Dakic et al., Nat. Phys. 8, 666 (2012)), and C^T C is
+    diag((c_j t_j)^2) (``_AXIS_FACTORS``), so it depends on |f| alone: no
+    state, phase or spectrum is formed.
+    """
+    c = np.array([_bell_triple(triple) for triple in presets])
+    _require_contraction(family, r)
+    t = np.stack(np.broadcast_arrays(*_AXIS_FACTORS[family](np.asarray(r, dtype=float))), axis=-1)
+    squares = np.sort((c * t[..., None, :]) ** 2, axis=-1)
+    return 0.5 * (squares[..., 0] + squares[..., 1])
 
 
 def run_fig3(cfg: dict, variant: str):
@@ -378,7 +390,7 @@ def run_fig3(cfg: dict, variant: str):
     theta1, theta2 = transition_thetas(dw, cfg["sigma"], tau_c)
     theta_grid = np.linspace(theta1, theta2, cfg["theta_count"])
     spec = _dephasing_spec(cfg, theta_grid[0])
-    fidelities = _preset_fidelities(DephasingChannel, _kappa_over_thetas(spec, theta_grid, tau_c)[:, 0])
+    fidelities = _preset_fidelities(DephasingChannel, _kappa_abs_over_thetas(spec, theta_grid, [tau_c])[:, 0])
     rows = zip(theta_grid, _analytic_blp_over_thetas(spec, theta_grid, tau_c), *fidelities.T)
     return ["theta", "N", "F1", "F2"], list(rows)
 
@@ -396,12 +408,10 @@ def run_fig5(cfg: dict):
     ratios = np.linspace(cfg["ratio_min"], cfg["ratio_max"], cfg["ratio_count"])
     if ratios.min() <= 0.0 or ratios.max() >= 2.0:
         raise ValueError("ratio grid must stay strictly inside (0, 2)")
-    columns = []
-    for ratio in ratios:
-        spec = LorentzSpec(gamma0=gamma0, width=float(ratio) * gamma0)
-        columns.append((math.exp(-math.pi * spec.width / spec.epsilon), chi(spec, 2.0 * math.pi / spec.epsilon)))
-    n_values, chi_tc = np.array(columns).T
-    fidelities = _preset_fidelities(AmplitudeDampingChannel, chi_tc)
+    specs = [LorentzSpec(gamma0=gamma0, width=float(ratio) * gamma0) for ratio in ratios]
+    n_values = [math.exp(-math.pi * spec.width / spec.epsilon) for spec in specs]
+    chi_tc = [chi(spec, 2.0 * math.pi / spec.epsilon) for spec in specs]
+    fidelities = _preset_fidelities(AmplitudeDampingChannel, np.abs(chi_tc))
     return ["ratio", "N", "F1", "F2"], list(zip(ratios, n_values, *fidelities.T))
 
 

@@ -2,7 +2,8 @@
 
 Four measures are implemented: the information-flow measure (sum of positive
 trace-distance increments, maximized over initial state pairs), a
-divisibility measure built from intermediate Choi matrices, and the
+divisibility measure from the closed-form trace-norm excess of each step
+map's Choi matrix (``_STEP_EXCESS``; no Choi matrix is built), and the
 negativity and mutual information of the evolved maximally entangled state,
 in closed form (``_SCORES``): with r = |f| and h the binary entropy in bits,
 r + 1/2 and 4 - h((1 - r)/2) for dephasing, r^2 + 1/2 and
@@ -10,7 +11,9 @@ r + 1/2 and 4 - h((1 - r)/2) for dephasing, r^2 + 1/2 and
 
 All backflow integrals are sums of positive increments on a uniform grid,
 which is exact for piecewise-monotone series once every monotone segment is
-resolved; no derivative quadrature is used.
+resolved; no derivative quadrature is used.  So the four measures refuse a
+grid whose step is not below half the period of |f| (``_HALF_PERIODS``),
+which could step over whole rises.
 
 Rising-stretch reduction: both channel families compose multiplicatively in
 their decoherence factor f (D(a)D(b) = D(ab), AD(x)AD(y) = AD(xy)), and the
@@ -23,10 +26,10 @@ Piilo, PRL 103, 210401 (2009)).  The sum therefore equals the same sum over
 the grid points that bound a rising step of |f|: the minimum and maximum
 around each rising stretch, and the prefix cuts inside one.  Only those
 points are evaluated; a window where |f| never rises evaluates nothing and
-gives 0.  So every increment measure but divisibility reads |f| alone, from
-``family.magnitude`` (for dephasing the closed form ``kappa_abs``; no complex
-kappa is formed), and the sums of many windows are one segmented sum
-(``_window_increments``).
+gives 0.  So every measure reads |f| alone, from ``family.magnitude`` (for
+dephasing the closed form ``kappa_abs``; no complex kappa is formed), and the
+sums of many windows are one segmented sum (``_window_increments``).
+Divisibility reads |f| at every grid point.
 
 Trace norms without spectra: an evolved difference of two pure states has
 at most two eigenvalues of each sign (both channels have Kraus rank 2), so
@@ -34,8 +37,7 @@ its trace norm is the largest root of a cubic (``_half_trace_norms``) in
 trace invariants that are polynomials in |f|^2, with coefficients from the
 pair's 2x2 blocks (``_PAIR_INVARIANTS``).  So the pair searches solve no
 spectrum and build no evolved matrix; ``trace_distance_trajectory``
-eigen-solves only a pair whose difference has rank above 2.  The divisibility
-measure takes each step map's Choi trace norm in closed form (``_STEP_EXCESS``).
+eigen-solves only a pair that is not two pure states.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .channels import (  # noqa: F401
     choi_state,
     intermediate_choi,
 )
+from .decoherence import _oscillates
 from .linalg import assert_density_matrix, trace_norm, von_neumann_entropy  # noqa: F401
 
 __all__ = [
@@ -201,16 +204,18 @@ def optimal_pair(alpha: float, phase: float, variant: str = "zeta") -> StatePair
     return StatePair(np.outer(k1, k1.conj()), np.outer(k2, k2.conj()))
 
 
-def _require_non_negative(**values) -> None:
-    for name, value in values.items():
-        if value < 0:
-            raise ValueError(f"{name}={value} must be at least 0")
+def _require(values: dict, minima: dict) -> None:
+    """Reject, by name, the first key of ``minima`` whose value in ``values``
+    lies below its minimum."""
+    for key, lo in minima.items():
+        if values[key] < lo:
+            raise ValueError(f"{key}={values[key]} must be at least {lo}")
 
 
 def _pair_stream(seed: int, index: int) -> np.random.Generator:
     # Fixed derivation rule: pair k uses PCG64 seeded by
     # SeedSequence(entropy=seed, spawn_key=(k,)).
-    _require_non_negative(seed=seed, index=index)
+    _require({"seed": seed, "index": index}, {"seed": 0, "index": 0})
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
@@ -292,7 +297,7 @@ def _random_differences(seed: int, lo: int, hi: int) -> np.ndarray:
     below 2**64, where a spawn key has at most two words.
     """
     seed, lo, hi = int(seed), int(lo), int(hi)
-    _require_non_negative(seed=seed, index=lo)
+    _require({"seed": seed, "index": lo}, {"seed": 0, "index": 0})
     if hi > 2**64:
         raise ValueError(f"pair indices [{lo}, {hi}) must lie below 2**64")
     bits = np.random.PCG64(0)
@@ -497,10 +502,9 @@ def _eigen_trace_distances(family: ChannelFamily, deltas: np.ndarray, f: np.ndar
     return 0.5 * np.abs(np.linalg.eigvalsh(family.act(deltas, f))).sum(axis=-1)
 
 
-# A pair's difference counts as rank 2 when its two middle eigenvalues are
-# within this of zero, relative to its largest one.  Differences of two pure
-# states built in floating point reach 4 eps.
-_RANK_TOL = 64 * np.finfo(float).eps
+# A state counts as pure when its purity Tr rho^2 lies within this of 1.
+# Pure states built in floating point reach a few eps.
+_PURITY_TOL = 64 * np.finfo(float).eps
 
 # Pairs and samples are evolved in chunks of at most this many (pair, sample)
 # points, and random pairs are drawn in chunks of at most _CHUNK_PAIRS pairs.
@@ -560,15 +564,17 @@ def trace_distance_trajectory(family: ChannelFamily, pair: StatePair, times) -> 
     grid points (each value depends only on its own sample, so chunking
     changes no bit).
 
-    A pair whose difference has rank at most 2, such as two pure states,
-    takes ``_trace_distances``; any other pair's evolved differences are
-    eigen-solved.  The pair's own spectrum decides, once.
+    A pair of two pure states takes ``_trace_distances``; any other pair's
+    evolved differences are eigen-solved.  Both read |f| alone
+    (``family.magnitude``): the phase of kappa and the sign of chi are a
+    local unitary on the noisy qubit (a phase gate, or Z), which leaves
+    every spectrum as it is.
     """
     times = np.asarray(times, dtype=float)
-    f = np.asarray(family.decoherence(times))
+    f = np.asarray(family.magnitude(times))
     delta, step = pair.difference(), _CHUNK_POINTS
-    w = np.abs(np.linalg.eigvalsh(delta))
-    distances = _trace_distances if max(w[1], w[2]) <= _RANK_TOL * w.max() else _eigen_trace_distances
+    pure = all(abs(np.vdot(rho, rho).real - 1.0) <= _PURITY_TOL for rho in (pair.rho1, pair.rho2))
+    distances = _trace_distances if pure else _eigen_trace_distances
     # An empty grid still makes one (empty) chunk, for Trajectory to reject.
     values = [distances(family, delta, f[lo : lo + step]) for lo in range(0, max(f.size, 1), step)]
     return Trajectory(times, np.concatenate(values))
@@ -730,7 +736,7 @@ def _random_search(family: ChannelFamily, f: np.ndarray, reduce, seed: int, n_pa
     count.
     """
     n_pairs = int(n_pairs)
-    _require_non_negative(seed=seed)
+    _require({"seed": seed}, {"seed": 0})
     if n_pairs > 2**64:
         raise ValueError(f"pair indices [0, {n_pairs}) must lie below 2**64")
     step = max(1, min(_CHUNK_PAIRS, _CHUNK_POINTS // max(f.size, 1)))
@@ -747,22 +753,39 @@ def _window_times(window: tuple[float, float], grid_size: int) -> np.ndarray:
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0 >= 0.0:
         raise ValueError(f"invalid window {window}")
-    if grid_size < 2:
-        raise ValueError(f"grid_size={grid_size} must be at least 2")
+    _require({"grid_size": grid_size}, {"grid_size": 2})
     return np.linspace(t0, t1, int(grid_size))
 
 
-def _finite_magnitude(times: np.ndarray, magnitude) -> np.ndarray:
-    """``magnitude(times)``, the |f| samples, once each is finite.  Where a
-    time overflows the phase (cos of inf is NaN), the kept-point mask would
-    drop the sample and the measure would read 0: that time is named instead
-    of numpy's overflow warnings."""
+# Half the period of |f| on each family's oscillating branch, from its spec;
+# inf where |f| does not oscillate (overdamped or critical damping).
+_HALF_PERIODS = {
+    DephasingChannel: lambda spec: math.pi / spec.delta_omega,
+    AmplitudeDampingChannel: lambda spec: math.pi / spec.epsilon if _oscillates(spec) else math.inf,
+}
+
+
+def _window_magnitude(family: ChannelFamily, window, grid_size: int):
+    """The window's grid and |f| on it (``family.magnitude``), once each
+    sample is finite and the grid resolves |f|'s oscillation.
+
+    Where a time overflows the phase (cos of inf is NaN), the kept-point mask
+    would drop the sample and the measure would read 0: that time is named
+    instead of numpy's overflow warnings.  A step at or above half the period
+    of |f| can step over whole rises, so the sum of positive increments would
+    alias: ``grid`` is named instead.
+    """
+    times = _window_times(window, grid_size)
     with np.errstate(over="ignore", invalid="ignore"):
-        absf = magnitude(times)
+        absf = family.magnitude(times)
     bad = ~np.isfinite(absf)
     if bad.any():
         raise ValueError(f"|f| is not finite at t={float(times[np.argmax(bad)])}")
-    return absf
+    step, half_period = (times[-1] - times[0]) / (times.size - 1), _HALF_PERIODS[type(family)](family.spec)
+    if not step < half_period:
+        raise ValueError(f"grid={int(grid_size)} is too coarse: its step {step:.6g} is not below {half_period:.6g}, "
+                         "half the period of |f|")
+    return times, absf
 
 
 def _entropy_bits(*probabilities: np.ndarray) -> np.ndarray:
@@ -786,8 +809,7 @@ _SCORES = {
 
 def _scored(family: ChannelFamily, window, grid_size: int, kind: str):
     """The window's ``_kept_samples`` |f| and reduce, and reduce of ``_SCORES`` at |f|."""
-    times = _window_times(window, grid_size)
-    f, reduce = _kept_samples([_finite_magnitude(times, family.magnitude)])
+    f, reduce = _kept_samples([_window_magnitude(family, window, grid_size)[1]])
     return f, reduce, float(reduce(_SCORES[type(family), kind](f))[0])
 
 
@@ -808,7 +830,7 @@ def blp_search(
     when its backflow is strictly larger (the earliest such k on a tie), so
     the result is deterministic for a given seed.
     """
-    _require_non_negative(n_pairs=n_pairs)
+    _require({"n_pairs": n_pairs}, {"n_pairs": 0})
     f, reduce, optimal = _scored(family, window, grid_size, "blp")
     best, first_k = _random_search(family, f, reduce, seed, n_pairs)
     if best[0] > optimal:
@@ -835,24 +857,21 @@ def divisibility_measure(
 
     h(t) is the one-sided limit of (||intermediate Choi||_1 - 1)/eps; on the
     grid, eps equals the step and each step contributes its trace-norm excess
-    directly.  If the decoherence magnitude vanishes at a grid point followed
-    by an increase, h diverges there and the measure is reported infinite
-    with the location of the zero.
+    directly, in closed form in |f| (``_STEP_EXCESS``).  If the decoherence
+    magnitude vanishes at a grid point followed by an increase, h diverges
+    there and the measure is reported infinite with the location of the zero.
     """
-    times = _window_times(window, grid_size)
-    absf = _finite_magnitude(times, lambda t: np.abs(np.asarray(family.decoherence(t))))
+    times, absf = _window_magnitude(family, window, grid_size)
     rise = np.clip(np.diff(absf), 0.0, None)
     zero = absf[:-1] <= SINGULARITY_TOL
     singular = zero & (rise > 0.0)
     if np.any(singular):
-        where = float(times[np.argmax(singular)])
-        return MeasureReport(value=math.inf, kind="divisibility", grid_size=int(grid_size), singularity=where)
+        return MeasureReport(math.inf, "divisibility", int(grid_size), singularity=float(times[np.argmax(singular)]))
     # (|f(t + eps)| - |f(t)|) / |f(t)| rather than |r| - 1, which cancels.  A
     # non-increasing step adds nothing, including one from an exact zero
     # (frozen dynamics; the increasing ones are flagged above).
     e = rise / np.where(zero, 1.0, absf[:-1])
-    value = float(_STEP_EXCESS[type(family)](e).sum())
-    return MeasureReport(value=value, kind="divisibility", grid_size=int(grid_size))
+    return MeasureReport(float(_STEP_EXCESS[type(family)](e).sum()), "divisibility", int(grid_size))
 
 
 def entanglement_measure(

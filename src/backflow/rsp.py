@@ -20,10 +20,21 @@ def bell_diagonal(c) -> np.ndarray:
     """Two-qubit state (1/4)(I x I + sum_j c_j sigma_j x sigma_j).
 
     ``c`` is the triple (c1, c2, c3) of real correlations in the Pauli basis
-    (sigma_x, sigma_y, sigma_z).  The state is positive semidefinite exactly
-    when 1 - c1 - c2 - c3, 1 - c1 + c2 + c3, 1 + c1 - c2 + c3 and
-    1 + c1 + c2 - c3 are all non-negative; violating triples are rejected
-    with the offending combination.
+    (sigma_x, sigma_y, sigma_z), checked by ``_bell_triple``.
+    """
+    rho = np.eye(4, dtype=complex)
+    for j, coeff in enumerate(_bell_triple(c)):
+        rho += coeff * _PAULI_PRODUCTS[j, j]
+    return rho / 4.0
+
+
+def _bell_triple(c) -> tuple[float, float, float]:
+    """The triple ``c`` as floats, once it is a Bell-diagonal state's.
+
+    The state is positive semidefinite exactly when 1 - c1 - c2 - c3,
+    1 - c1 + c2 + c3, 1 + c1 - c2 + c3 and 1 + c1 + c2 - c3 are all
+    non-negative; violating triples are rejected with the offending
+    combination.
     """
     c1, c2, c3 = (float(x) for x in c)
     for x, name in ((c1, "c1"), (c2, "c2"), (c3, "c3")):
@@ -41,10 +52,7 @@ def bell_diagonal(c) -> np.ndarray:
             raise ValueError(
                 f"({c1}, {c2}, {c3}) gives a negative eigenvalue: {name} = {value:.6g} < 0"
             )
-    rho = np.eye(4, dtype=complex)
-    for j, coeff in enumerate((c1, c2, c3)):
-        rho += coeff * _PAULI_PRODUCTS[j, j]
-    return rho / 4.0
+    return c1, c2, c3
 
 
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:

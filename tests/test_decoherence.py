@@ -17,7 +17,7 @@ from backflow import (
     transition_thetas,
 )
 
-from backflow.decoherence import _kappa_over_thetas
+from backflow.decoherence import _kappa_abs_over_thetas
 from oracles import bisect_root
 
 DW, SIGMA = 10.0, 1.0
@@ -115,15 +115,16 @@ class TestKappa:
             )
             assert abs(kappa_complex(s, rng.uniform(0, 2))) <= 1.0 + 1e-12
 
-    def test_theta_columns_equal_kappa_complex_bit_for_bit(self):
+    def test_theta_columns_equal_kappa_abs_bit_for_bit(self):
+        # fig2 reads whole grids, fig3a/fig3b one control time ([tau_c]).
         rng = np.random.default_rng(11)
         thetas = [0.0, math.pi / 8, math.pi / 4, math.pi / 2, *rng.uniform(0.0, math.pi / 2, 40)]
         base = DephasingSpec(0.3, omega1=-1.5, omega2=8.5, sigma=0.7)
-        for t in (np.linspace(0.0, 2 * math.pi / DW, 4001), rng.uniform(0.0, 3.0, 257), np.array([0.4])):
-            columns = _kappa_over_thetas(base, thetas, t)
-            assert columns.shape == (len(thetas), t.size)
+        for t in (np.linspace(0.0, 2 * math.pi / DW, 4001), rng.uniform(0.0, 3.0, 257), np.array([0.4]), [0.4]):
+            columns = _kappa_abs_over_thetas(base, thetas, t)
+            assert columns.shape == (len(thetas), np.size(t))
             for theta, row in zip(thetas, columns):
-                expected = kappa_complex(DephasingSpec(theta, -1.5, 8.5, 0.7), t)
+                expected = kappa_abs(DephasingSpec(theta, -1.5, 8.5, 0.7), np.asarray(t))
                 assert row.tobytes() == expected.tobytes()
 
 

@@ -22,15 +22,15 @@ from hypothesis import strategies as st
 import backflow
 from backflow import AmplitudeDampingChannel, DephasingChannel, DephasingSpec, LorentzSpec
 from backflow import analytic_blp_dephasing, blp_search, transition_thetas
-from backflow import apply_amplitude_damping, apply_dephasing, bell_diagonal, chi, kappa_complex
-from backflow import cli, experiments, measures
+from backflow import apply_amplitude_damping, apply_dephasing, bell_diagonal, chi, kappa_abs
+from backflow import correlation_matrix, divisibility_measure, optimal_pair, rsp_fidelity, trace_distance_trajectory
+from backflow import channels, cli, decoherence, experiments, measures
 from backflow.experiments import (
     FIGURES,
     _preset_fidelities,
     default_config,
     figure_keys,
     resolve_config,
-    rsp_fidelity_after,
     run_figure,
     write_csv,
     write_metadata,
@@ -410,7 +410,7 @@ class TestOptimalColumn:
         assert np.all(np.abs(table[:, 1] - optimal) <= 4e-15)
         assert table[:, 2].tobytes() == random_max.tobytes()
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(
         st.one_of(
             st.floats(0.0, math.pi / 2).map(lambda theta: DephasingChannel(DephasingSpec(theta))),
@@ -421,7 +421,12 @@ class TestOptimalColumn:
         st.integers(2, 2001),
     )
     def test_blp_search_equals_the_candidate_path(self, family, start_fraction, t1, grid):
+        # A grid whose step is not below half the period of |f| is refused.
         times = np.linspace(start_fraction * t1, t1, grid)
+        if (times[-1] - times[0]) / (grid - 1) >= measures._HALF_PERIODS[type(family)](family.spec):
+            with pytest.raises(ValueError, match=f"^grid={grid} is too coarse"):
+                blp_search(family, (times[0], t1), 0, grid, 1)
+            return
         expected = pair_backflows(family, optimal_candidate_stack(), times).max()
         assert abs(blp_search(family, (times[0], t1), 0, grid, 1).value - expected) <= 4e-15
 
@@ -885,9 +890,37 @@ class TestFig3:
 _PRESETS = ((1.0, -1.0, 1.0), (-0.5, 0.4, 0.8))
 
 
+def state_route_fidelity(c, apply, value) -> float:
+    """The RSP fidelity through the public state functions: the Bell-diagonal
+    state, the channel's action at the complex kappa or signed chi, its
+    correlation matrix and the eigenvalues of C^T C."""
+    return rsp_fidelity(correlation_matrix(apply(bell_diagonal(c), value)))
+
+
+# Bell-diagonal triples: convex combinations of the tetrahedron's vertices,
+# with the vertices themselves and the maximally mixed state.
+_VERTICES = np.array([(1.0, -1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, 1.0, -1.0), (-1.0, -1.0, -1.0)])
+_TRIPLES = st.sampled_from([tuple(v) for v in _VERTICES] + [(0.0, 0.0, 0.0)]) | st.lists(
+    st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 0).map(
+    lambda w: tuple(np.clip(np.array(w) @ _VERTICES / sum(w), -1.0, 1.0)))
+# |f| at 0 and 1 exactly, anywhere in [0, 1], and down to 1e-300.
+_MAGNITUDES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0) | st.floats(1e-300, 1e-3)
+
+
 class TestStackedFidelityFigures:
-    """fig3a, fig3b and fig5 compute every row in one stacked pass; each row
-    must equal, bit for bit, the per-row path kept as the reference."""
+    """fig3a, fig3b and fig5 compute every row from the closed form of |f| at
+    once; each row must equal, bit for bit, the closed form taken alone, and
+    that must equal the state route."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TRIPLES, _MAGNITUDES, st.floats(0.0, 2 * math.pi), st.booleans())
+    def test_closed_form_equals_the_state_route(self, c, r, phase, negative):
+        # Any phase of kappa and either sign of chi: the closed form reads |f| alone.
+        for family, apply, value in ((DephasingChannel, apply_dephasing, r * complex(math.cos(phase), math.sin(phase))),
+                                     (AmplitudeDampingChannel, apply_amplitude_damping, -r if negative else r)):
+            closed = _preset_fidelities(family, abs(value), (c,))
+            assert closed.shape == (1,)
+            assert abs(closed[0] - state_route_fidelity(c, apply, value)) <= 1e-15
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 40), st.floats(1e-3, 3.0), st.floats(1.0, 40.0), st.floats(-5.0, 5.0))
@@ -901,9 +934,13 @@ class TestStackedFidelityFigures:
             assert len(rows) == theta_count
             for theta, n_value, *fidelities in rows:
                 spec = DephasingSpec(float(theta), omega1, omega1 + delta_omega, sigma)
-                kappa = kappa_complex(spec, tau_c)
                 assert n_value == analytic_blp_dephasing(spec, tau_c)
-                assert fidelities == [rsp_fidelity_after(c, apply_dephasing, kappa) for c in _PRESETS]
+                kappa = kappa_abs(spec, tau_c)
+                assert fidelities == _preset_fidelities(DephasingChannel, kappa).tolist()
+                # The state route at the same |kappa|: abs(kappa_complex) can be
+                # off by ~8e-16 (omega1 = -5, dw = 1), where kappa_abs is exact.
+                assert fidelities == pytest.approx([state_route_fidelity(c, apply_dephasing, kappa) for c in _PRESETS],
+                                                   rel=0, abs=1e-15)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 40), st.floats(1e-3, 1.999), st.floats(1e-3, 1.999), st.floats(0.01, 100.0))
@@ -917,7 +954,9 @@ class TestStackedFidelityFigures:
             spec = LorentzSpec(gamma0=gamma0, width=float(ratio) * gamma0)
             chi_tc = chi(spec, 2.0 * math.pi / spec.epsilon)
             assert n_value == math.exp(-math.pi * spec.width / spec.epsilon)
-            assert fidelities == [rsp_fidelity_after(c, apply_amplitude_damping, chi_tc) for c in _PRESETS]
+            assert fidelities == _preset_fidelities(AmplitudeDampingChannel, abs(chi_tc)).tolist()
+            assert fidelities == pytest.approx(
+                [state_route_fidelity(c, apply_amplitude_damping, chi_tc) for c in _PRESETS], rel=0, abs=1e-15)
 
     def test_the_stacked_contraction_check_gives_the_per_row_message(self):
         rho = bell_diagonal(_PRESETS[0])
@@ -932,23 +971,29 @@ class TestStackedFidelityFigures:
             assert str(stacked.value) == str(per_row.value)
             assert "> 1: not a valid" in str(stacked.value)
 
-    def test_one_eigensolve_and_one_channel_action_per_run(self, monkeypatch):
-        calls = Counter()
+    def test_no_eigensolve_and_no_channel_action_per_run(self, monkeypatch, capsys):
+        # The fidelity figures, the fidelity command, divisibility and a pure
+        # pair's trajectory read |f| alone: no eigvalsh, family.act or
+        # kappa_complex.
+        pure = optimal_pair(0.3, 1.1, "eta")  # validated (one eigvalsh) before the patches
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def refuse(*args, **kwargs):
+            raise AssertionError("a spectrum, a channel action or a complex kappa was formed")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         for family in (DephasingChannel, AmplitudeDampingChannel):
-            monkeypatch.setattr(family, "act", staticmethod(counted("act", family.act)))
+            monkeypatch.setattr(family, "act", staticmethod(refuse))
+        for module in (decoherence, channels, experiments):
+            monkeypatch.setattr(module, "kappa_complex", refuse)
         for figure in ("fig3a", "fig3b", "fig5"):
-            calls.clear()
-            rows = run_figure(figure, resolve_config(figure))[1]
-            assert len(rows) in (20, 25)
-            assert calls == {"eigvalsh": 1, "act": 1}, figure
+            assert len(run_figure(figure, resolve_config(figure))[1]) in (20, 25)
+        assert cli.main(["fidelity", "--c", "-0.5,0.4,0.8", "--kappa", "-0.5+0.1j"]) == 0
+        assert capsys.readouterr().err == ""
+        dephasing = DephasingChannel(DephasingSpec(math.pi / 8))
+        lorentz = AmplitudeDampingChannel(LorentzSpec(1.0, 0.1))
+        for family, t1 in ((dephasing, 2 * math.pi / 10), (lorentz, 30.0)):
+            assert divisibility_measure(family, (0.0, t1), 4001).value > 0.0
+            assert trace_distance_trajectory(family, pure, np.linspace(0.0, t1, 101)).values[0] > 0.0
 
 
 class TestFig4:
@@ -1062,7 +1107,7 @@ class TestCli:
 
     def test_fidelity_accepts_a_negative_triple_in_both_spellings(self):
         for kappa in ("0.5", "-0.5+0.1j"):
-            expected = rsp_fidelity_after((-0.5, 0.4, 0.8), apply_dephasing, complex(kappa))
+            expected = _preset_fidelities(DephasingChannel, abs(complex(kappa)), ((-0.5, 0.4, 0.8),))[0]
             for flags in (("--c", "-0.5,0.4,0.8"), ("--c=-0.5,0.4,0.8",)):
                 out = run_cli("fidelity", *flags, "--kappa", kappa)
                 assert out.returncode == 0, out.stderr
@@ -1287,7 +1332,7 @@ class TestCli:
         *((("measure", "--measure", measure, "--family", "dephasing", "--t1", "1e308", "--grid", "11"),
            f"error: |f| is not finite at t={time}")
           for measure, time in (("blp", "4e+307"), ("entanglement", "4e+307"), ("mutual-info", "4e+307"),
-                                ("divisibility", "2e+307"))),
+                                ("divisibility", "4e+307"))),
     ])
     # A numpy warning, raised here, would be a second line on stderr.
     @pytest.mark.filterwarnings("error")
@@ -1298,6 +1343,33 @@ class TestCli:
         assert out.out == ""
         assert out.err.splitlines() == [line]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("measure", ["blp", "divisibility", "entanglement", "mutual-info"])
+    def test_a_grid_too_coarse_for_the_oscillation_is_named(self, measure, tmp_path, monkeypatch, capsys):
+        # At grid 101 the step (0.01) spans ~1600 periods of 2 pi/dw: the
+        # sum of positive increments aliased (blp printed 21.98, and 117829
+        # at grid 1000001).  Dephasing needs a step below pi/dw, underdamped
+        # Lorentz below pi/eps; overdamped and critical windows have no bound.
+        dephasing = ("measure", "--measure", measure, "--family", "dephasing", "--dw", "1e6", "--t1", "1")
+        self.test_overflowing_parameters_are_named(
+            (*dephasing, "--grid", "101"),
+            "error: grid=101 is too coarse: its step 0.01 is not below 3.14159e-06, half the period of |f|",
+            tmp_path, monkeypatch, capsys)
+        lorentz = ("measure", "--measure", measure, "--family", "lorentz", "--width", "0.1", "--t1", "100")
+        self.test_overflowing_parameters_are_named(
+            (*lorentz, "--grid", "11"),
+            "error: grid=11 is too coarse: its step 10 is not below 7.20731, half the period of |f|",
+            tmp_path, monkeypatch, capsys)
+        # A step of exactly pi/dw samples |kappa| at its extremes only.
+        self.test_overflowing_parameters_are_named(
+            (*dephasing[:5], "--dw", "1", "--t1", repr(4 * math.pi), "--grid", "5"),
+            "error: grid=5 is too coarse: its step 3.14159 is not below 3.14159, half the period of |f|",
+            tmp_path, monkeypatch, capsys)
+        for argv in ((*dephasing, "--grid", "318400"), (*lorentz, "--grid", "15"),
+                     (*lorentz[:5], "--width", "3", "--t1", "100", "--grid", "3"),
+                     (*lorentz[:5], "--width", "2", "--t1", "100", "--grid", "3")):
+            assert cli.main(list(argv)) == 0
+            assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("argv, line", [
         (("fig4", "--gamma0", "1e-300"), "error: width=1e-301 and gamma0=1e-300 underflow width**2 - 2*gamma0*width"),

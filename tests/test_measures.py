@@ -218,7 +218,7 @@ class TestTrajectory:
         pair = StatePair(pure.rho1, random_density_matrix(np.random.default_rng(5), 4))
         for family, horizon in ((DEPHASING, 0.6), (LORENTZ, 10.0)):
             times = np.linspace(0.0, horizon, 25)
-            f = np.asarray(family.decoherence(times))
+            f = np.asarray(family.magnitude(times))
             traj = trace_distance_trajectory(family, pair, times)
             for k in (0, 7, 19, 24):
                 t = float(times[k])
@@ -233,6 +233,23 @@ class TestTrajectory:
             with monkeypatch.context() as patch:
                 patch.setattr(measures, "_trace_distances", None)
                 trace_distance_trajectory(family, pair, times)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), _FAMILY_TIMES)
+    def test_mixed_pair_trajectory_equals_the_state_route(self, seed, one_pure, case):
+        # The eigen path acts with |f|; the phase of kappa and the sign of chi
+        # are a local unitary, so the state route at the complex kappa or
+        # the signed chi gives the same trace distances.
+        rng = np.random.default_rng(seed)
+        rho1 = sample_random_pair(seed, 0).rho1 if one_pure else random_density_matrix(rng, 4)
+        pair = StatePair(rho1, random_density_matrix(rng, 4))
+        kind, param, times = case
+        family = _window_family(kind, param)
+        times = np.union1d(times, [0.0, 1.0])  # a grid of at least two times
+        traj = trace_distance_trajectory(family, pair, times)
+        for t, value in zip(times, traj.values):
+            direct = trace_distance(family.apply(pair.rho1, float(t)), family.apply(pair.rho2, float(t)))
+            assert abs(value - direct) <= 1e-12
 
     def test_grid_longer_than_one_chunk_matches_one_stack(self):
         times = np.linspace(0.0, 30.0, 2 * _CHUNK_POINTS + 7)
@@ -461,8 +478,7 @@ class TestBlpSearch:
         (lambda family, window, grid: blp_search(family, window, 3, grid, 1), "4e+307"),
         (entanglement_measure, "4e+307"),
         (mutual_info_measure, "4e+307"),
-        # The complex kappa's phase omega2 t overflows first.
-        (divisibility_measure, "2e+307"),
+        (divisibility_measure, "4e+307"),
     ])
     def test_a_window_where_f_overflows_names_its_first_time(self, measure, time):
         # cos of an overflowed phase is NaN, which the kept-point mask would
@@ -701,6 +717,12 @@ class TestTurningPointReduction:
         kind, param, t1, grid = window
         family = _window_family(kind, param)
         times = np.linspace(0.0, t1, grid)
+        if (times[-1] - times[0]) / (grid - 1) >= measures._HALF_PERIODS[type(family)](family.spec):
+            # A grid whose step is not below half the period of |f| is refused.
+            for measure in (entanglement_measure, mutual_info_measure):
+                with pytest.raises(ValueError, match=f"^grid={grid} is too coarse"):
+                    measure(family, (0.0, t1), grid)
+            return
         states = [choi_state(family, float(t), 4) for t in times]
         ends = _monotone_stretch_ends(np.abs(family.decoherence(times)).tolist())
         for measure, score in (
@@ -913,20 +935,28 @@ class TestChoiBasedMeasures:
             assert mutual_info_measure(family, window, 4001).value > 0.0
 
     def test_magnitude_readers_form_no_complex_kappa(self, monkeypatch):
-        # fig2, blp_search and the closed-form measures read |kappa| alone,
-        # from kappa_abs: no complex kappa, one angle or a stack of them.
+        # fig2, fig3a, fig3b, blp_search, the closed-form measures,
+        # divisibility and trace_distance_trajectory read |kappa| alone, from
+        # kappa_abs: no complex kappa, one angle or a stack of them.
+        pure, mixed = sample_random_pair(11, 2), StatePair(
+            sample_random_pair(11, 2).rho1, random_density_matrix(np.random.default_rng(5), 4))
+
         def refuse(*args, **kwargs):
             raise AssertionError("a complex kappa was formed")
 
         for module in (decoherence, channels, experiments):
             monkeypatch.setattr(module, "kappa_complex", refuse)
-        monkeypatch.setattr(decoherence, "_kappa", refuse)
         rows = np.array(run_figure("fig2", resolve_config("fig2", None, {"grid": 401, "pairs": 3}))[1])
         assert np.all(rows[:, 3] >= 0.0) and np.any(rows[:, 3] > 0.0)
+        for figure in ("fig3a", "fig3b"):
+            assert len(run_figure(figure, resolve_config(figure))[1]) == 25
         family = DephasingChannel(DephasingSpec(math.pi / 8))
         assert blp_search(family, (0.0, REVIVAL), 5, 4001, 1).value > 0.0
         assert entanglement_measure(family, (0.0, REVIVAL), 4001).value > 0.0
         assert mutual_info_measure(family, (0.0, REVIVAL), 4001).value > 0.0
+        assert divisibility_measure(family, (0.0, REVIVAL), 4001).value > 0.0
+        for pair in (pure, mixed):
+            assert np.max(trace_distance_trajectory(family, pair, np.linspace(0.0, REVIVAL, 101)).values) > 0.0
 
     @pytest.mark.parametrize("theta, t1, grid", [
         (math.pi / 8, REVIVAL, 4001),
