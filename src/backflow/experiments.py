@@ -7,8 +7,9 @@ rectangular table of finite values, and writes CSV plus an adjacent
 version.  The same table lists the keys of the CLI's other commands, with
 their defaults (``command_keys``), so every flag is built from it.
 
-Determinism: random pair k draws from its own stream, PCG64 seeded by
-``SeedSequence(seed, spawn_key=(k,))``; row order follows grid order.  Every
+Determinism: random pair k is row k % 256 of block k // 256, a block b
+being the stream ``default_rng(SeedSequence(seed, spawn_key=(b,)))``
+(``measures._random_kets``); row order follows grid order.  Every
 pair search (fig1, fig4 and fig2) goes through ``measures._random_search``.
 ``workers`` caps its processes, the parent included; its fan-out only splits
 the chunks of the pair loop into contiguous shares, one per process (no more

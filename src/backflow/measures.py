@@ -212,103 +212,47 @@ def _require(values: dict, minima: dict) -> None:
             raise ValueError(f"{key}={values[key]} must be at least {lo}")
 
 
-def _pair_stream(seed: int, index: int) -> np.random.Generator:
-    # Fixed derivation rule: pair k uses PCG64 seeded by
-    # SeedSequence(entropy=seed, spawn_key=(k,)).
-    _require({"seed": seed, "index": index}, {"seed": 0, "index": 0})
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
+# Random pairs are drawn in blocks of this many: block b is the stream
+# default_rng(SeedSequence(seed, spawn_key=(b,))), and pair k is row
+# k % _STREAM_PAIRS of that block's standard_normal((rows, 16)).  It is not
+# _CHUNK_PAIRS, so that retuning the chunks moves no draw.
+_STREAM_PAIRS = 256
 
 
-def _haar_ket(rng: np.random.Generator) -> np.ndarray:
-    return _normalized(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+def _random_kets(seed: int, lo: int, hi: int) -> np.ndarray:
+    """The two normalized kets of each random pair k in [lo, hi), shape
+    (hi - lo, 2, 4).
+
+    Each pair's row of 16 normals holds the real then imaginary parts of
+    its first ket, then of its second.  A Generator fills rows in order, so
+    the first rows of a block are the same whether it draws them alone or
+    with the rest; only the rows up to ``hi`` of the last block are drawn.
+    """
+    seed, lo, hi = int(seed), int(lo), int(hi)
+    _require({"seed": seed, "index": lo}, {"seed": 0, "index": 0})
+    rows = [np.empty((0, 16))]
+    for b in range(lo // _STREAM_PAIRS, -(-hi // _STREAM_PAIRS)):
+        start = b * _STREAM_PAIRS
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        rows.append(rng.standard_normal((min(hi - start, _STREAM_PAIRS), 16))[max(lo - start, 0):])
+    z = np.concatenate(rows).reshape(-1, 2, 2, 4)
+    return _normalized(z[:, :, 0] + 1j * z[:, :, 1])
 
 
 def sample_random_pair(seed: int, index: int = 0) -> StatePair:
-    """Two independent Haar-random pure two-qubit states.
-
-    Deterministic per (seed, index): the stream is PCG64 seeded with
-    numpy SeedSequence(seed, spawn_key=(index,)); each state draws its real
-    then imaginary standard-normal components, first state then second.
-    """
-    rng = _pair_stream(int(seed), int(index))
-    k1, k2 = _haar_ket(rng), _haar_ket(rng)
+    """Two independent Haar-random pure two-qubit states, pair ``index`` of
+    the streams of ``seed`` (``_random_kets``); deterministic per
+    (seed, index)."""
+    k1, k2 = _random_kets(seed, index, int(index) + 1)[0]
     return StatePair(np.outer(k1, k1.conj()), np.outer(k2, k2.conj()))
-
-
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the
-# multiplier of PCG64's 128-bit LCG (numpy/random/src/pcg64).
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hash(words: np.ndarray, const: int, mult: int):
-    """SeedSequence's hash of the uint32 ``words`` under the running hash
-    constant ``const``; returns the hashes and the next constant."""
-    nxt = const * mult & _MASK32
-    h = (words ^ np.uint32(const)) * np.uint32(nxt)
-    return h ^ (h >> np.uint32(16)), nxt
-
-
-def _pair_states(seed: int, lo: int, hi: int) -> list:
-    """The PCG64 ``(state, inc)`` of ``_pair_stream(seed, k)`` for k in
-    [lo, hi), without a SeedSequence or PCG64 per pair; needs hi <= 2**64.
-
-    SeedSequence(seed, spawn_key=(k,)) mixes the words of k (one 32-bit word
-    below 2**32, two from there on) into the pool of SeedSequence(seed),
-    each word with the next four of the hash constants that the seed's own
-    mixing left off at: 16 hashes, plus 4 per seed word beyond the fourth.
-    The pool then hashes into 8 words, the 128-bit seed and increment of
-    PCG64, which seeds as state = (inc + seed) * mult + inc with
-    inc = 2 increment + 1, modulo 2**128.
-    """
-    ks = np.arange(lo, hi, dtype=np.uint64)
-    high = (ks >> np.uint64(32)).astype(np.uint32)
-    seed_words = max(1, -(-seed.bit_length() // 32))
-    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, seed_words - 4), 2**32) & _MASK32
-    pool = np.tile(np.random.SeedSequence(seed).pool, (ks.size, 1))
-    for words, mixes in ((ks.astype(np.uint32), slice(None)), (high, high > 0)):
-        for i in range(4):
-            h, const = _hash(words, const, _MULT_A)
-            mixed = np.uint32(_MIX_MULT_L) * pool[:, i] - np.uint32(_MIX_MULT_R) * h
-            pool[mixes, i] = (mixed ^ (mixed >> np.uint32(16)))[mixes]
-    out, const = [], _INIT_B
-    for i in range(8):
-        h, const = _hash(pool[:, i % 4], const, _MULT_B)
-        out.append(h.astype(np.uint64))
-    # Each 64-bit value is (low word, high word); 128-bit ones are (high, low).
-    seeds_hi, seeds_lo, incs_hi, incs_lo = (out[j] | out[j + 1] << np.uint64(32) for j in range(0, 8, 2))
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(seeds_hi.tolist(), seeds_lo.tolist(), incs_hi.tolist(), incs_lo.tolist()):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
 
 
 def _random_differences(seed: int, lo: int, hi: int) -> np.ndarray:
     """``sample_random_pair(seed, k).difference()`` for k in [lo, hi), stacked,
-    bit for bit and without validation: every step is the same elementwise
-    ufunc, and every ket is normalized by ``_ket_norms``.
-
-    Each pair's stream state comes from ``_pair_states``, and one reused
-    Generator set to it draws the pair's 16 normals: the same stream as the
-    four draws of 4 that ``sample_random_pair`` makes.  Indices must lie
-    below 2**64, where a spawn key has at most two words.
-    """
-    seed, lo, hi = int(seed), int(lo), int(hi)
-    _require({"seed": seed, "index": lo}, {"seed": 0, "index": 0})
-    if hi > 2**64:
-        raise ValueError(f"pair indices [{lo}, {hi}) must lie below 2**64")
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
-    z = np.empty((max(hi - lo, 0), 16))
-    for row, (state, inc) in zip(z, _pair_states(seed, lo, hi)):
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        rng.standard_normal(out=row)
-    z = z.reshape(-1, 2, 2, 4)
-    kets = _normalized(z[:, :, 0] + 1j * z[:, :, 1])
+    bit for bit and without ``StatePair``'s state checks: the kets are the
+    same rows of the same blocks, and each outer product is the same
+    elementwise product."""
+    kets = _random_kets(seed, lo, hi)
     rho = kets[..., :, None] * kets.conj()[..., None, :]
     return rho[:, 0] - rho[:, 1]
 
@@ -641,8 +585,6 @@ def _kept_samples(windows, cut_indices=None):
 def _random_backflows(family: ChannelFamily, f: np.ndarray, reduce, seed: int, lo: int, hi: int) -> np.ndarray:
     """``reduce`` of the trace distances at the samples ``f`` of random pairs
     lo..hi-1, one row per pair."""
-    if f.size == 0:  # nothing to evolve: every sum is 0
-        return reduce(np.zeros((hi - lo, 0)))
     return reduce(_trace_distances(family, _random_differences(seed, lo, hi)[:, None], f))
 
 
@@ -723,7 +665,9 @@ def _fan_out(task, bounds):
 def _random_search(family: ChannelFamily, f: np.ndarray, reduce, seed: int, n_pairs: int, workers: int = 1):
     """The largest backflow per column of ``reduce`` (from ``_kept_samples``)
     over the seeded random pairs 0..n_pairs-1, and the earliest pair index
-    that reaches it; -inf and 0 when there is no pair.
+    that reaches it; -inf and 0 when there is no pair.  Where no sample is
+    kept (|f| never rises), every pair's sums are 0, so the answer is 0 and
+    pair 0, found without drawing a pair.
 
     Each chunk of pairs (at most ``_CHUNK_PAIRS`` pairs and, past one pair,
     ``_CHUNK_POINTS`` points) is drawn, evolved and reduced, then folded into
@@ -739,6 +683,9 @@ def _random_search(family: ChannelFamily, f: np.ndarray, reduce, seed: int, n_pa
     _require({"seed": seed}, {"seed": 0})
     if n_pairs > 2**64:
         raise ValueError(f"pair indices [0, {n_pairs}) must lie below 2**64")
+    if f.size == 0 and n_pairs:
+        best = reduce(np.zeros((1, 0)))[0]
+        return best, np.zeros(best.shape, dtype=int)
     step = max(1, min(_CHUNK_PAIRS, _CHUNK_POINTS // max(f.size, 1)))
     chunks = -(-n_pairs // step)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

@@ -243,13 +243,26 @@ def pair_backflows(family, deltas: np.ndarray, times: np.ndarray, cut_indices=No
     return values[:, 0] if cut_indices is None else values
 
 
-def mutual_information(rho16: np.ndarray) -> float:
+def mutual_information(rho16: np.ndarray, rank: int | None = None) -> float:
     """Quantum mutual information, in bits, of a 16x16 state across its two
     4-dimensional factors (such as ``choi_state(family, t, 4)``), from the
-    spectra of the state and of its two marginals."""
-    from backflow.linalg import partial_trace, von_neumann_entropy
+    spectra of the state and of its two marginals.
 
-    s_joint = von_neumann_entropy(rho16)
+    With ``rank``, the joint entropy reads only the state's ``rank`` largest
+    eigenvalues.  For a state known to have that rank (a Choi state of either
+    family has the Kraus rank 2 of its channel), the others are 0, and the
+    rounding noise that eigvalsh leaves on them, up to ~2e-16 each, would
+    enter the entropy as -lam log2 lam, ~50 times as large, and add up to
+    ~1e-14.
+    """
+    from backflow.linalg import hermitian_eigenvalues, partial_trace, von_neumann_entropy
+
+    if rank is None:
+        s_joint = von_neumann_entropy(rho16)
+    else:
+        w = hermitian_eigenvalues(rho16)[-rank:]
+        w = w[w > 0.0]
+        s_joint = float(-np.sum(w * np.log2(w)))
     s_sys = von_neumann_entropy(partial_trace(rho16, 0, (4, 4)))
     s_anc = von_neumann_entropy(partial_trace(rho16, 1, (4, 4)))
     return s_sys + s_anc - s_joint

@@ -134,8 +134,9 @@ class TestRandomPairs:
             assert stack.shape == (1000, 4, 4)
             for k in range(1000):
                 assert np.array_equal(stack[k], sample_random_pair(seed, k).difference())
-            # A chunk that starts inside the run draws the same pairs.
-            for lo, hi in ((337, 351), (999, 1000)):
+            # A chunk that starts inside a block, or spans a block edge
+            # (every 256 pairs), draws the same pairs.
+            for lo, hi in ((337, 351), (250, 260), (511, 513), (999, 1000)):
                 assert np.array_equal(_random_differences(seed, lo, hi), stack[lo:hi])
         assert _random_differences(42, 5, 5).shape == (0, 4, 4)
 
@@ -155,30 +156,39 @@ class TestRandomPairs:
     # Seeds of 1, 2, 3, 4 and 5 entropy words.
     @pytest.mark.parametrize("seed", [0, 2**32, 2**70, 2**100 + 7, 2**130])
     def test_stack_seeding_equals_seed_sequence_for_every_seed_width(self, seed):
-        # The stack derives each stream state without a SeedSequence; each
-        # chunk must still draw sample_random_pair(seed, k) bit for bit: from
-        # 0, from inside the run, across 2**32 (where k's spawn key gains a
-        # second word) and up to the last index it takes, 2**64 - 1.
-        for lo, hi in ((0, 12), (337, 343), (2**32 - 3, 2**32 + 3), (2**64 - 2, 2**64)):
+        # Pair k is row k % 256 of block k // 256, a block b being numpy's
+        # default_rng(SeedSequence(seed, spawn_key=(b,))), built here straight
+        # from numpy: at the first block edge, from chunks that start inside a
+        # block, and across 2**64.  Each row holds the real then imaginary
+        # parts of the first ket, then of the second.
+        blocks = {}
+        for lo, hi in ((0, 12), (255, 258), (250, 260), (337, 343), (2**64 - 2, 2**64 + 3)):
             stack = _random_differences(seed, lo, hi)
             assert stack.shape == (hi - lo, 4, 4)
             for k, delta in zip(range(lo, hi), stack):
+                b = k // 256
+                if b not in blocks:
+                    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+                    blocks[b] = rng.standard_normal((256, 16))
+                z = blocks[b][k % 256].reshape(2, 2, 4)
+                k1, k2 = (ket / np.linalg.norm(ket) for ket in z[:, 0] + 1j * z[:, 1])
+                expected = np.outer(k1, k1.conj()) - np.outer(k2, k2.conj())
+                assert np.max(np.abs(delta - expected)) <= 1e-15
                 assert np.array_equal(delta, sample_random_pair(seed, k).difference())
 
-    def test_indices_past_two_spawn_key_words_are_rejected(self):
-        # From 2**64 on, a spawn key has three words; the stack does not
-        # derive those streams, while sample_random_pair still draws them.
-        with pytest.raises(ValueError, match=r"must lie below 2\*\*64"):
-            _random_differences(1, 2**64 - 1, 2**64 + 1)
-        sample_random_pair(1, 2**64)
+    def test_indices_past_two_spawn_key_words_are_drawn(self):
+        # Block b = k // 256 takes a spawn key of one word up to k = 2**40 and
+        # of two up to 2**72, so the stack draws past 2**64 (the pair-count
+        # cap of _random_search checks the caller's count, not the streams).
+        stack = _random_differences(1, 2**64 - 1, 2**64 + 2)
+        for k, delta in zip(range(2**64 - 1, 2**64 + 2), stack):
+            assert np.array_equal(delta, sample_random_pair(1, k).difference())
+        assert np.max(np.abs(stack[1] - stack[2])) > 1e-3
 
     def test_mean_distance_stable_across_seeds(self):
         means = []
         for seed in (1, 2):
-            deltas = np.stack(
-                [sample_random_pair(seed, i).difference() for i in range(10_000)]
-            )
-            w = np.linalg.eigvalsh(deltas)
+            w = np.linalg.eigvalsh(_random_differences(seed, 0, 10_000))
             means.append(float(0.5 * np.abs(w).sum(axis=1).mean()))
         assert abs(means[0] - means[1]) <= 0.01
 
@@ -449,6 +459,31 @@ class TestBlpSearch:
         report = blp_search(DEPHASING, (0.0, 0.9 * math.pi / 10), 40, 801, 3)
         assert report.value == 0.0
 
+    def test_a_window_where_f_never_rises_draws_no_pair(self, monkeypatch):
+        # |f| of an overdamped window only falls, so no sample is kept and
+        # every pair's sums are 0: the search returns what the chunk loop
+        # reaches (0 and pair 0 per column) without drawing or evolving a
+        # pair, and without forking at any worker count.
+        family = AmplitudeDampingChannel(LorentzSpec(1.0, 3.0))
+        f, reduce = measures._kept_samples([family.magnitude(np.linspace(0.0, 5.0, 401))], [100, 200, 400])
+        assert f.size == 0
+        looped = measures._share_best(family, f, reduce, 5, 250, 0, 600)
+        assert np.array_equal(looped[0], np.zeros(3)) and np.array_equal(looped[1], np.zeros(3, dtype=int))
+
+        def refuse(*args):
+            raise AssertionError("a random pair was drawn")
+
+        monkeypatch.setattr(measures, "_random_backflows", refuse)
+        monkeypatch.setattr(measures, "_fan_out", refuse)
+        for n_pairs, workers in ((1, 1), (600, 1), (10**7, 2), (2**64, 8)):
+            best, first_k = measures._random_search(family, f, reduce, 5, n_pairs, workers)
+            assert np.array_equal(best, looped[0]) and np.array_equal(first_k, looped[1])
+        best, first_k = measures._random_search(family, f, reduce, 5, 0)
+        assert np.array_equal(best, np.full(3, -np.inf)) and np.array_equal(first_k, np.zeros(3, dtype=int))
+        report = blp_search(family, (0.0, 5.0), 10**7, 401, 5)
+        assert report.value == 0.0
+        assert np.array_equal(report.witness.rho1, optimal_pair(1.0, 0.0, "zeta").rho1)
+
     def test_zero_pairs_evolve_nothing(self, monkeypatch):
         # The optimal value is the increment sum of |f|: without random pairs
         # no pair is evolved, and the only spectra are the two that validate
@@ -707,13 +742,18 @@ class TestTurningPointReduction:
     @example(_PI4_ZERO[:3] + (401,))
     @example(_LORENTZ_SIGN[:3] + (401,))
     @example(("lorentz", 1.5, 25.0, 385))
+    @example(("lorentz", 1.5, 27.122635140538375, 275))
     def test_choi_measures_match_full_grid(self, window):
         # The reference scores every grid point, then collapses each monotone
         # stretch of |f| to its endpoints: the score is monotone there too, so
         # the stretch's positive increments add up to the positive part of its
         # end-to-end increment.  A plain sum over every grid step would also
         # pick up the scores' rounding noise inside the stretches (scores reach
-        # 4, so 1 ulp is 8.9e-16), which can exceed the 1e-14 floor.
+        # 4, so 1 ulp is 8.9e-16), which can exceed the 1e-14 floor.  The
+        # joint entropy reads the Choi state's two largest eigenvalues, its
+        # rank: eigvalsh's noise on the 14 zero ones put the full-spectrum
+        # reference 1.25e-14 off at the last @example window, where a 50-digit
+        # evaluation puts the measure within 1.6e-16.
         kind, param, t1, grid = window
         family = _window_family(kind, param)
         times = np.linspace(0.0, t1, grid)
@@ -727,7 +767,7 @@ class TestTurningPointReduction:
         ends = _monotone_stretch_ends(np.abs(family.decoherence(times)).tolist())
         for measure, score in (
             (entanglement_measure, lambda rho: negativity(rho, 1, (4, 4))),
-            (mutual_info_measure, mutual_information),
+            (mutual_info_measure, lambda rho: mutual_information(rho, rank=2)),
         ):
             scores = [score(rho) for rho in states]
             full = sum(max(scores[b] - scores[a], 0.0) for a, b in zip(ends, ends[1:]))
