@@ -111,8 +111,9 @@ def kappa_complex(spec: DephasingSpec, tau):
     Accepts a scalar or an array of reduced times.
     """
     t = np.asarray(tau, dtype=float)
-    value = np.exp(-0.5 * (spec.sigma * t) ** 2) * (math.cos(spec.theta) ** 2 * np.exp(1j * spec.omega1 * t)
-                                                   + math.sin(spec.theta) ** 2 * np.exp(1j * spec.omega2 * t))
+    st = spec.sigma * t
+    value = np.exp(-0.5 * (st * st)) * (math.cos(spec.theta) ** 2 * np.exp(1j * spec.omega1 * t)
+                                       + math.sin(spec.theta) ** 2 * np.exp(1j * spec.omega2 * t))
     if np.ndim(tau) == 0:
         return complex(value)
     return value
@@ -140,8 +141,12 @@ def _double_angle_weights(theta: float) -> tuple[float, float]:
 
 def _kappa_abs_factors(spec: DephasingSpec, t: np.ndarray):
     """The angle-free factors of |kappa| on ``t``: the envelope
-    exp(-sigma^2 t^2 / 2) and cos^2(dw t / 2) (``spec``'s theta is not read)."""
-    return np.exp(-0.5 * (spec.sigma * t) ** 2), np.cos(0.5 * spec.delta_omega * t) ** 2
+    exp(-sigma^2 t^2 / 2) and cos^2(dw t / 2) (``spec``'s theta is not read).
+
+    Both squares are products: a numpy scalar's ** 2 is not x * x, so a
+    scalar ``t`` would be one ulp off the array value now and then."""
+    st, cos = spec.sigma * t, np.cos(0.5 * spec.delta_omega * t)
+    return np.exp(-0.5 * (st * st)), cos * cos
 
 
 def _kappa_abs(envelope, osc, c, s) -> np.ndarray:

@@ -115,6 +115,15 @@ class TestKappa:
             )
             assert abs(kappa_complex(s, rng.uniform(0, 2))) <= 1.0 + 1e-12
 
+    def test_scalar_equals_array_bit_for_bit(self):
+        # A numpy scalar's ** 2 is not x * x: the scalar path was one ulp off
+        # for ~0.1% of times, which the envelope exp(-70) turns into 1e-14.
+        taus = np.random.default_rng(12).uniform(0.0, 12.0, 4000)
+        for s in (DephasingSpec(0.7, 0.0, 1.0, 1.9043326620887626), spec(0.3, omega1=-1.5)):
+            array = kappa_abs(s, taus)
+            assert [kappa_abs(s, float(t)) for t in taus] == array.tolist()
+            assert [kappa_complex(s, float(t)) for t in taus] == kappa_complex(s, taus).tolist()
+
     def test_theta_columns_equal_kappa_abs_bit_for_bit(self):
         # fig2 reads whole grids, fig3a/fig3b one control time ([tau_c]).
         rng = np.random.default_rng(11)

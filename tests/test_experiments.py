@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import backflow
@@ -924,6 +924,9 @@ class TestStackedFidelityFigures:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 40), st.floats(1e-3, 3.0), st.floats(1.0, 40.0), st.floats(-5.0, 5.0))
+    # A scalar tau_c once squared its envelope's exponent as a numpy scalar
+    # power, one ulp off the array's product: fig3b F1 differed at 1e-14.
+    @example(theta_count=1, sigma_over_dw=1.9043326620887626, delta_omega=1.0, omega1=0.0)
     def test_fig3_rows_equal_the_per_row_path(self, theta_count, sigma_over_dw, delta_omega, omega1):
         # Past sigma/dw ~ 3.8, u v = exp(5 (pi sigma/dw)**2) overflows at
         # tau_c = 2 pi/dw and fig3b refuses the transition angles.
