@@ -30,19 +30,13 @@ import numpy as np
 __all__ = [
     "DephasingSpec",
     "LorentzSpec",
-    "QuadratureError",
     "NoTransitionError",
     "kappa_complex",
     "kappa_abs",
-    "kappa_quadrature",
     "chi",
     "analytic_blp_dephasing",
     "transition_thetas",
 ]
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 class NoTransitionError(ValueError):
@@ -173,68 +167,6 @@ def _kappa_abs_over_thetas(spec: DephasingSpec, thetas, t) -> np.ndarray:
     bit.  The angle-free factors are computed once for all rows."""
     c, s = _weights_over_thetas(thetas)
     return _kappa_abs(*_kappa_abs_factors(spec, np.asarray(t, dtype=float)), c[:, None], s[:, None])
-
-
-def _two_peak_density(spec: DephasingSpec, omega: float) -> float:
-    norm = 1.0 / (math.sqrt(2.0 * math.pi) * spec.sigma)
-    c2 = math.cos(spec.theta) ** 2
-    s2 = math.sin(spec.theta) ** 2
-    g1 = math.exp(-0.5 * ((omega - spec.omega1) / spec.sigma) ** 2)
-    g2 = math.exp(-0.5 * ((omega - spec.omega2) / spec.sigma) ** 2)
-    return norm * (c2 * g1 + s2 * g2)
-
-
-def _simpson(a: float, fa: complex, b: float, fb: complex, fm: complex) -> complex:
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(a, fa, m, fm, flm)
-    right = _simpson(m, fm, b, fb, frm)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise QuadratureError(
-            f"adaptive Simpson did not converge on [{a:.6g}, {b:.6g}]: "
-            f"achieved error estimate {abs(delta) / 15.0:.3e} > {tol:.3e}"
-        )
-    return _adaptive_simpson(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _adaptive_simpson(
-        f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
-    )
-
-
-def kappa_quadrature(
-    spec: DephasingSpec,
-    tau: float,
-    abs_tol: float = 1e-10,
-    max_depth: int = 40,
-) -> complex:
-    """kappa(tau) by adaptive Simpson quadrature of the frequency density.
-
-    Integrates density(omega) * exp(i omega tau) over
-    [omega1 - 10 sigma, omega2 + 10 sigma]; the truncated tails are below
-    1e-22.  Serves as the independent numerical route against the closed form.
-    """
-    tau = float(tau)
-
-    def integrand(omega: float) -> complex:
-        return _two_peak_density(spec, omega) * complex(
-            math.cos(omega * tau), math.sin(omega * tau)
-        )
-
-    a = spec.omega1 - 10.0 * spec.sigma
-    b = spec.omega2 + 10.0 * spec.sigma
-    fa = integrand(a)
-    fb = integrand(b)
-    fm = integrand(0.5 * (a + b))
-    whole = _simpson(a, fa, b, fb, fm)
-    return _adaptive_simpson(integrand, a, b, fa, fm, fb, whole, abs_tol, max_depth)
 
 
 # Relative discriminant threshold below which the eps -> 0 limit is used.

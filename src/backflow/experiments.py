@@ -241,7 +241,7 @@ def _integral_sweep(
     bound a rising step of |f|, read from ``family.magnitude``; see
     ``measures._turning_mask``).  Returns
     the row times, the optimal pairs' integrals and the row-wise maximum over
-    the ``n_pairs`` seeded random pairs, searched in chunks of at most 250
+    the ``n_pairs`` seeded random pairs, searched in chunks of at most 256
     pairs by at most ``workers`` processes, the parent included, each on a
     share of the chunks (``measures._random_search``).
 
@@ -325,7 +325,7 @@ def run_fig2(cfg: dict):
     its window (the optimal pairs' backflow; see ``_integral_sweep``), one
     segmented sum for all windows, raised to the largest backflow of the
     ``pairs`` seeded random pairs, which are evolved at the kept points of
-    all windows together, one chunk of at most 250 pairs at a time
+    all windows together, one chunk of at most 256 pairs at a time
     (``measures._random_search``).  No witness is built.
     """
     _require(cfg, {"theta_count": 1, "tauc_count": 1, "grid": 2, "pairs": 0})

@@ -8,8 +8,6 @@ index throughout the package.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 __all__ = [
@@ -20,14 +18,8 @@ __all__ = [
     "hermitian_part",
     "hermitian_eigenvalues",
     "trace_norm",
-    "trace_distance",
-    "tensor_product",
-    "partial_trace",
-    "partial_transpose",
-    "negativity",
     "von_neumann_entropy",
     "assert_density_matrix",
-    "is_density_matrix",
 ]
 
 # Tolerance for accepting a matrix as Hermitian before eigendecomposition.
@@ -77,79 +69,6 @@ def trace_norm(m: np.ndarray, tol: float = HERMITICITY_TOL) -> float:
     return float(np.sum(np.abs(hermitian_eigenvalues(m, tol=tol))))
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2) ||a - b||_1 for two density matrices of equal dimension."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
-    # Canonical sign so swapping the arguments decomposes the identical
-    # matrix, making symmetry exact rather than exact-up-to-roundoff.
-    flat = diff.ravel()
-    nonzero = np.flatnonzero(flat)
-    if nonzero.size:
-        lead = flat[nonzero[0]]
-        if lead.real < 0.0 or (lead.real == 0.0 and lead.imag < 0.0):
-            diff = -diff
-    return 0.5 * trace_norm(diff)
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with ``a`` as the slow (outer) index."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
-def _as_factor_tuple(keep: int | Iterable[int]) -> tuple[int, ...]:
-    if isinstance(keep, (int, np.integer)):
-        return (int(keep),)
-    return tuple(sorted({int(k) for k in keep}))
-
-
-def partial_trace(m: np.ndarray, keep: int | Iterable[int], dims: Sequence[int]) -> np.ndarray:
-    """Trace out all tensor factors not listed in ``keep``.
-
-    ``dims`` lists the factor dimensions in slow-to-fast order; their product
-    must equal the matrix dimension.  Kept factors preserve their relative
-    order.
-    """
-    m = np.asarray(m)
-    dims = tuple(int(d) for d in dims)
-    total = int(np.prod(dims))
-    if m.shape != (total, total):
-        raise ValueError(f"matrix shape {m.shape} inconsistent with dims {dims}")
-    keep = _as_factor_tuple(keep)
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise ValueError(f"keep={keep} out of range for {len(dims)} factors")
-    t = m.reshape(dims + dims)
-    for i in reversed(range(len(dims))):
-        if i not in keep:
-            half = t.ndim // 2
-            t = np.trace(t, axis1=i, axis2=i + half)
-    d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return t.reshape(d_keep, d_keep)
-
-
-def partial_transpose(m: np.ndarray, subsystem: int, dims: Sequence[int]) -> np.ndarray:
-    """Transpose the indices of one tensor factor only."""
-    m = np.asarray(m)
-    dims = tuple(int(d) for d in dims)
-    total = int(np.prod(dims))
-    if m.shape != (total, total):
-        raise ValueError(f"matrix shape {m.shape} inconsistent with dims {dims}")
-    if not 0 <= subsystem < len(dims):
-        raise ValueError(f"subsystem {subsystem} out of range for {len(dims)} factors")
-    n = len(dims)
-    t = m.reshape(dims + dims)
-    t = np.swapaxes(t, subsystem, subsystem + n)
-    return t.reshape(total, total)
-
-
-def negativity(m: np.ndarray, subsystem: int, dims: Sequence[int]) -> float:
-    """Entanglement negativity (||m^Gamma||_1 - 1) / 2 across the given split."""
-    return 0.5 * (trace_norm(partial_transpose(m, subsystem, dims)) - 1.0)
-
-
 def von_neumann_entropy(m: np.ndarray) -> float:
     """Entropy -sum(lam * log2 lam) over the spectrum, in bits; 0*log 0 := 0."""
     w = hermitian_eigenvalues(m)
@@ -157,20 +76,6 @@ def von_neumann_entropy(m: np.ndarray) -> float:
     if w.size == 0:
         return 0.0
     return float(-np.sum(w * np.log2(w)))
-
-
-def is_density_matrix(
-    m: np.ndarray,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-12,
-    eig_floor: float = -1e-10,
-) -> bool:
-    """True if ``m`` is Hermitian, unit-trace and PSD within the tolerances."""
-    try:
-        assert_density_matrix(m, herm_tol, trace_tol, eig_floor)
-    except ValueError:
-        return False
-    return True
 
 
 def assert_density_matrix(

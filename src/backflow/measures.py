@@ -214,8 +214,9 @@ def _require(values: dict, minima: dict) -> None:
 
 # Random pairs are drawn in blocks of this many: block b is the stream
 # default_rng(SeedSequence(seed, spawn_key=(b,))), and pair k is row
-# k % _STREAM_PAIRS of that block's standard_normal((rows, 16)).  It is not
-# _CHUNK_PAIRS, so that retuning the chunks moves no draw.
+# k % _STREAM_PAIRS of that block's standard_normal((rows, 16)).  A search
+# chunk is at most this many pairs: where _CHUNK_POINTS does not cut it
+# shorter, each chunk is one whole block, so no block is drawn twice.
 _STREAM_PAIRS = 256
 
 
@@ -451,11 +452,10 @@ def _eigen_trace_distances(family: ChannelFamily, deltas: np.ndarray, f: np.ndar
 _PURITY_TOL = 64 * np.finfo(float).eps
 
 # Pairs and samples are evolved in chunks of at most this many (pair, sample)
-# points, and random pairs are drawn in chunks of at most _CHUNK_PAIRS pairs.
+# points, and random pairs are drawn in chunks of at most _STREAM_PAIRS pairs.
 # The trace-norm kernel holds a few dozen float arrays of one value per point
 # of a chunk, and drops them before the next chunk.
 _CHUNK_POINTS = 125_000
-_CHUNK_PAIRS = 250
 
 # A random search starts at most one process per this many pairs
 # (_random_search).  A fork costs ~5-10 ms; on a 2-core x86 host, fig1 and
@@ -669,7 +669,7 @@ def _random_search(family: ChannelFamily, f: np.ndarray, reduce, seed: int, n_pa
     kept (|f| never rises), every pair's sums are 0, so the answer is 0 and
     pair 0, found without drawing a pair.
 
-    Each chunk of pairs (at most ``_CHUNK_PAIRS`` pairs and, past one pair,
+    Each chunk of pairs (at most ``_STREAM_PAIRS`` pairs and, past one pair,
     ``_CHUNK_POINTS`` points) is drawn, evolved and reduced, then folded into
     the running result and dropped; a later chunk replaces a column's index
     only where it is strictly larger.  ``workers`` caps the processes, this
@@ -686,7 +686,7 @@ def _random_search(family: ChannelFamily, f: np.ndarray, reduce, seed: int, n_pa
     if f.size == 0 and n_pairs:
         best = reduce(np.zeros((1, 0)))[0]
         return best, np.zeros(best.shape, dtype=int)
-    step = max(1, min(_CHUNK_PAIRS, _CHUNK_POINTS // max(f.size, 1)))
+    step = max(1, min(_STREAM_PAIRS, _CHUNK_POINTS // max(f.size, 1)))
     chunks = -(-n_pairs // step)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     procs = max(1, min(workers, cpus, chunks, n_pairs // _PAIRS_PER_PROCESS))

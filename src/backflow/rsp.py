@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import PAULIS, tensor_product
+from .linalg import PAULIS
 
 __all__ = ["bell_diagonal", "correlation_matrix", "rsp_fidelity"]
 
@@ -13,7 +13,7 @@ _PSD_SLACK = 4e-12
 
 # sigma_j x sigma_j' for j, j' over (x, y, z), built once.  Every entry is 0,
 # +-1 or +-i, so products with them are exact.
-_PAULI_PRODUCTS = np.array([[tensor_product(sj, sjp) for sjp in PAULIS] for sj in PAULIS])
+_PAULI_PRODUCTS = np.array([[np.kron(sj, sjp) for sjp in PAULIS] for sj in PAULIS])
 
 
 def bell_diagonal(c) -> np.ndarray:

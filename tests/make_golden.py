@@ -1,9 +1,9 @@
 """Write the golden outputs that ``test_golden.py`` compares against.
 
-The six figure tables at their defaults, each with its ``.meta.json``, are
-written by ``backflow.cli.main`` in the output directory itself, so the
-default relative ``out`` is what each ``.meta.json`` records.  The stdout of
-each README example in ``EXAMPLES`` goes to the file named by its key.
+The six figure tables at their defaults go to their default ``out`` names
+in the output directory, each with its ``.meta.json``, which records that
+relative ``out`` as a default run does.  The stdout of each README example
+in ``EXAMPLES`` goes to the file named by its key.
 
 After an intended change of output, rewrite the files and name each moved
 one in CHANGES.md::
@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import contextlib
 import io
-import os
 from pathlib import Path
 
 from backflow import cli
-from backflow.experiments import FIGURES
+from backflow.experiments import FIGURES, resolve_config, run_figure, write_csv, write_metadata
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -36,14 +35,10 @@ EXAMPLES = {
 
 def write_outputs(directory: Path) -> None:
     """Write every golden output into ``directory``."""
-    cwd = os.getcwd()
-    os.chdir(directory)
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            for figure in FIGURES:
-                assert cli.main([figure]) == 0
-    finally:
-        os.chdir(cwd)
+    for figure in FIGURES:
+        cfg = resolve_config(figure, None, {})
+        write_csv(directory / cfg["out"], *run_figure(figure, cfg))
+        write_metadata(directory / cfg["out"], figure, cfg)
     for name, argv in EXAMPLES.items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):

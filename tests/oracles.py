@@ -2,20 +2,25 @@
 
 Everything here deliberately avoids the code paths under test: eigenvalues
 come from a textbook cyclic Jacobi iteration instead of LAPACK, partial
-operations use explicit index loops instead of reshapes, and scalar roots
-come from plain bisection.  The exceptions are the helpers at the end: the
-stack helpers (``stack_backflows``, ``pair_backflows``), which run the
-package's own pair kernel on stacks that no search draws, and
-``mutual_information``, the 16x16 route that the closed-form scores of
-``backflow.measures`` replaced, built from the package's own entropy and
-partial trace.
+operations use explicit index loops, kappa is a plain trapezoid sum over the
+frequency density, and scalar roots come from plain bisection.  The
+bipartite ``partial_trace``, ``partial_transpose`` and ``negativity`` are
+reshapes, pinned against the index loops by a test.  The exceptions are the
+helpers that read the package's own trace norm or entropy
+(``trace_distance``, ``negativity``, ``mutual_information``, the 16x16
+route that the closed-form scores of ``backflow.measures`` replaced) and
+the stack helpers (``stack_backflows``, ``pair_backflows``), which run the
+package's own pair kernel on stacks that no search draws.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
+
+from backflow.linalg import hermitian_eigenvalues, trace_norm, von_neumann_entropy
 
 
 def jacobi_eigenvalues(m: np.ndarray, max_sweeps: int = 60, tol: float = 1e-14) -> np.ndarray:
@@ -43,63 +48,54 @@ def jacobi_eigenvalues(m: np.ndarray, max_sweeps: int = 60, tol: float = 1e-14) 
     return np.sort(np.diag(a).real)
 
 
-def partial_trace_brute(rho: np.ndarray, keep, dims) -> np.ndarray:
-    """Partial trace via explicit multi-index loops."""
-    dims = tuple(int(d) for d in dims)
-    if isinstance(keep, int):
-        keep = (keep,)
-    keep = tuple(sorted(keep))
-    traced = tuple(i for i in range(len(dims)) if i not in keep)
-    d_keep = int(np.prod([dims[k] for k in keep]))
-    out = np.zeros((d_keep, d_keep), dtype=complex)
-
-    def unravel(flat):
-        idx = []
-        for d in reversed(dims):
-            idx.append(flat % d)
-            flat //= d
-        return tuple(reversed(idx))
-
-    def ravel_keep(idx):
-        flat = 0
-        for k in keep:
-            flat = flat * dims[k] + idx[k]
-        return flat
-
-    total = int(np.prod(dims))
-    for i in range(total):
-        for j in range(total):
-            bi, bj = unravel(i), unravel(j)
-            if all(bi[t] == bj[t] for t in traced):
-                out[ravel_keep(bi), ravel_keep(bj)] += rho[i, j]
+def partial_trace_brute(rho: np.ndarray, keep: int, dims) -> np.ndarray:
+    """Bipartite partial trace via an explicit loop over the four factor indices."""
+    d0, d1 = dims
+    out = np.zeros((dims[keep], dims[keep]), dtype=complex)
+    for i, j, k, l in itertools.product(range(d0), range(d1), range(d0), range(d1)):
+        if (j == l, i == k)[keep]:
+            out[(i, j)[keep], (k, l)[keep]] += rho[i * d1 + j, k * d1 + l]
     return out
 
 
 def partial_transpose_brute(rho: np.ndarray, subsystem: int, dims) -> np.ndarray:
-    """Partial transpose via explicit multi-index loops."""
-    dims = tuple(int(d) for d in dims)
-    total = int(np.prod(dims))
-    out = np.zeros_like(np.asarray(rho, dtype=complex))
-
-    def unravel(flat):
-        idx = []
-        for d in reversed(dims):
-            idx.append(flat % d)
-            flat //= d
-        return list(reversed(idx))
-
-    def ravel(idx):
-        flat = 0
-        for k, d in enumerate(dims):
-            flat = flat * d + idx[k]
-        return flat
-
-    for i in range(total):
-        for j in range(total):
-            bi, bj = unravel(i), unravel(j)
-            bi[subsystem], bj[subsystem] = bj[subsystem], bi[subsystem]
-            out[ravel(bi), ravel(bj)] = rho[i, j]
+    """Bipartite partial transpose via an explicit loop over the four factor indices."""
+    d0, d1 = dims
+    out = np.zeros((d0 * d1, d0 * d1), dtype=complex)
+    for i, j, k, l in itertools.product(range(d0), range(d1), range(d0), range(d1)):
+        row, col = ((k, j), (i, l)) if subsystem == 0 else ((i, l), (k, j))
+        out[row[0] * d1 + row[1], col[0] * d1 + col[1]] = rho[i * d1 + j, k * d1 + l]
     return out
+
+
+def partial_trace(rho: np.ndarray, keep: int, dims) -> np.ndarray:
+    """Trace of a bipartite state (dims (d0, d1)) over the factor other than ``keep``."""
+    return np.trace(np.asarray(rho).reshape(*dims, *dims), axis1=1 - keep, axis2=3 - keep)
+
+
+def partial_transpose(rho: np.ndarray, subsystem: int, dims) -> np.ndarray:
+    """Transpose of one factor of a bipartite state (dims (d0, d1))."""
+    rho = np.asarray(rho)
+    return np.swapaxes(rho.reshape(*dims, *dims), subsystem, subsystem + 2).reshape(rho.shape)
+
+
+def negativity(rho: np.ndarray, subsystem: int, dims) -> float:
+    """(||rho^Gamma||_1 - 1) / 2 across a bipartite split."""
+    return 0.5 * (trace_norm(partial_transpose(rho, subsystem, dims)) - 1.0)
+
+
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    return 0.5 * trace_norm(np.asarray(a) - np.asarray(b))
+
+
+def kappa_by_quadrature(spec, tau: float) -> complex:
+    """kappa(tau) as a 1001-point trapezoid sum of the two-peak frequency
+    density times e^{i omega tau} over [omega1 - 10 sigma, omega2 + 10 sigma]."""
+    omega = np.linspace(spec.omega1 - 10.0 * spec.sigma, spec.omega2 + 10.0 * spec.sigma, 1001)
+    density = sum(weight * np.exp(-0.5 * ((omega - center) / spec.sigma) ** 2)
+                  for weight, center in ((math.cos(spec.theta) ** 2, spec.omega1),
+                                         (math.sin(spec.theta) ** 2, spec.omega2)))
+    return complex(np.trapezoid(density * np.exp(1j * omega * tau), omega)) / (math.sqrt(2.0 * math.pi) * spec.sigma)
 
 
 def binary_entropy(x: float) -> float:
@@ -255,8 +251,6 @@ def mutual_information(rho16: np.ndarray, rank: int | None = None) -> float:
     enter the entropy as -lam log2 lam, ~50 times as large, and add up to
     ~1e-14.
     """
-    from backflow.linalg import hermitian_eigenvalues, partial_trace, von_neumann_entropy
-
     if rank is None:
         s_joint = von_neumann_entropy(rho16)
     else:

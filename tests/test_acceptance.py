@@ -35,9 +35,6 @@ from backflow import (
     intermediate_choi,
     kappa_abs,
     kappa_complex,
-    kappa_quadrature,
-    mutual_info_measure,
-    negativity,
     optimal_pair,
     rsp_fidelity,
     trace_distance_trajectory,
@@ -52,7 +49,9 @@ from oracles import (
     bisect_root,
     dephasing_extremes,
     dephasing_kappa_modulus,
+    kappa_by_quadrature,
     mutual_information,
+    negativity,
     random_bell_diagonal_triple,
 )
 
@@ -369,7 +368,7 @@ def test_criterion_10_oracle_agreement():
         for tau in np.linspace(0.0, 0.7, 25):
             worst_quad = max(
                 worst_quad,
-                abs(kappa_quadrature(spec, float(tau)) - kappa_complex(spec, float(tau))),
+                abs(kappa_by_quadrature(spec, float(tau)) - kappa_complex(spec, float(tau))),
             )
     worst_chi = 0.0
     h = 1e-5

@@ -19,13 +19,10 @@ from backflow import (
     intermediate_choi,
     kappa_abs,
     maximally_entangled,
-    negativity,
-    partial_trace,
-    trace_distance,
     trace_norm,
 )
 
-from oracles import random_density_matrix
+from oracles import negativity, partial_trace, random_density_matrix, trace_distance
 
 DEPHASING = DephasingChannel(DephasingSpec(math.pi / 4))
 LORENTZ = AmplitudeDampingChannel(LorentzSpec(1.0, 0.1))

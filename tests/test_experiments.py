@@ -199,7 +199,8 @@ ABSENT = object()
 
 
 def subparsers() -> argparse._SubParsersAction:
-    return next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    """The subcommands of the parser that ``cli.main`` builds once per process."""
+    return next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
 
 
 def figure_parsers() -> dict:
@@ -283,7 +284,7 @@ class TestConfigTable:
             cfg_file = Path(tmp) / "c.json"
             cfg_file.write_text(json.dumps(loaded))
             argv = [figure, "--config", str(cfg_file)] + ([] if flag is ABSENT else [f"{option}={flag}"])
-            args = cli.build_parser().parse_args(argv)
+            args = cli._parser().parse_args(argv)
             cfg = resolve_config(figure, args.config, cli._figure_overrides(args))
         expected = next(v for v in (flag, section, flat, default) if v is not ABSENT)
         assert cfg[key] == expected and (expected is None) == (cfg[key] is None)
@@ -392,8 +393,8 @@ class TestOptimalColumn:
         cuts = np.round(row_fractions * (grid - 1)).astype(int)
         optimal = pair_backflows(family, optimal_candidate_stack(), times, cuts).max(axis=0)
         random_max = np.maximum.reduce([
-            pair_backflows(family, _random_differences(seed, lo, min(lo + 250, n_pairs)), times, cuts).max(axis=0)
-            for lo in range(0, n_pairs, 250)
+            pair_backflows(family, _random_differences(seed, lo, min(lo + 256, n_pairs)), times, cuts).max(axis=0)
+            for lo in range(0, n_pairs, 256)
         ])
         return optimal, random_max
 
@@ -499,7 +500,7 @@ class TestFig1:
         assert outputs[0] == outputs[1]
 
     def test_fan_out_starts_processes_only_where_they_pay(self, tmp_path, monkeypatch):
-        # 400 pairs make two chunks of 250.  At fewer than _PAIRS_PER_PROCESS
+        # 400 pairs make two chunks, of 256 and 144.  At fewer than _PAIRS_PER_PROCESS
         # pairs per process no worker count starts a process; with the
         # constant at 1, two workers start one child (given two CPUs) and
         # eight start at most one per CPU and chunk, the parent included.
@@ -517,7 +518,7 @@ class TestFig1:
                 outputs.append(path.read_bytes())
                 started.append(list(fork.shares))
         assert started[:4] == [[], [], [], []]
-        assert started[4] == [(250, 400)][: min(2, cpus) - 1]
+        assert started[4] == [(256, 400)][: min(2, cpus) - 1]
         assert len(started[5]) <= min(cpus, 2) - 1
         assert len(set(outputs)) == 1
 
@@ -665,8 +666,9 @@ class TestFig2OnePass:
 
 
 class TestRandomSearch:
-    """Every pair search draws, evolves and reduces one chunk of at most 250
-    random pairs at a time, with the same values as one stack of them."""
+    """Every pair search draws, evolves and reduces one chunk of at most 256
+    random pairs at a time, each starting at a block edge of the pair streams,
+    with the same values as one stack of them."""
 
     @staticmethod
     def recording(monkeypatch):
@@ -674,7 +676,7 @@ class TestRandomSearch:
         draw, search = measures._random_differences, measures._random_search
 
         def drawing(seed, lo, hi):
-            draws.append(hi - lo)
+            draws.append((lo, hi))
             return draw(seed, lo, hi)
 
         def searching(*args, **kwargs):
@@ -692,8 +694,8 @@ class TestRandomSearch:
         blp_search(lorentz, (0.0, 30.0), 1000, 401, 5)
         cfg = resolve_config("fig2", None, {"pairs": 600, "grid": 401})
         run_figure("fig2", cfg)
-        assert draws and max(draws) <= 250
-        assert sum(draws) == 1000 + 600
+        assert draws and all(lo % 256 == 0 and hi - lo <= 256 for lo, hi in draws)
+        assert sum(hi - lo for lo, hi in draws) == 1000 + 600
         windows = [[lorentz.magnitude(np.linspace(0.0, 30.0, 401))], list(TestFig2OnePass._windows(cfg))]
         for (args, (best, first_k)), samples in zip(searches, windows, strict=True):
             family, _, _, seed, n_pairs = args
@@ -752,8 +754,8 @@ class RecordingFork:
 class TestFanOut:
     """The parent searches the first share of the chunks, and each forked
     child one later share.  With _PAIRS_PER_PROCESS at 1 and two CPUs, a
-    two-worker search of 300 pairs keeps [0, 250) in the parent and starts
-    one real child for [250, 300)."""
+    two-worker search of 300 pairs keeps [0, 256) in the parent and starts
+    one real child for [256, 300)."""
 
     FAMILY = DephasingChannel(DephasingSpec(math.pi / 4))
     WINDOW = np.linspace(0.0, 0.6, 101)
@@ -781,7 +783,7 @@ class TestFanOut:
 
         fork = RecordingFork(monkeypatch)
         results = [self.search(monkeypatch, backflows, [10, 40, 90], workers) for workers in (1, 2)]
-        assert fork.shares == [(250, 300)]
+        assert fork.shares == [(256, 300)]
         assert multiprocessing.active_children() == []
         for best, first_k in results:
             assert best.tolist() == [1.0, 1.0, 1.0]
@@ -789,33 +791,33 @@ class TestFanOut:
 
     def test_a_child_exception_is_raised_in_the_parent(self, monkeypatch):
         def backflows(family, f, reduce, seed, lo, hi):
-            if lo >= 250:
+            if lo >= 256:
                 raise ZeroDivisionError(f"no pairs from {lo}")
             return np.zeros((hi - lo, 1))
 
         fork = RecordingFork(monkeypatch)
-        with pytest.raises(ZeroDivisionError, match=r"^no pairs from 250$"):
+        with pytest.raises(ZeroDivisionError, match=r"^no pairs from 256$"):
             self.search(monkeypatch, backflows, None)
-        assert fork.shares == [(250, 300)]
+        assert fork.shares == [(256, 300)]
         assert multiprocessing.active_children() == []
 
     def test_a_child_that_exits_without_a_result_names_its_pairs(self, monkeypatch):
         def backflows(family, f, reduce, seed, lo, hi):
-            if lo >= 250:
+            if lo >= 256:
                 os._exit(3)
             return np.zeros((hi - lo, 1))
 
         fork = RecordingFork(monkeypatch)
-        with pytest.raises(RuntimeError, match=r"random pairs \[250, 300\) exited with code 3 "):
+        with pytest.raises(RuntimeError, match=r"random pairs \[256, 300\) exited with code 3 "):
             self.search(monkeypatch, backflows, None)
-        assert fork.shares == [(250, 300)]
+        assert fork.shares == [(256, 300)]
         assert multiprocessing.active_children() == []
 
     def test_an_interrupted_parent_stops_every_child(self, monkeypatch):
         # The child would search for a minute; the parent's own share is
         # interrupted at once, and the child is terminated and joined.
         def backflows(family, f, reduce, seed, lo, hi):
-            if lo >= 250:
+            if lo >= 256:
                 time.sleep(60.0)
             raise KeyboardInterrupt
 
@@ -824,7 +826,7 @@ class TestFanOut:
         with pytest.raises(KeyboardInterrupt):
             self.search(monkeypatch, backflows, None)
         assert time.monotonic() - began < 30.0
-        assert fork.shares == [(250, 300)]
+        assert fork.shares == [(256, 300)]
         assert multiprocessing.active_children() == []
 
     def test_processes_are_capped_by_the_cpus_available(self, monkeypatch):
@@ -847,7 +849,7 @@ class TestFanOut:
             bounds = [0] + [lo for lo, _ in fork.shares] + [10**8]
             assert len(fork.shares) == cpus - 1
             assert fork.shares == list(zip(bounds[1:-1], bounds[2:]))
-            assert all(lo % 250 == 0 for lo in bounds[:-1])
+            assert all(lo % 256 == 0 for lo in bounds[:-1])
             assert (best.tolist(), first_k.tolist()) == ([0.0], [0])
 
     def test_a_one_process_search_imports_no_multiprocessing(self, tmp_path):
@@ -1460,20 +1462,19 @@ class TestCli:
 
 
 class TestPackage:
-    # The top-level names before __all__ was derived from the submodules.
+    # The top-level names before __all__ was derived from the submodules,
+    # less the test-only partial operations, trace distance and quadrature.
     EXPORTS = {
         "__version__", "AmplitudeDampingChannel", "ChannelFamily", "DephasingChannel",
         "DephasingSpec", "LorentzSpec", "MeasureReport", "NoTransitionError", "PAULI_X",
-        "PAULI_Y", "PAULI_Z", "PAULIS", "QuadratureError", "SingularIntermediateMapError",
+        "PAULI_Y", "PAULI_Z", "PAULIS", "SingularIntermediateMapError",
         "StatePair", "Trajectory", "analytic_blp_dephasing", "apply_amplitude_damping",
         "apply_dephasing", "assert_density_matrix", "bell_diagonal", "blp_integral",
         "blp_search", "chi", "choi_state", "correlation_matrix", "divisibility_measure",
         "entanglement_measure", "hermitian_eigenvalues", "intermediate_choi",
-        "is_density_matrix", "kappa_abs", "kappa_complex", "kappa_quadrature",
-        "maximally_entangled", "mutual_info_measure", "negativity", "optimal_pair",
-        "partial_trace", "partial_transpose", "rsp_fidelity", "sample_random_pair",
-        "tensor_product", "trace_distance", "trace_distance_trajectory", "trace_norm",
-        "transition_thetas", "von_neumann_entropy",
+        "kappa_abs", "kappa_complex", "maximally_entangled", "mutual_info_measure",
+        "optimal_pair", "rsp_fidelity", "sample_random_pair", "trace_distance_trajectory",
+        "trace_norm", "transition_thetas", "von_neumann_entropy",
     }
 
     def test_top_level_exports(self):

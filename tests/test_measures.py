@@ -23,10 +23,8 @@ from backflow import (
     kappa_abs,
     maximally_entangled,
     mutual_info_measure,
-    negativity,
     optimal_pair,
     sample_random_pair,
-    trace_distance,
     trace_distance_trajectory,
     trace_norm,
 )
@@ -42,8 +40,8 @@ from backflow.measures import (
     _trace_distances,
 )
 from backflow.experiments import resolve_config, run_figure
-from oracles import binary_entropy, bisect_root, golden_max, mutual_information, optimal_candidate_stack
-from oracles import pair_backflows, random_density_matrix, stack_backflows, turning_points_by_sign_change
+from oracles import binary_entropy, bisect_root, golden_max, mutual_information, negativity, optimal_candidate_stack
+from oracles import pair_backflows, random_density_matrix, stack_backflows, trace_distance, turning_points_by_sign_change
 
 DEPHASING = DephasingChannel(DephasingSpec(math.pi / 4))
 LORENTZ = AmplitudeDampingChannel(LorentzSpec(1.0, 0.1))
@@ -467,7 +465,7 @@ class TestBlpSearch:
         family = AmplitudeDampingChannel(LorentzSpec(1.0, 3.0))
         f, reduce = measures._kept_samples([family.magnitude(np.linspace(0.0, 5.0, 401))], [100, 200, 400])
         assert f.size == 0
-        looped = measures._share_best(family, f, reduce, 5, 250, 0, 600)
+        looped = measures._share_best(family, f, reduce, 5, 256, 0, 600)
         assert np.array_equal(looped[0], np.zeros(3)) and np.array_equal(looped[1], np.zeros(3, dtype=int))
 
         def refuse(*args):
@@ -536,7 +534,7 @@ class TestCandidateStacks:
         # Random pair k wins only when strictly larger: a one-hot random
         # column above the optimal value names its own pair, one equal to it
         # or below it leaves the optimal witness.  Pairs come in chunks of
-        # 250: pair 260 of 300 wins from the second chunk, and of two equal
+        # 256: pair 260 of 300 wins from the second chunk, and of two equal
         # maxima at pairs 10 and 260 the earlier wins.
         optimal = blp_search(DEPHASING, self.WINDOW, 0, 101, 9).value
         assert optimal > 0.0
@@ -1014,8 +1012,6 @@ class TestChoiBasedMeasures:
 
     def test_negativity_trajectory_tracks_kappa(self):
         times = np.linspace(0.0, REVIVAL, 40)
-        from backflow import choi_state, negativity
-
         for t in times[::7]:
             e = negativity(choi_state(DEPHASING, float(t), 4), 1, (4, 4))
             assert e == pytest.approx(kappa_abs(DEPHASING.spec, float(t)) + 0.5, abs=1e-9)
@@ -1034,8 +1030,6 @@ class TestChoiBasedMeasures:
         assert mutual_info_measure(DEPHASING, (0.0, 0.9 * math.pi / 10), 201).value == 0.0
 
     def test_mutual_information_closed_form(self):
-        from backflow import choi_state
-
         assert mutual_information(choi_state(DEPHASING, 0.0, 4)) == pytest.approx(4.0, abs=1e-10)
         # At the coherence zero the joint state carries exactly one bit less.
         assert mutual_information(
@@ -1076,8 +1070,6 @@ class TestMeasureCoherence:
             pair_traj = trace_distance_trajectory(
                 family, optimal_pair(0.6, 0.9, "zeta"), times
             ).values
-            from backflow import choi_state, negativity
-
             neg = np.array(
                 [negativity(choi_state(family, float(t), 4), 1, (4, 4)) for t in times]
             )

@@ -13,7 +13,6 @@ from backflow import (
     hermitian_eigenvalues,
     kappa_complex,
     rsp_fidelity,
-    tensor_product,
 )
 from backflow.linalg import PAULIS
 
@@ -59,7 +58,7 @@ class TestCorrelationMatrix:
         rho /= np.trace(rho).real
         mat = correlation_matrix(rho)
         for j, jp in itertools.product(range(3), range(3)):
-            direct = np.trace(rho @ tensor_product(PAULIS[j], PAULIS[jp])).real
+            direct = np.trace(rho @ np.kron(PAULIS[j], PAULIS[jp])).real
             assert mat[j, jp] == pytest.approx(direct, abs=1e-13)
 
     def test_pauli_table_is_exact(self):
@@ -70,13 +69,13 @@ class TestCorrelationMatrix:
             g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             rho = g @ g.conj().T
             rho /= np.trace(rho).real
-            direct = np.array([[np.trace(rho @ tensor_product(sj, sjp)).real for sjp in PAULIS]
+            direct = np.array([[np.trace(rho @ np.kron(sj, sjp)).real for sjp in PAULIS]
                                for sj in PAULIS])
             assert np.array_equal(correlation_matrix(rho), direct)
             c1, c2, c3 = random_bell_diagonal_triple(rng)
             summed = np.eye(4, dtype=complex)
             for coeff, sigma in zip((c1, c2, c3), PAULIS):
-                summed += coeff * tensor_product(sigma, sigma)
+                summed += coeff * np.kron(sigma, sigma)
             assert np.array_equal(bell_diagonal((c1, c2, c3)), summed / 4.0)
 
     def test_dephased_entry_table(self):
