@@ -42,7 +42,8 @@ def write_outputs(directory: Path) -> None:
     for name, argv in EXAMPLES.items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            assert cli.main(argv) == 0
+            if cli.main(argv) != 0:
+                raise RuntimeError(f"backflow {' '.join(argv)} failed")
         (directory / name).write_text(out.getvalue(), newline="\n")
 
 
