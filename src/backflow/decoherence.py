@@ -143,6 +143,24 @@ def _kappa_abs_factors(spec: DephasingSpec, t: np.ndarray):
     return np.exp(-0.5 * (st * st)), cos * cos
 
 
+def _rising_columns(envelope: np.ndarray, osc: np.ndarray) -> np.ndarray:
+    """The grid columns where |kappa| can rise at some angle, from the
+    angle-free factors ``_kappa_abs_factors`` on one grid: both ends of every
+    step where ``envelope`` or ``osc`` rises, in grid order.
+
+    ``_kappa_abs`` forms s osc, + c, sqrt and * envelope, each one rounded
+    operation that is monotone in its varying operand (c, s >= 0).  So
+    across a step where neither factor rises |kappa| does not rise either,
+    at any angle and in floating point, and every rising step of |kappa|
+    has both ends among these columns.
+    """
+    rises = (np.diff(envelope) > 0.0) | (np.diff(osc) > 0.0)
+    ends = np.zeros(envelope.size, dtype=bool)
+    ends[:-1] |= rises
+    ends[1:] |= rises
+    return np.flatnonzero(ends)
+
+
 def _kappa_abs(envelope, osc, c, s) -> np.ndarray:
     """|kappa|'s closed form, envelope sqrt(c + s osc), from
     ``_kappa_abs_factors`` and the weights c = cos^2(2 theta) and
@@ -247,13 +265,18 @@ def analytic_blp_dephasing(spec: DephasingSpec, tau_c: float) -> float:
     return max(0.0, kappa_abs(spec, tau_c) - _delta_floor(spec, spec.theta))
 
 
-def _analytic_blp_over_thetas(spec: DephasingSpec, thetas, tau_c: float) -> np.ndarray:
-    """``analytic_blp_dephasing`` at ``tau_c`` for each angle in ``thetas``
-    (not ``spec``'s), bit for bit: the same math.sin/math.cos scalars."""
-    tau_c = float(tau_c)
-    _check_window(spec.delta_omega, tau_c, closed_left=True)
-    floor = np.array([_delta_floor(spec, theta) for theta in thetas])
-    return np.maximum(0.0, _kappa_abs_over_thetas(spec, thetas, [tau_c])[:, 0] - floor)
+def _delta_floors(spec: DephasingSpec, thetas) -> np.ndarray:
+    """``_delta_floor`` of each angle in ``thetas`` (not ``spec``'s), bit for
+    bit: the same math.cos/math.exp scalars."""
+    return np.array([_delta_floor(spec, theta) for theta in thetas])
+
+
+def _analytic_blp_over_thetas(spec: DephasingSpec, tau_c: float, kappa_at_tau_c, floors) -> np.ndarray:
+    """``analytic_blp_dephasing`` at ``tau_c`` for each of several angles,
+    bit for bit, from their |kappa(tau_c)| (a column of
+    ``_kappa_abs_over_thetas`` at [tau_c]) and their ``_delta_floors``."""
+    _check_window(spec.delta_omega, float(tau_c), closed_left=True)
+    return np.maximum(0.0, kappa_at_tau_c - floors)
 
 
 def transition_thetas(delta_omega: float, sigma: float, tau_c: float) -> tuple[float, float]:

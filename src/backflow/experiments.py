@@ -34,7 +34,8 @@ import numpy as np
 from . import __version__
 from .channels import AmplitudeDampingChannel, ChannelFamily, DephasingChannel, _require_contraction
 from .decoherence import DephasingSpec, LorentzSpec, chi, transition_thetas
-from .decoherence import _analytic_blp_over_thetas, _kappa_abs_over_thetas
+from .decoherence import _analytic_blp_over_thetas, _delta_floors, _kappa_abs, _kappa_abs_factors
+from .decoherence import _kappa_abs_over_thetas, _rising_columns, _weights_over_thetas
 from .measures import _kept_samples, _random_search, _require, _window_times
 from .rsp import _bell_triple
 # Not called here: perfbench/tracer.py wraps them at these names.
@@ -319,10 +320,15 @@ def run_fig2(cfg: dict):
 
     The numeric column is ``blp_search(...).value`` on the window
     [0, tau_c] for each row, bit for bit, computed for all windows at once.
-    Per control time, |kappa| is formed for every theta from one envelope
-    and one cos^2(dw tau/2) (``kappa_abs``'s closed form; no complex kappa),
-    and each row's value is the sum of positive increments of |kappa| over
-    its window (the optimal pairs' backflow; see ``_integral_sweep``), one
+    Per control time, the envelope and cos^2(dw tau/2) are formed once on
+    the window's grid (``kappa_abs``'s closed form; no complex kappa), and
+    |kappa| only on the grid columns where one of the two rises
+    (``decoherence._rising_columns``), for every theta: across any other
+    step each rounded operation of the closed form is monotone in a factor
+    that does not rise, so |kappa| does not rise at any angle and that step
+    adds nothing.  Each row's value is the sum of positive increments of
+    |kappa| over its window (the optimal pairs' backflow; see
+    ``_integral_sweep``), read at the kept points of those columns, one
     segmented sum for all windows, raised to the largest backflow of the
     ``pairs`` seeded random pairs, which are evolved at the kept points of
     all windows together, one chunk of at most 256 pairs at a time
@@ -333,14 +339,18 @@ def run_fig2(cfg: dict):
     tauc_grid = np.linspace(1.2 * math.pi / dw, 2.0 * math.pi / dw, cfg["tauc_count"])
     theta_grid = np.linspace(0.0, math.pi / 2, cfg["theta_count"])
     spec = _dephasing_spec(cfg, theta_grid[0])
-    closed, windows = [], []
+    c, s = (weight[:, None] for weight in _weights_over_thetas(theta_grid))
+    floors = _delta_floors(spec, theta_grid)
+    closed, blocks = [], []
     for tau_c in tauc_grid:
         theta1, theta2 = transition_thetas(dw, cfg["sigma"], tau_c)
-        times = _window_times((0.0, float(tau_c)), cfg["grid"])
-        windows.append(_kappa_abs_over_thetas(spec, theta_grid, times))
+        envelope, osc = _kappa_abs_factors(spec, _window_times((0.0, float(tau_c)), cfg["grid"]))
+        columns = _rising_columns(envelope, osc)
+        blocks.append(_kappa_abs(envelope[columns], osc[columns], c, s))
+        at_tau_c = _kappa_abs(*_kappa_abs_factors(spec, np.array([float(tau_c)])), c, s)[:, 0]
         closed += [(tau_c, theta, n, theta1, theta2)
-                   for theta, n in zip(theta_grid, _analytic_blp_over_thetas(spec, theta_grid, tau_c))]
-    f, reduce = _kept_samples(windows)
+                   for theta, n in zip(theta_grid, _analytic_blp_over_thetas(spec, tau_c, at_tau_c, floors))]
+    f, reduce = _kept_samples(blocks)
     random_max, _ = _random_search(DephasingChannel(spec), f, reduce, cfg["seed"], cfg["pairs"])
     numeric = np.maximum(reduce(f), random_max)
     header = ["tau_c", "theta", "N_analytic", "N_numeric", "theta1", "theta2"]
@@ -391,8 +401,10 @@ def run_fig3(cfg: dict, variant: str):
     theta1, theta2 = transition_thetas(dw, cfg["sigma"], tau_c)
     theta_grid = np.linspace(theta1, theta2, cfg["theta_count"])
     spec = _dephasing_spec(cfg, theta_grid[0])
-    fidelities = _preset_fidelities(DephasingChannel, _kappa_abs_over_thetas(spec, theta_grid, [tau_c])[:, 0])
-    rows = zip(theta_grid, _analytic_blp_over_thetas(spec, theta_grid, tau_c), *fidelities.T)
+    at_tau_c = _kappa_abs_over_thetas(spec, theta_grid, [tau_c])[:, 0]
+    fidelities = _preset_fidelities(DephasingChannel, at_tau_c)
+    measure = _analytic_blp_over_thetas(spec, tau_c, at_tau_c, _delta_floors(spec, theta_grid))
+    rows = zip(theta_grid, measure, *fidelities.T)
     return ["theta", "N", "F1", "F2"], list(rows)
 
 
@@ -427,18 +439,19 @@ _RUNNERS = {
 
 
 def run_figure(figure: str, cfg: dict):
+    """The figure's header and rows, once every value is finite; else the
+    first row holding a non-finite value is named."""
     header, rows = _RUNNERS[figure](cfg)
-    for row in rows:
-        if not all(math.isfinite(float(x)) for x in row):
-            raise ValueError(f"non-finite value in {figure} row {row}")
+    finite = np.isfinite(np.array(rows, dtype=float))
+    if not finite.all():
+        raise ValueError(f"non-finite value in {figure} row {rows[np.argmin(finite.all(axis=-1))]}")
     return header, rows
 
 
 def write_csv(path: str | Path, header, rows) -> None:
     """Comma-separated values, '.' decimal, 17 significant digits, LF endings."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format(float(x), ".17g") for x in row))
+    line = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header), *(line % tuple(row) for row in rows)]
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 

@@ -29,6 +29,14 @@ points are evaluated; a window where |f| never rises evaluates nothing and
 gives 0.  So every measure reads |f| alone, from ``family.magnitude`` (for
 dephasing the closed form ``kappa_abs``; no complex kappa is formed), and the
 sums of many windows are one segmented sum (``_window_increments``).
+fig2 does not even form |kappa| on the whole grid: the closed form is
+envelope * sqrt(c + s * osc) with c, s >= 0, one rounded multiply, add,
+sqrt and multiply, each monotone in its varying operand, so across a step
+where neither angle-free factor (the envelope, cos^2(dw t / 2)) rises,
+|kappa| does not rise at any angle, in floating point.  It forms |kappa|
+only at both ends of the steps where a factor rises
+(``decoherence._rising_columns``).  A window on those columns keeps the
+full window's samples (``_kept_samples``).
 Divisibility reads |f| at every grid point.
 
 Trace norms without spectra: an evolved difference of two pure states has
@@ -572,6 +580,13 @@ def _kept_samples(windows, cut_indices=None):
     [0, cut] instead: a cut reads the prefix sum at the last kept point at or
     before it (from there to the cut |f| does not rise, so the series adds
     nothing), or position 0, which is 0.
+
+    A window (without cuts) may hold |f| at only some columns of its grid,
+    if they include both ends of every step where |f| rises: its kept
+    samples and sums are then the full window's, bit for bit.  Between two
+    such columns that are not grid neighbours no step rises, so the finite
+    |f| at the later one is at most |f| at the earlier one, and
+    ``_turning_mask`` sees no rise there either.
     """
     masks = [_turning_mask(w, cut_indices) for w in windows]
     sizes = np.concatenate([np.count_nonzero(m, axis=-1).reshape(-1) for m in masks])

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from backflow import (
     DephasingSpec,
@@ -15,7 +17,7 @@ from backflow import (
     transition_thetas,
 )
 
-from backflow.decoherence import _kappa_abs_over_thetas
+from backflow.decoherence import _kappa_abs_factors, _kappa_abs_over_thetas, _rising_columns
 from oracles import bisect_root, kappa_by_quadrature
 
 DW, SIGMA = 10.0, 1.0
@@ -122,7 +124,7 @@ class TestKappa:
             assert [kappa_complex(s, float(t)) for t in taus] == kappa_complex(s, taus).tolist()
 
     def test_theta_columns_equal_kappa_abs_bit_for_bit(self):
-        # fig2 reads whole grids, fig3a/fig3b one control time ([tau_c]).
+        # Whole grids, scattered times, and one control time ([tau_c]) as fig3a/fig3b read it.
         rng = np.random.default_rng(11)
         thetas = [0.0, math.pi / 8, math.pi / 4, math.pi / 2, *rng.uniform(0.0, math.pi / 2, 40)]
         base = DephasingSpec(0.3, omega1=-1.5, omega2=8.5, sigma=0.7)
@@ -132,6 +134,44 @@ class TestKappa:
             for theta, row in zip(thetas, columns):
                 expected = kappa_abs(DephasingSpec(theta, -1.5, 8.5, 0.7), np.asarray(t))
                 assert row.tobytes() == expected.tobytes()
+
+
+class TestRisingColumns:
+    """fig2 forms |kappa| only at ``_rising_columns``: across any other step
+    neither angle-free factor rises, so |kappa| must not rise at any angle,
+    in floating point."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-3, 3.0), st.floats(0.5, 40.0), st.floats(-5.0, 5.0), st.floats(0.0, math.pi / 2),
+           st.floats(1e-3, 8.0), st.integers(2, 4001))
+    @example(0.1, 10.0, 0.0, math.pi / 4, 2.0, 2)
+    @example(0.1, 10.0, 0.0, math.pi / 8, 3.5, 2)
+    @example(0.1, 10.0, 0.0, 0.0, 2.0, 4001)
+    @example(0.1, 10.0, 0.0, math.pi / 4, 2.0, 4001)
+    @example(0.1, 10.0, 0.0, math.pi / 2, 2.0, 4001)
+    @example(0.3, 37.0, -2.0, math.pi / 4, 7.9, 1001)
+    def test_every_rising_step_has_both_ends_among_the_columns(self, sigma_over_dw, dw, omega1, theta,
+                                                                 tau_c_over_half_period, grid):
+        s = DephasingSpec(theta, omega1, omega1 + dw, sigma_over_dw * dw)
+        t = np.linspace(0.0, tau_c_over_half_period * math.pi / dw, grid)
+        columns = _rising_columns(*_kappa_abs_factors(s, t))
+        rising = np.flatnonzero(np.diff(kappa_abs(s, t)) > 0.0)
+        assert columns.dtype.kind == "i" and np.all(np.diff(columns) > 0)
+        assert np.isin(rising, columns).all() and np.isin(rising + 1, columns).all()
+
+    def test_a_rise_of_either_factor_makes_a_step_a_candidate(self):
+        ones = np.ones(5)
+        rising = np.array([0.5, 0.4, 0.6, 0.6, 0.1])
+        assert _rising_columns(rising, ones).tolist() == [1, 2]
+        assert _rising_columns(ones, rising).tolist() == [1, 2]
+        assert _rising_columns(ones, ones).tolist() == []
+
+    def test_a_window_before_the_first_minimum_has_no_column(self):
+        # Up to pi/dw both factors fall, so |kappa| never rises at any angle.
+        t = np.linspace(0.0, 0.9 * math.pi / DW, 4001)
+        assert _rising_columns(*_kappa_abs_factors(spec(0.3), t)).size == 0
+        for theta in (0.0, math.pi / 8, math.pi / 4, math.pi / 2):
+            assert not np.any(np.diff(kappa_abs(spec(theta), t)) > 0.0)
 
 
 class TestQuadrature:

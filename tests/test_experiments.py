@@ -640,20 +640,43 @@ class TestFig2OnePass:
     @given(st.floats(1e-3, 3.0), st.floats(1.0, 40.0), st.floats(-5.0, 5.0),
            st.integers(1, 20), st.integers(1, 6), st.integers(2, 1001))
     def test_each_window_is_the_magnitude_of_its_row(self, sigma_over_dw, dw, omega1, theta_count, tauc_count, grid):
-        # The windows fig2 reduces, row by row, are kappa_abs of each row's
-        # (tau_c, theta) on its own grid, bit for bit.
+        # fig2 forms |kappa| only on the columns where it can rise; the kept
+        # samples it searches, and each row's number of them, are those of
+        # kappa_abs of each row's (tau_c, theta) on its full grid, bit for bit.
         sigma = sigma_over_dw * dw
         cfg = resolve_config("fig2", None, {"sigma": sigma, "delta_omega": dw, "omega1": omega1,
                                             "theta_count": theta_count, "tauc_count": tauc_count, "grid": grid})
         calls = []
-        kept = experiments._kept_samples
-        with mock.patch.object(experiments, "_kept_samples", lambda windows: calls.append(windows) or kept(windows)):
+        search = experiments._random_search
+
+        def recording(family, f, reduce, *args):
+            calls.append((f, reduce))
+            return search(family, f, reduce, *args)
+
+        with mock.patch.object(experiments, "_random_search", recording):
             rows = run_figure("fig2", cfg)[1]
-        windows = [row for stack in calls[0] for row in np.atleast_2d(stack)]
-        assert len(windows) == len(rows) == theta_count * tauc_count
-        for (tau_c, theta, *_), window in zip(rows, windows):
-            spec = DephasingSpec(float(theta), omega1, omega1 + dw, sigma)
-            assert window.tobytes() == DephasingChannel(spec).magnitude(np.linspace(0.0, tau_c, grid)).tobytes()
+        assert len(calls) == 1 and len(rows) == theta_count * tauc_count
+        f, reduce = calls[0]
+        windows = [DephasingChannel(DephasingSpec(float(theta), omega1, omega1 + dw, sigma)).magnitude(
+            np.linspace(0.0, tau_c, grid)) for tau_c, theta, *_ in rows]
+        want_f, want_reduce = _kept_samples(windows)
+        assert f.tobytes() == want_f.tobytes()
+        assert reduce.keywords["sizes"].tolist() == want_reduce.keywords["sizes"].tolist()
+        assert reduce(f).tobytes() == want_reduce(want_f).tobytes()
+
+    def test_a_default_run_forms_kappa_at_under_half_the_plane(self, monkeypatch):
+        # The full plane is 5 control times x 17 angles x 4001 grid points.
+        formed = []
+        kappa_abs_ = experiments._kappa_abs
+
+        def counting(*args):
+            value = kappa_abs_(*args)
+            formed.append(value.size)
+            return value
+
+        monkeypatch.setattr(experiments, "_kappa_abs", counting)
+        run_figure("fig2", resolve_config("fig2", None, {}))
+        assert 0 < sum(formed) <= (5 * 17 * 4001) // 2
 
     @staticmethod
     def _windows(cfg):
@@ -1085,30 +1108,28 @@ class TestCsvAndMetadata:
         write_csv(tmp_path / "b.csv", header2, rows2)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_each_value_is_written_as_its_17_digit_format(self, tmp_path):
+        # What one format(float(x), ".17g") per value wrote.
+        rows = [(0.1 + 0.2, -0.0), (5e-324, 1e300), (np.float64(math.pi), np.float64(-2.5e-17)), (7, 1.0)]
+        write_csv(tmp_path / "v.csv", ["a", "b"], rows)
+        assert (tmp_path / "v.csv").read_text().splitlines() == [
+            "a,b", "0.30000000000000004,-0", "4.9406564584124654e-324,1.0000000000000001e+300",
+            "3.1415926535897931,-2.4999999999999999e-17", "7,1",
+        ]
+
+    def test_a_non_finite_middle_row_is_named(self, monkeypatch):
+        rows = [(np.float64(0.1), 1.0), (np.float64(0.2), np.float64(math.nan)), (np.float64(0.3), math.inf)]
+        monkeypatch.setitem(experiments._RUNNERS, "fig5", lambda cfg: (["a", "b"], rows))
+        with pytest.raises(ValueError) as raised:
+            run_figure("fig5", {})
+        assert str(raised.value) == f"non-finite value in fig5 row {rows[1]}"
+
 
 class TestCli:
-    def test_kappa_near_zero_example(self):
-        out = run_cli("kappa", "--theta", "0.7854", "--dw", "10", "--sigma", "1",
-                      "--tau", "0.31416")
-        assert out.returncode == 0
-        assert abs(float(out.stdout)) < 1e-4
-
     def test_chi_value(self):
         out = run_cli("chi", "--gamma0", "1", "--width", "0.1", "--t", "0")
         assert out.returncode == 0
         assert float(out.stdout) == 1.0
-
-    def test_transition_values(self):
-        out = run_cli("transition", "--dw", "10", "--sigma", "1", "--tauc", "0.62832")
-        assert out.returncode == 0
-        theta1, theta2 = (float(x) for x in out.stdout.split())
-        assert theta1 == pytest.approx(0.26540914197793963, abs=1e-4)
-        assert theta2 == pytest.approx(math.pi / 2 - theta1, abs=1e-6)
-
-    def test_fidelity_value(self):
-        out = run_cli("fidelity", "--c", "1,-1,1", "--kappa", "0.5")
-        assert out.returncode == 0
-        assert float(out.stdout) == pytest.approx(0.25, abs=1e-12)
 
     def test_fidelity_accepts_a_negative_triple_in_both_spellings(self):
         for kappa in ("0.5", "-0.5+0.1j"):

@@ -820,6 +820,35 @@ class TestTurningPointReduction:
         assert kept.dtype.kind == "i"
         assert kept.tolist() == turning_points_by_sign_change(absf, cuts).tolist()
 
+    @settings(max_examples=200, deadline=None)
+    @given(_series_and_cuts(), st.lists(st.booleans(), max_size=40))
+    @example(([3.0, 2.0, 2.0, 1.0, 0.0], None), [])  # never rises: no column
+    @example(([0.2, 0.5, 0.5, 0.1, 0.4], None), [])  # two rises, one column apart
+    @example(([0.2, 0.5, 0.1, 0.4], None), [True] * 4)
+    @example(([0.7], None), [True])
+    def test_columns_keep_what_the_full_series_keeps(self, series_and_cuts, extra):
+        # fig2 passes |kappa| only at the columns that bound a rising step,
+        # and maybe at more: the kept samples and sums are the full series'.
+        absf = np.array(series_and_cuts[0], dtype=float)
+        rising = np.flatnonzero(np.diff(absf) > 0.0)
+        extra = np.flatnonzero(extra[: absf.size])
+        columns = np.union1d(np.union1d(rising, rising + 1), extra).astype(int)
+        full = measures._turning_mask(absf)
+        assert not full[np.setdiff1d(np.arange(absf.size), columns)].any()
+        assert measures._turning_mask(absf[columns]).tolist() == full[columns].tolist()
+        f, reduce = measures._kept_samples([absf[columns]])
+        want_f, want_reduce = measures._kept_samples([absf])
+        assert f.tobytes() == want_f.tobytes()
+        assert reduce(f).tobytes() == want_reduce(want_f).tobytes()
+
+    def test_a_stack_without_columns_sums_to_zero(self):
+        # A fig2 control time where no factor of |kappa| rises forms a
+        # (thetas, 0) block; its rows keep nothing and read 0.
+        absf = np.array([0.1, 0.4, 0.2, 0.9])
+        f, reduce = measures._kept_samples([np.zeros((3, 0)), absf])
+        assert f.tolist() == [0.1, 0.4, 0.2, 0.9]
+        assert reduce(f).tolist() == [0.0, 0.0, 0.0, (0.4 - 0.1) + (0.9 - 0.2)]
+
     def test_never_rising_window_evolves_nothing(self, monkeypatch):
         # At theta = 0, |kappa| is a falling Gaussian.
         family = DephasingChannel(DephasingSpec(0.0))
