@@ -1126,10 +1126,28 @@ class TestCsvAndMetadata:
 
 
 class TestCli:
+    def test_kappa_near_zero_example(self):
+        out = run_cli("kappa", "--theta", "0.7854", "--dw", "10", "--sigma", "1",
+                      "--tau", "0.31416")
+        assert out.returncode == 0
+        assert abs(float(out.stdout)) < 1e-4
+
     def test_chi_value(self):
         out = run_cli("chi", "--gamma0", "1", "--width", "0.1", "--t", "0")
         assert out.returncode == 0
         assert float(out.stdout) == 1.0
+
+    def test_transition_values(self):
+        out = run_cli("transition", "--dw", "10", "--sigma", "1", "--tauc", "0.62832")
+        assert out.returncode == 0
+        theta1, theta2 = (float(x) for x in out.stdout.split())
+        assert theta1 == pytest.approx(0.26540914197793963, abs=1e-4)
+        assert theta2 == pytest.approx(math.pi / 2 - theta1, abs=1e-6)
+
+    def test_fidelity_value(self):
+        out = run_cli("fidelity", "--c", "1,-1,1", "--kappa", "0.5")
+        assert out.returncode == 0
+        assert float(out.stdout) == pytest.approx(0.25, abs=1e-12)
 
     def test_fidelity_accepts_a_negative_triple_in_both_spellings(self):
         for kappa in ("0.5", "-0.5+0.1j"):
