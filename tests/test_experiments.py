@@ -1124,6 +1124,92 @@ class TestCsvAndMetadata:
             run_figure("fig5", {})
         assert str(raised.value) == f"non-finite value in fig5 row {rows[1]}"
 
+    def test_a_shorter_rewrite_leaves_no_stale_tail(self, tmp_path):
+        out = tmp_path / "f.csv"
+        meta = tmp_path / "f.csv.meta.json"
+        for path in (out, meta):
+            path.write_bytes(b"x" * 20000 + b"\n")
+        write_csv(out, ["a", "b"], [(1.0, 2.0)])
+        assert write_metadata(out, "fig5", {"seed": None}) == meta
+        assert out.read_bytes() == b"a,b\n1,2\n"
+        payload = {"figure": "fig5", "config": {"seed": None}, "version": backflow.__version__, "seed": None}
+        assert meta.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_fresh_files_hold_what_write_text_wrote_with_the_mode_open_gives(self, tmp_path, umask):
+        cfg = resolve_config("fig5", None, {"ratio_count": 4, "out": str(tmp_path / "new.csv")})
+        header, rows = run_figure("fig5", cfg)
+        csv_text = "\n".join([",".join(header), *(",".join(format(float(x), ".17g") for x in row) for row in rows)]) + "\n"
+        payload = {"figure": "fig5", "config": cfg, "version": backflow.__version__, "seed": 42}
+        meta_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        previous = os.umask(umask)
+        try:
+            write_csv(cfg["out"], header, rows)
+            meta = write_metadata(cfg["out"], "fig5", cfg)
+            (tmp_path / "old.csv").write_text(csv_text, newline="\n")
+            (tmp_path / "old.csv.meta.json").write_text(meta_text, newline="\n")
+            with open(tmp_path / "opened", "w"):
+                pass
+        finally:
+            os.umask(previous)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert meta.read_bytes() == (tmp_path / "old.csv.meta.json").read_bytes()
+        mode = (tmp_path / "opened").stat().st_mode
+        assert (tmp_path / "new.csv").stat().st_mode == meta.stat().st_mode == mode == 0o100666 & ~umask
+
+    def test_a_device_target_is_written_and_left_uncut(self):
+        # ftruncate on a character device fails (EINVAL), so only a regular
+        # file is cut to length.
+        write_csv(os.devnull, ["a"], [(1.0,)] * 3)
+
+    @pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+    def test_an_unwritable_out_exits_1_naming_it(self, tmp_path, capsys, where):
+        out = tmp_path / "d" if where == "a directory" else tmp_path / "missing" / "f.csv"
+        if where == "a directory":
+            out.mkdir()
+        assert cli.main(["fig5", "--ratio-count", "3", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and repr(str(out)) in line
+        assert not Path(str(out) + ".meta.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["d"] if where == "a directory" else [])
+
+    def test_a_shorter_rerun_through_main_equals_a_fresh_run(self, tmp_path, monkeypatch, capsys):
+        # The same relative --out in two directories, so .meta.json records
+        # the same path.
+        written = []
+        for runs in (("20", "3"), ("3",)):
+            where = tmp_path / str(len(runs))
+            where.mkdir()
+            monkeypatch.chdir(where)
+            for count in runs:
+                assert cli.main(["fig5", "--ratio-count", count, "--out", "f.csv"]) == 0
+            written.append(((where / "f.csv").read_bytes(), (where / "f.csv.meta.json").read_bytes()))
+        assert capsys.readouterr().err == ""
+        assert written[0] == written[1]
+        assert written[0][0].count(b"\n") == 4
+
+    def test_a_rewrite_never_opens_with_o_trunc(self, tmp_path, monkeypatch):
+        # What makes a rewrite cheap: the open does not truncate the file.
+        out = tmp_path / "f.csv"
+        for path in (out, tmp_path / "f.csv.meta.json"):
+            path.write_bytes(b"x" * 1000)
+        opened = []
+        real_open = os.open
+
+        def recording_open(path, flags, *args, **kwargs):
+            opened.append((Path(path).name, flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(experiments.os, "open", recording_open)
+        write_csv(out, ["a"], [(1.0,)])
+        write_metadata(out, "fig5", {})
+        assert [name for name, _ in opened] == ["f.csv", "f.csv.meta.json"]
+        assert all(flags & os.O_WRONLY and flags & os.O_CREAT for _, flags in opened)
+        assert not any(flags & os.O_TRUNC for _, flags in opened)
+        assert out.read_bytes() == b"a\n1\n"
+
 
 class TestCli:
     def test_kappa_near_zero_example(self):
