@@ -109,11 +109,12 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per figure and per other command, each with one flag per
-    key of ``command_keys``: a tuple of choices is a required choice, a type
-    is a required flag (a figure's value then comes from ``resolve_config``),
-    and any other value is the flag's default."""
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The ``backflow`` parser and its subparsers by command name: one per
+    figure and per other command, each with one flag per key of
+    ``command_keys``.  A tuple of choices is a required choice, a type is a
+    required flag (a figure's value then comes from ``resolve_config``), and
+    any other value is the flag's default."""
     parser = argparse.ArgumentParser(
         prog="backflow",
         description="Two-qubit open-system simulations: decoherence, backflow measures, RSP fidelity.",
@@ -135,7 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(*_flags(key), dest=key, type=entry, required=not figure)
             else:
                 p.add_argument(*_flags(key), dest=key, type=type(entry), default=entry)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``backflow`` parser (see ``_build_parsers``)."""
+    return _build_parsers()[0]
 
 
 def _is_float(text: str) -> bool:
@@ -177,11 +183,28 @@ def _require_finite(args: argparse.Namespace) -> None:
 
 # One parser per process: parse_args keeps no state between calls, and
 # building the 11 subparsers costs more than a short command's own work.
-_parser = functools.cache(build_parser)
+_parsers = functools.cache(_build_parsers)
+
+
+def _parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, with a command's flags parsed by that
+    command's own parser: the top-level parser would scan and convert every
+    argument before handing them over.  It still parses an argv that names
+    no command (none, -h, an unknown name, --), for its usage and errors.
+    An unrecognized flag is named by the command's parser
+    ("backflow fig5: error: ...")."""
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        return commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(_attach_dash_values(sys.argv[1:] if argv is None else list(argv)))
+    args = _parse_args(_attach_dash_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         if args.command in FIGURES:
             return _run_figure_command(args)

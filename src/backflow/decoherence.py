@@ -139,14 +139,19 @@ def _kappa_abs_factors(spec: DephasingSpec, t: np.ndarray):
 
     Both squares are products: a numpy scalar's ** 2 is not x * x, so a
     scalar ``t`` would be one ulp off the array value now and then."""
-    st, cos = spec.sigma * t, np.cos(0.5 * spec.delta_omega * t)
-    return np.exp(-0.5 * (st * st)), cos * cos
+    with np.errstate(over="ignore"):  # exp(-inf) = 0 is the limit
+        st = spec.sigma * t
+        square = st * st
+    cos = np.cos(0.5 * spec.delta_omega * t)
+    return np.exp(-0.5 * square), cos * cos
 
 
 def _rising_columns(envelope: np.ndarray, osc: np.ndarray) -> np.ndarray:
     """The grid columns where |kappa| can rise at some angle, from the
-    angle-free factors ``_kappa_abs_factors`` on one grid: both ends of every
-    step where ``envelope`` or ``osc`` rises, in grid order.
+    angle-free factors ``_kappa_abs_factors`` on one grid or on a stack of
+    grids along the last axis: both ends of every step where ``envelope`` or
+    ``osc`` rises, as indices into the flattened factors, grid by grid and
+    in grid order (for one grid, the columns themselves).
 
     ``_kappa_abs`` forms s osc, + c, sqrt and * envelope, each one rounded
     operation that is monotone in its varying operand (c, s >= 0).  So
@@ -154,10 +159,10 @@ def _rising_columns(envelope: np.ndarray, osc: np.ndarray) -> np.ndarray:
     at any angle and in floating point, and every rising step of |kappa|
     has both ends among these columns.
     """
-    rises = (np.diff(envelope) > 0.0) | (np.diff(osc) > 0.0)
-    ends = np.zeros(envelope.size, dtype=bool)
-    ends[:-1] |= rises
-    ends[1:] |= rises
+    rises = (np.diff(envelope, axis=-1) > 0.0) | (np.diff(osc, axis=-1) > 0.0)
+    ends = np.zeros(envelope.shape, dtype=bool)
+    ends[..., :-1] |= rises
+    ends[..., 1:] |= rises
     return np.flatnonzero(ends)
 
 
@@ -187,8 +192,18 @@ def _kappa_abs_over_thetas(spec: DephasingSpec, thetas, t) -> np.ndarray:
     return _kappa_abs(*_kappa_abs_factors(spec, np.asarray(t, dtype=float)), c[:, None], s[:, None])
 
 
-# Relative discriminant threshold below which the eps -> 0 limit is used.
-_CRITICAL_DAMPING_TOL = 1e-12
+# Relative distance |width - 2 gamma0| / gamma0 below which the eps -> 0 limit
+# is used.  Near there the discriminant width**2 - 2 gamma0 width is about
+# 2 gamma0 (width - 2 gamma0), so the band is |discriminant| < 1e-12 gamma0**2.
+_CRITICAL_DAMPING_TOL = 5e-13
+
+
+def _critical(spec: LorentzSpec) -> bool:
+    """Whether ``chi`` takes its critical limit: width within
+    ``_CRITICAL_DAMPING_TOL`` gamma0 of 2 gamma0.  The band is set on the
+    distance itself, not on the discriminant, which is as small at every
+    width far below gamma0, and squares no rate, which could overflow."""
+    return abs(spec.width - 2.0 * spec.gamma0) < _CRITICAL_DAMPING_TOL * spec.gamma0
 
 
 def chi(spec: LorentzSpec, t):
@@ -199,14 +214,13 @@ def chi(spec: LorentzSpec, t):
     """
     tt = np.asarray(t, dtype=float)
     g = spec.width
-    disc = g * g - 2.0 * spec.gamma0 * g
     envelope = np.exp(-0.5 * g * tt)
-    if abs(disc) < _CRITICAL_DAMPING_TOL * spec.gamma0**2:
+    if _critical(spec):
         value = envelope * (1.0 + 0.5 * g * tt)
     else:
         eps = spec.epsilon
         half = 0.5 * eps * tt
-        if disc < 0.0:
+        if g < 2.0 * spec.gamma0:
             value = envelope * (np.cos(half) + (g / eps) * np.sin(half))
         else:
             value = envelope * (np.cosh(half) + (g / eps) * np.sinh(half))
@@ -218,11 +232,15 @@ def chi(spec: LorentzSpec, t):
 def _oscillates(spec: LorentzSpec) -> bool:
     """Whether ``chi`` takes its oscillating branch: width < 2 gamma0, outside
     the band where it takes the critical limit."""
-    return spec.width * spec.width - 2.0 * spec.gamma0 * spec.width <= -_CRITICAL_DAMPING_TOL * spec.gamma0**2
+    return spec.width < 2.0 * spec.gamma0 and not _critical(spec)
 
 
 def _delta_floor(spec: DephasingSpec, theta: float) -> float:
-    return abs(math.cos(2.0 * theta)) * math.exp(-0.5 * (math.pi * spec.sigma / spec.delta_omega) ** 2)
+    try:
+        square = (math.pi * spec.sigma / spec.delta_omega) ** 2
+    except OverflowError:  # float ** raises where * gives inf; exp(-inf) = 0 is the limit
+        return 0.0
+    return abs(math.cos(2.0 * theta)) * math.exp(-0.5 * square)
 
 
 def _check_window(delta_omega: float, tau_c: float, closed_left: bool) -> None:

@@ -38,7 +38,7 @@ from .channels import AmplitudeDampingChannel, ChannelFamily, DephasingChannel, 
 from .decoherence import DephasingSpec, LorentzSpec, chi, transition_thetas
 from .decoherence import _analytic_blp_over_thetas, _delta_floors, _kappa_abs, _kappa_abs_factors
 from .decoherence import _kappa_abs_over_thetas, _rising_columns, _weights_over_thetas
-from .measures import _kept_samples, _random_search, _require, _window_times
+from .measures import _kept_samples, _random_search, _require
 from .rsp import _bell_triple
 # Not called here: perfbench/tracer.py wraps them at these names.
 from .decoherence import analytic_blp_dephasing, kappa_complex  # noqa: F401
@@ -321,43 +321,47 @@ def run_fig2(cfg: dict):
     """Closed-form and numeric backflow over the (tau_c, theta) plane.
 
     The numeric column is ``blp_search(...).value`` on the window
-    [0, tau_c] for each row, bit for bit, computed for all windows at once.
-    Per control time, the envelope and cos^2(dw tau/2) are formed once on
-    the window's grid (``kappa_abs``'s closed form; no complex kappa), and
-    |kappa| only on the grid columns where one of the two rises
-    (``decoherence._rising_columns``), for every theta: across any other
-    step each rounded operation of the closed form is monotone in a factor
-    that does not rise, so |kappa| does not rise at any angle and that step
-    adds nothing.  Each row's value is the sum of positive increments of
-    |kappa| over its window (the optimal pairs' backflow; see
-    ``_integral_sweep``), read at the kept points of those columns, one
-    segmented sum for all windows, raised to the largest backflow of the
-    ``pairs`` seeded random pairs, which are evolved at the kept points of
-    all windows together, one chunk of at most 256 pairs at a time
-    (``measures._random_search``).  No witness is built.
+    [0, tau_c] for each row, bit for bit, computed for all windows in one
+    pass.  The windows' grids are one (tauc_count, grid) stack, each row
+    the ``blp_search`` grid; on it the envelope and cos^2(dw tau/2) are
+    formed once (``kappa_abs``'s closed form; no complex kappa), and |kappa|
+    only on the grid columns where one of the two rises
+    (``decoherence._rising_columns``), for every theta in one block, which
+    is split into one view per control time: across any other step each
+    rounded operation of the closed form is monotone in a factor that does
+    not rise, so |kappa| does not rise at any angle and that step adds
+    nothing.  Each row's value is the sum of positive increments of |kappa|
+    over its window (the optimal pairs' backflow; see ``_integral_sweep``),
+    read at the kept points of those columns, one segmented sum for all
+    windows, raised to the largest backflow of the ``pairs`` seeded random
+    pairs, which are evolved at the kept points of all windows together, one
+    chunk of at most 256 pairs at a time (``measures._random_search``).  No
+    witness is built.  Every control time's transition angles are found
+    before any |kappa|, so a control time outside their equation is named
+    first.
     """
     _require(cfg, {"theta_count": 1, "tauc_count": 1, "grid": 2, "pairs": 0})
-    dw = cfg["delta_omega"]
+    dw, grid = cfg["delta_omega"], cfg["grid"]
     tauc_grid = np.linspace(1.2 * math.pi / dw, 2.0 * math.pi / dw, cfg["tauc_count"])
     theta_grid = np.linspace(0.0, math.pi / 2, cfg["theta_count"])
     spec = _dephasing_spec(cfg, theta_grid[0])
+    transitions = [transition_thetas(dw, cfg["sigma"], tau_c) for tau_c in tauc_grid]
     c, s = (weight[:, None] for weight in _weights_over_thetas(theta_grid))
-    floors = _delta_floors(spec, theta_grid)
-    closed, blocks = [], []
-    for tau_c in tauc_grid:
-        theta1, theta2 = transition_thetas(dw, cfg["sigma"], tau_c)
-        envelope, osc = _kappa_abs_factors(spec, _window_times((0.0, float(tau_c)), cfg["grid"]))
-        columns = _rising_columns(envelope, osc)
-        blocks.append(_kappa_abs(envelope[columns], osc[columns], c, s))
-        at_tau_c = _kappa_abs(*_kappa_abs_factors(spec, np.array([float(tau_c)])), c, s)[:, 0]
-        closed += [(tau_c, theta, n, theta1, theta2)
-                   for theta, n in zip(theta_grid, _analytic_blp_over_thetas(spec, tau_c, at_tau_c, floors))]
-    f, reduce = _kept_samples(blocks)
+    # Row i is _window_times((0, tau_c_i), grid), bit for bit.
+    envelope, osc = _kappa_abs_factors(spec, np.linspace(0.0, tauc_grid, grid, axis=-1))
+    columns = _rising_columns(envelope, osc)
+    block = _kappa_abs(envelope.take(columns), osc.take(columns), c, s)
+    windows = np.split(block, np.searchsorted(columns, grid * np.arange(1, tauc_grid.size)), axis=1)
+    f, reduce = _kept_samples(windows)
     random_max, _ = _random_search(DephasingChannel(spec), f, reduce, cfg["seed"], cfg["pairs"])
-    numeric = np.maximum(reduce(f), random_max)
-    header = ["tau_c", "theta", "N_analytic", "N_numeric", "theta1", "theta2"]
-    return header, [(tau_c, theta, n, value, theta1, theta2)
-                    for (tau_c, theta, n, theta1, theta2), value in zip(closed, numeric)]
+    numeric = np.maximum(reduce(f), random_max).reshape(tauc_grid.size, -1)
+    at_tau_c = _kappa_abs(*_kappa_abs_factors(spec, tauc_grid), c, s)
+    floors = _delta_floors(spec, theta_grid)
+    rows = []
+    for tau_c, (theta1, theta2), kappa, values in zip(tauc_grid, transitions, at_tau_c.T, numeric):
+        closed = _analytic_blp_over_thetas(spec, tau_c, kappa, floors)
+        rows += [(tau_c, theta, n, value, theta1, theta2) for theta, n, value in zip(theta_grid, closed, values)]
+    return ["tau_c", "theta", "N_analytic", "N_numeric", "theta1", "theta2"], rows
 
 
 # Each family's Pauli-axis factors (t_x, t_y, t_z) as functions of r = |f|:

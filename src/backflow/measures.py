@@ -33,10 +33,12 @@ fig2 does not even form |kappa| on the whole grid: the closed form is
 envelope * sqrt(c + s * osc) with c, s >= 0, one rounded multiply, add,
 sqrt and multiply, each monotone in its varying operand, so across a step
 where neither angle-free factor (the envelope, cos^2(dw t / 2)) rises,
-|kappa| does not rise at any angle, in floating point.  It forms |kappa|
-only at both ends of the steps where a factor rises
-(``decoherence._rising_columns``).  A window on those columns keeps the
-full window's samples (``_kept_samples``).
+|kappa| does not rise at any angle, in floating point.  It forms the two
+factors once on the stack of all its windows' grids, finds both ends of the
+steps where a factor rises in every window at once
+(``decoherence._rising_columns``), and forms |kappa| there alone, for every
+angle in one block, split into one view per window.  A window on those
+columns keeps the full window's samples (``_kept_samples``).
 Divisibility reads |f| at every grid point.
 
 Trace norms without spectra: an evolved difference of two pure states has

@@ -17,7 +17,9 @@ from backflow import (
     transition_thetas,
 )
 
-from backflow.decoherence import _kappa_abs_factors, _kappa_abs_over_thetas, _rising_columns
+from backflow.decoherence import _delta_floor, _kappa_abs_factors, _kappa_abs_over_thetas, _oscillates
+from backflow.decoherence import _rising_columns
+from backflow.measures import _window_times
 from oracles import bisect_root, kappa_by_quadrature
 
 DW, SIGMA = 10.0, 1.0
@@ -165,6 +167,28 @@ class TestRisingColumns:
         assert _rising_columns(rising, ones).tolist() == [1, 2]
         assert _rising_columns(ones, rising).tolist() == [1, 2]
         assert _rising_columns(ones, ones).tolist() == []
+        stack = np.stack([ones, rising, ones])
+        assert _rising_columns(stack, np.ones((3, 5))).tolist() == [6, 7]
+        assert _rising_columns(np.ones((3, 5)), stack[::-1]).tolist() == [6, 7]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(1e-3, 3.0), st.floats(0.5, 40.0), st.floats(-5.0, 5.0),
+           st.lists(st.floats(1e-3, 8.0), min_size=1, max_size=6), st.integers(2, 2001))
+    @example(0.1, 10.0, 0.0, [1.2, 1.4, 1.6, 1.8, 2.0], 4001)
+    def test_a_stack_of_grids_gives_each_grid_its_own_columns(self, sigma_over_dw, dw, omega1,
+                                                              tau_c_over_half_period, grid):
+        # fig2 stacks its windows' grids: row i is _window_times((0, tau_c_i), grid),
+        # and the flat indices of the stack's columns are each row's, row by row.
+        s = DephasingSpec(0.3, omega1, omega1 + dw, sigma_over_dw * dw)
+        stops = np.array(tau_c_over_half_period) * math.pi / dw
+        times = np.linspace(0.0, stops, grid, axis=-1)
+        stacked = _rising_columns(*_kappa_abs_factors(s, times))
+        expected = []
+        for i, stop in enumerate(stops):
+            row_times = _window_times((0.0, float(stop)), grid)
+            assert times[i].tobytes() == row_times.tobytes()
+            expected += (i * grid + _rising_columns(*_kappa_abs_factors(s, row_times))).tolist()
+        assert stacked.tolist() == expected
 
     def test_a_window_before_the_first_minimum_has_no_column(self):
         # Up to pi/dw both factors fall, so |kappa| never rises at any angle.
@@ -231,6 +255,25 @@ class TestChi:
         assert chi(LorentzSpec(1.0, 1e-200), 1.0) == 1.0
         assert chi(LorentzSpec(1e-150, 2e-150), 1.0) == 1.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_width_far_below_gamma0_oscillates(self):
+        # There width**2 - 2 gamma0 width is about -2 gamma0 width, below
+        # 1e-12 gamma0**2 in size, yet far from the critical point; and
+        # gamma0**2 would overflow at gamma0 = 1e160.
+        for gamma0, width in ((1.0, 4e-13), (1.0, 1e-200), (1e160, 1e-200), (1e-100, 1e-150)):
+            s = LorentzSpec(gamma0, width)
+            assert _oscillates(s)
+            eps = s.epsilon
+            for t in np.array([0.3, 1.0, 2.5, 7.0]) * math.pi / eps:
+                half = 0.5 * eps * t
+                expected = math.exp(-0.5 * width * t) * (math.cos(half) + width / eps * math.sin(half))
+                assert chi(s, t) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        assert chi(LorentzSpec(1.0, 4e-13), 2e6) == pytest.approx(0.62597, abs=1e-5)
+        # The critical band is |width - 2 gamma0| < 5e-13 gamma0, at any scale.
+        for gamma0 in (1.0, 1e-150, 1e150):
+            assert not _oscillates(LorentzSpec(gamma0, 2.0 * gamma0 * (1.0 - 2e-13)))
+            assert _oscillates(LorentzSpec(gamma0, 2.0 * gamma0 * (1.0 - 3e-13)))
+
     def test_overdamped_branch_decays_monotonically(self):
         s = LorentzSpec(1.0, 3.0)
         ts = np.linspace(0.0, 10.0, 400)
@@ -250,6 +293,14 @@ class TestAnalyticMeasure:
         for tau_c in (1.1 * math.pi / 10, 2 * math.pi / 10):
             assert analytic_blp_dephasing(spec(0.0), tau_c) == 0.0
             assert analytic_blp_dephasing(spec(math.pi / 2), tau_c) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_huge_width_over_gap_has_floor_and_value_zero(self):
+        # (pi sigma / dw)**2 overflows a float: the floor takes its limit 0.
+        for sigma, dw in ((1e160, 1.0), (1.0, 1e-160), (1e308, 1e-10)):
+            s = DephasingSpec(math.pi / 8, 0.0, dw, sigma)
+            assert _delta_floor(s, s.theta) == 0.0
+            assert analytic_blp_dephasing(s, 1.5 * math.pi / dw) == 0.0
 
     def test_rejects_control_time_outside_window(self):
         for tau_c in (0.05, 0.9 * math.pi / 10, 2.2 * math.pi / 10):

@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import math
 import multiprocessing
@@ -291,6 +293,34 @@ class TestConfigTable:
         assert {k: v for k, v in cfg.items() if k != key} == {
             k: v for k, v in default_config(figure).items() if k != key
         }
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_command_parser_gives_what_the_top_level_parser_gives(self, data):
+        # main parses a command's flags with that command's own parser: its
+        # Namespace, or its exit code and message, must be the top-level
+        # parser's, for any flags of the table's keys, mistyped values and
+        # missing required flags included.
+        command = data.draw(st.sampled_from([*FIGURES, *COMMAND_FLAGS]))
+        argv = [command]
+        actions = [a for a in subparsers().choices[command]._actions if a.dest != "help"]
+        for action in data.draw(st.lists(st.sampled_from(actions), unique=True)):
+            if action.choices:
+                values = st.sampled_from(action.choices)
+            else:
+                values = config_values(action.type or str)
+            value = str(data.draw(values | config_values(str)))
+            option = data.draw(st.sampled_from(action.option_strings))
+            argv += data.draw(st.sampled_from([[f"{option}={value}"], [option, value]]))
+        argv = cli._attach_dash_values(argv)
+        outcomes = []
+        for parse in (cli._parse_args, cli._parser().parse_args):
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                try:
+                    outcomes.append(parse(list(argv)))
+                except SystemExit as exc:
+                    outcomes.append((exc.code, err.getvalue()))
+        assert outcomes[0] == outcomes[1], argv
 
 
 class TestBenchmarkHarness:
@@ -677,6 +707,19 @@ class TestFig2OnePass:
         monkeypatch.setattr(experiments, "_kappa_abs", counting)
         run_figure("fig2", resolve_config("fig2", None, {}))
         assert 0 < sum(formed) <= (5 * 17 * 4001) // 2
+
+    def test_a_default_run_forms_the_angle_free_factors_twice(self, monkeypatch):
+        # Once on the stack of every window's grid, once at every tau_c.
+        shapes = []
+        factors = experiments._kappa_abs_factors
+
+        def counting(spec, t):
+            shapes.append(np.shape(t))
+            return factors(spec, t)
+
+        monkeypatch.setattr(experiments, "_kappa_abs_factors", counting)
+        run_figure("fig2", resolve_config("fig2", None, {}))
+        assert shapes == [(5, 4001), (5,)]
 
     @staticmethod
     def _windows(cfg):
@@ -1449,6 +1492,12 @@ class TestCli:
         (("transition", "--dw", "10", "--sigma", "50", "--tauc", "0.5"),
          "error: sigma=50.0 and tau_c=0.5 overflow the transition-angle equation"),
         (("fig3a", "--sigma", "100"), f"error: sigma=100.0 and tau_c={1.5 * math.pi / 10} overflow the transition-angle equation"),
+        # (pi sigma / dw)**2 overflows too: fig2 names sigma as fig3a does.
+        (("fig2", "--sigma", "1e200"), f"error: sigma=1e+200 and tau_c={1.2 * math.pi / 10} overflow the transition-angle equation"),
+        (("fig2", "--dw", "1e-160"), f"error: sigma=1.0 and tau_c={1.2 * math.pi / 1e-160} overflow the transition-angle equation"),
+        # Every transition angle is found before the pair search checks the seed.
+        (("fig2", "--sigma", "100", "--seed", "-1"),
+         f"error: sigma=100.0 and tau_c={1.2 * math.pi / 10} overflow the transition-angle equation"),
         # Before, these printed nan or 0, or fig1 wrote a CSV of zeros.
         (("kappa", "--theta", "0.3", "--omega1", "1e308", "--dw", "1e308", "--sigma", "1", "--tau", "0.5"),
          "error: omega1=1e+308 and omega2=inf must be finite and a finite distance apart"),
@@ -1510,6 +1559,47 @@ class TestCli:
     ])
     def test_underflowing_parameters_are_named(self, argv, line, tmp_path, monkeypatch, capsys):
         self.test_overflowing_parameters_are_named(argv, line, tmp_path, monkeypatch, capsys)
+
+    # A numpy warning, raised here, would be a line on stderr.
+    @pytest.mark.filterwarnings("error")
+    def test_huge_and_tiny_parameter_ratios_run_without_a_stderr_line(self, tmp_path, capsys):
+        # A width far below gamma0 oscillates, and no rate is squared, so
+        # gamma0 = 1e160 runs; where sigma t overflows its square the
+        # envelope takes its limit 0, so fig1's integrals are 0.
+        sizes = ("--pairs", "3", "--grid", "101", "--rows", "2", "--out", str(tmp_path / "f.csv"))
+        for argv, printed in ((("chi", "--gamma0", "1", "--width", "4e-13", "--t", "2e6"), 0.62597),
+                              (("measure", "--measure", "entanglement", "--family", "lorentz", "--gamma0", "1",
+                                "--width", "4e-13", "--t1", "2e7"), 2.786),
+                              (("chi", "--gamma0", "1e160", "--width", "1e-200", "--t", "1"), 1.0),
+                              (("fig4", "--gamma0", "1e160", "--ratio", "1e-200", *sizes), None),
+                              (("fig1", "--sigma", "1e200", *sizes), None)):
+            assert cli.main(list(argv)) == 0
+            out = capsys.readouterr()
+            assert out.err == ""
+            if printed is not None:
+                assert float(out.out) == pytest.approx(printed, abs=1e-3)
+        _, arr = read_table(tmp_path / "f.csv")
+        assert arr.shape == (2, 3) and np.all(arr[:, 1:] == 0.0)
+
+    @pytest.mark.parametrize("argv, code, line", [
+        ((), 2, "backflow: error: the following arguments are required: command"),
+        (("-h",), 0, None),
+        (("--help",), 0, None),
+        (("fig9",), 2, "backflow: error: argument command: invalid choice: 'fig9' (choose from"),
+        (("--", "fig3a"), 2, "backflow: error: argument command: invalid choice: '--' (choose from"),
+        (("fig5", "--seed", "3"), 2, "backflow fig5: error: unrecognized arguments: --seed 3"),
+    ])
+    def test_usage_paths_keep_their_exit_codes_and_messages(self, argv, code, line, capsys):
+        # An argv that names no command goes to the top-level parser; a
+        # command's own parser names an unrecognized flag.
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(list(argv))
+        assert exit_info.value.code == code
+        out = capsys.readouterr()
+        if line is None:
+            assert (out.out, out.err) == (cli._parser().format_help(), "")
+        else:
+            assert out.out == "" and out.err.splitlines()[-1].startswith(line)
 
     def test_fig5_rejects_a_descending_grid_leaving_the_domain(self, tmp_path):
         out = run_cli("fig5", "--ratio-min", "2.5", "--ratio-max", "0.5", "--ratio-count", "3",
