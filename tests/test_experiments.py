@@ -1492,12 +1492,6 @@ class TestCli:
         (("transition", "--dw", "10", "--sigma", "50", "--tauc", "0.5"),
          "error: sigma=50.0 and tau_c=0.5 overflow the transition-angle equation"),
         (("fig3a", "--sigma", "100"), f"error: sigma=100.0 and tau_c={1.5 * math.pi / 10} overflow the transition-angle equation"),
-        # (pi sigma / dw)**2 overflows too: fig2 names sigma as fig3a does.
-        (("fig2", "--sigma", "1e200"), f"error: sigma=1e+200 and tau_c={1.2 * math.pi / 10} overflow the transition-angle equation"),
-        (("fig2", "--dw", "1e-160"), f"error: sigma=1.0 and tau_c={1.2 * math.pi / 1e-160} overflow the transition-angle equation"),
-        # Every transition angle is found before the pair search checks the seed.
-        (("fig2", "--sigma", "100", "--seed", "-1"),
-         f"error: sigma=100.0 and tau_c={1.2 * math.pi / 10} overflow the transition-angle equation"),
         # Before, these printed nan or 0, or fig1 wrote a CSV of zeros.
         (("kappa", "--theta", "0.3", "--omega1", "1e308", "--dw", "1e308", "--sigma", "1", "--tau", "0.5"),
          "error: omega1=1e+308 and omega2=inf must be finite and a finite distance apart"),
@@ -1512,6 +1506,12 @@ class TestCli:
            f"error: |f| is not finite at t={time}")
           for measure, time in (("blp", "4e+307"), ("entanglement", "4e+307"), ("mutual-info", "4e+307"),
                                 ("divisibility", "4e+307"))),
+        # (pi sigma / dw)**2 overflows too: fig2 names sigma as fig3a does.
+        (("fig2", "--sigma", "1e200"), f"error: sigma=1e+200 and tau_c={1.2 * math.pi / 10} overflow the transition-angle equation"),
+        (("fig2", "--dw", "1e-160"), f"error: sigma=1.0 and tau_c={1.2 * math.pi / 1e-160} overflow the transition-angle equation"),
+        # Every transition angle is found before the pair search checks the seed.
+        (("fig2", "--sigma", "100", "--seed", "-1"),
+         f"error: sigma=100.0 and tau_c={1.2 * math.pi / 10} overflow the transition-angle equation"),
     ])
     # A numpy warning, raised here, would be a second line on stderr.
     @pytest.mark.filterwarnings("error")
