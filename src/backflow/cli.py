@@ -186,15 +186,12 @@ def _require_finite(args: argparse.Namespace) -> None:
 _parsers = functools.cache(_build_parsers)
 
 
-def _parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
-
-
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, with a command's flags parsed by that
-    command's own parser: the top-level parser would scan and convert every
-    argument before handing them over.  It still parses an argv that names
-    no command (none, -h, an unknown name, --), for its usage and errors.
+    """The top-level parser's ``parse_args(argv)``, with a command's flags
+    parsed by that command's own parser: the top-level parser would scan and
+    convert every argument before handing them over.  It still parses an
+    argv that names no command (none, -h, an unknown name, --), for its
+    usage and errors.
     An unrecognized flag is named by the command's parser
     ("backflow fig5: error: ...")."""
     parser, commands = _parsers()

@@ -122,15 +122,10 @@ def kappa_abs(spec: DephasingSpec, tau):
     zeros of kappa (theta near pi/4, tau near odd multiples of pi/dw).
     """
     factors = _kappa_abs_factors(spec, np.asarray(tau, dtype=float))
-    value = _kappa_abs(*factors, *_double_angle_weights(spec.theta))
+    value = _kappa_abs(*factors, *_weights_over_thetas([spec.theta])[:, 0])
     if np.ndim(tau) == 0:
         return float(value)
     return value
-
-
-def _double_angle_weights(theta: float) -> tuple[float, float]:
-    """(cos^2(2 theta), sin^2(2 theta)), the weights of ``_kappa_abs``."""
-    return math.cos(2.0 * theta) ** 2, math.sin(2.0 * theta) ** 2
 
 
 def _kappa_abs_factors(spec: DephasingSpec, t: np.ndarray):
@@ -179,17 +174,12 @@ def _kappa_abs(envelope, osc, c, s) -> np.ndarray:
     return value
 
 
-def _weights_over_thetas(thetas) -> tuple[np.ndarray, np.ndarray]:
-    """``_double_angle_weights`` of each angle in ``thetas``, as the arrays (c, s)."""
-    return np.array([_double_angle_weights(theta) for theta in thetas]).reshape(-1, 2).T
-
-
-def _kappa_abs_over_thetas(spec: DephasingSpec, thetas, t) -> np.ndarray:
-    """|kappa| on the 1-D grid ``t`` for each angle in ``thetas``, one row per
-    angle: row i equals kappa_abs(replace(spec, theta=thetas[i]), t) bit for
-    bit.  The angle-free factors are computed once for all rows."""
-    c, s = _weights_over_thetas(thetas)
-    return _kappa_abs(*_kappa_abs_factors(spec, np.asarray(t, dtype=float)), c[:, None], s[:, None])
+def _weights_over_thetas(thetas) -> np.ndarray:
+    """The weights (c, s) = (cos^2(2 theta), sin^2(2 theta)) of ``_kappa_abs``
+    for each angle in ``thetas``, as a (2, len(thetas)) array, each from
+    math.cos and math.sin, so that an angle's weights do not depend on the
+    others."""
+    return np.array([(math.cos(2.0 * t) ** 2, math.sin(2.0 * t) ** 2) for t in thetas]).reshape(-1, 2).T
 
 
 # Relative distance |width - 2 gamma0| / gamma0 below which the eps -> 0 limit
@@ -235,12 +225,14 @@ def _oscillates(spec: LorentzSpec) -> bool:
     return spec.width < 2.0 * spec.gamma0 and not _critical(spec)
 
 
-def _delta_floor(spec: DephasingSpec, theta: float) -> float:
+def _delta_floors(spec: DephasingSpec, thetas) -> np.ndarray:
+    """The closed form's floor delta = |cos(2 theta)| exp(-(pi sigma / dw)^2 / 2)
+    of each angle in ``thetas`` (not ``spec``'s), from math.cos and math.exp."""
     try:
         square = (math.pi * spec.sigma / spec.delta_omega) ** 2
     except OverflowError:  # float ** raises where * gives inf; exp(-inf) = 0 is the limit
-        return 0.0
-    return abs(math.cos(2.0 * theta)) * math.exp(-0.5 * square)
+        return np.zeros(len(thetas))
+    return np.array([abs(math.cos(2.0 * t)) * math.exp(-0.5 * square) for t in thetas])
 
 
 def _check_window(delta_omega: float, tau_c: float, closed_left: bool) -> None:
@@ -280,21 +272,23 @@ def analytic_blp_dephasing(spec: DephasingSpec, tau_c: float) -> float:
     """
     tau_c = float(tau_c)
     _check_window(spec.delta_omega, tau_c, closed_left=True)
-    return max(0.0, kappa_abs(spec, tau_c) - _delta_floor(spec, spec.theta))
+    return float(_closed_forms(spec, [spec.theta], [tau_c])[1][0, 0])
 
 
-def _delta_floors(spec: DephasingSpec, thetas) -> np.ndarray:
-    """``_delta_floor`` of each angle in ``thetas`` (not ``spec``'s), bit for
-    bit: the same math.cos/math.exp scalars."""
-    return np.array([_delta_floor(spec, theta) for theta in thetas])
-
-
-def _analytic_blp_over_thetas(spec: DephasingSpec, tau_c: float, kappa_at_tau_c, floors) -> np.ndarray:
-    """``analytic_blp_dephasing`` at ``tau_c`` for each of several angles,
-    bit for bit, from their |kappa(tau_c)| (a column of
-    ``_kappa_abs_over_thetas`` at [tau_c]) and their ``_delta_floors``."""
-    _check_window(spec.delta_omega, float(tau_c), closed_left=True)
-    return np.maximum(0.0, kappa_at_tau_c - floors)
+def _closed_forms(spec: DephasingSpec, thetas, tau_cs):
+    """|kappa(tau_c)| and the closed-form measure max(0, |kappa(tau_c)| - delta)
+    of ``analytic_blp_dephasing`` for each angle in ``thetas`` (not
+    ``spec``'s) and each control time in ``tau_cs``, one (thetas, tau_cs)
+    array each.  Each value equals the one taken alone, bit for bit: the
+    angle-free factors are formed once on ``tau_cs``, and the weights and
+    floors of each angle come from its own scalars.  The control times are
+    not checked here: ``analytic_blp_dephasing`` checks its own, and fig2
+    and fig3 theirs through ``transition_thetas``, whose window is inside
+    this one.
+    """
+    c, s = _weights_over_thetas(thetas)[..., None]
+    kappa = _kappa_abs(*_kappa_abs_factors(spec, np.asarray(tau_cs, dtype=float)), c, s)
+    return kappa, np.maximum(0.0, kappa - _delta_floors(spec, thetas)[:, None])
 
 
 def transition_thetas(delta_omega: float, sigma: float, tau_c: float) -> tuple[float, float]:

@@ -10,7 +10,7 @@ their defaults (``command_keys``), so every flag is built from it.
 Determinism: random pair k is row k % 256 of block k // 256, a block b
 being the stream ``default_rng(SeedSequence(seed, spawn_key=(b,)))``
 (``measures._random_kets``); row order follows grid order.  Every
-pair search (fig1, fig4 and fig2) goes through ``measures._random_search``.
+pair search (fig1, fig4 and fig2) goes through ``measures._backflows``.
 ``workers`` caps its processes, the parent included; its fan-out only splits
 the chunks of the pair loop into contiguous shares, one per process (no more
 than the CPUs available, and none for fewer than
@@ -36,9 +36,8 @@ import numpy as np
 from . import __version__
 from .channels import AmplitudeDampingChannel, ChannelFamily, DephasingChannel, _require_contraction
 from .decoherence import DephasingSpec, LorentzSpec, chi, transition_thetas
-from .decoherence import _analytic_blp_over_thetas, _delta_floors, _kappa_abs, _kappa_abs_factors
-from .decoherence import _kappa_abs_over_thetas, _rising_columns, _weights_over_thetas
-from .measures import _kept_samples, _random_search, _require
+from .decoherence import _closed_forms, _kappa_abs, _kappa_abs_factors, _rising_columns, _weights_over_thetas
+from .measures import _backflows, _require, _require_resolved, _window_magnitude, _window_times
 from .rsp import _bell_triple
 # Not called here: perfbench/tracer.py wraps them at these names.
 from .decoherence import analytic_blp_dephasing, kappa_complex  # noqa: F401
@@ -240,27 +239,21 @@ def _integral_sweep(
     One master grid spans [0, window_end]; each row's control time is a grid
     point (index = fraction * (grid-1)), and each row's integral is a prefix
     sum of positive trace-distance increments up to that point, so every row
-    comes from one pass over the window (evaluated only at the points that
-    bound a rising step of |f|, read from ``family.magnitude``; see
-    ``measures._turning_mask``).  Returns
-    the row times, the optimal pairs' integrals and the row-wise maximum over
-    the ``n_pairs`` seeded random pairs, searched in chunks of at most 256
-    pairs by at most ``workers`` processes, the parent included, each on a
-    share of the chunks (``measures._random_search``).
-
-    The optimal pairs evolve with trace distance equal to |f| at every time
-    (``optimal_pair``; arXiv 1310.1784), so their column is the same sum of
-    positive increments (Breuer, Laine & Piilo, PRL 103, 210401 (2009))
-    applied to |f| itself: no optimal pair is evolved and no spectrum is
-    taken for it.
+    comes from one pass over the window.  The grid and |f| on it come from
+    ``measures._window_magnitude``, after the row positions are checked, so
+    a figure refuses, and names, the non-finite |f| or the grid too coarse
+    for |f| that ``measure`` refuses.  Returns the row times, the optimal
+    pairs' integrals (the sum of positive increments of |f| itself) and the
+    row-wise maximum over the ``n_pairs`` seeded random pairs, searched in
+    chunks of at most 256 pairs by at most ``workers`` processes, the parent
+    included, each on a share of the chunks (``measures._backflows``).
     """
-    times = np.linspace(0.0, window_end, grid)
     cuts = np.round(row_fractions * (grid - 1)).astype(int)
     if cuts[0] < 1:
         raise ValueError("row positions must be at least one grid step into the window")
-    f, reduce = _kept_samples([family.magnitude(times)], cuts)
-    random_max, _ = _random_search(family, f, reduce, seed, n_pairs, workers)
-    return times[cuts], reduce(f), random_max
+    times, absf = _window_magnitude(family, (0.0, window_end), grid)
+    optimal, random_max, _ = _backflows(family, [absf], n_pairs, seed, workers, cuts)
+    return times[cuts], optimal, random_max
 
 
 def run_fig1(cfg: dict):
@@ -322,45 +315,44 @@ def run_fig2(cfg: dict):
 
     The numeric column is ``blp_search(...).value`` on the window
     [0, tau_c] for each row, bit for bit, computed for all windows in one
-    pass.  The windows' grids are one (tauc_count, grid) stack, each row
-    the ``blp_search`` grid; on it the envelope and cos^2(dw tau/2) are
-    formed once (``kappa_abs``'s closed form; no complex kappa), and |kappa|
-    only on the grid columns where one of the two rises
-    (``decoherence._rising_columns``), for every theta in one block, which
-    is split into one view per control time: across any other step each
-    rounded operation of the closed form is monotone in a factor that does
-    not rise, so |kappa| does not rise at any angle and that step adds
-    nothing.  Each row's value is the sum of positive increments of |kappa|
-    over its window (the optimal pairs' backflow; see ``_integral_sweep``),
-    read at the kept points of those columns, one segmented sum for all
-    windows, raised to the largest backflow of the ``pairs`` seeded random
-    pairs, which are evolved at the kept points of all windows together, one
-    chunk of at most 256 pairs at a time (``measures._random_search``).  No
-    witness is built.  Every control time's transition angles are found
-    before any |kappa|, so a control time outside their equation is named
-    first.
+    pass.  The windows' grids are one (tauc_count, grid) stack from
+    ``measures._window_times``, each row the ``blp_search`` grid, and a grid
+    whose largest step is not below half the period of |kappa| is refused as
+    ``blp_search`` refuses it (``measures._require_resolved``).  On the
+    stack the envelope and cos^2(dw tau/2) are formed once (``kappa_abs``'s
+    closed form; no complex kappa), and |kappa| only on the grid columns
+    where one of the two rises (``decoherence._rising_columns``), for every
+    theta in one block, which is split into one view per control time:
+    across any other step each rounded operation of the closed form is
+    monotone in a factor that does not rise, so |kappa| does not rise at any
+    angle and that step adds nothing.  Each row's value is the optimal
+    pairs' backflow over its window, raised to the largest backflow of the
+    ``pairs`` seeded random pairs, all windows in one search
+    (``measures._backflows``).  No witness is built.  The closed-form column
+    and |kappa(tau_c)| come from ``decoherence._closed_forms``.  Every
+    control time's transition angles are found before any |kappa|, so a
+    control time outside their equation is named first.
     """
     _require(cfg, {"theta_count": 1, "tauc_count": 1, "grid": 2, "pairs": 0})
     dw, grid = cfg["delta_omega"], cfg["grid"]
     tauc_grid = np.linspace(1.2 * math.pi / dw, 2.0 * math.pi / dw, cfg["tauc_count"])
     theta_grid = np.linspace(0.0, math.pi / 2, cfg["theta_count"])
     spec = _dephasing_spec(cfg, theta_grid[0])
+    family = DephasingChannel(spec)
     transitions = [transition_thetas(dw, cfg["sigma"], tau_c) for tau_c in tauc_grid]
-    c, s = (weight[:, None] for weight in _weights_over_thetas(theta_grid))
-    # Row i is _window_times((0, tau_c_i), grid), bit for bit.
-    envelope, osc = _kappa_abs_factors(spec, np.linspace(0.0, tauc_grid, grid, axis=-1))
+    times = _window_times((0.0, tauc_grid), grid)
+    _require_resolved(family, times)
+    envelope, osc = _kappa_abs_factors(spec, times)
     columns = _rising_columns(envelope, osc)
+    c, s = _weights_over_thetas(theta_grid)[..., None]
     block = _kappa_abs(envelope.take(columns), osc.take(columns), c, s)
     windows = np.split(block, np.searchsorted(columns, grid * np.arange(1, tauc_grid.size)), axis=1)
-    f, reduce = _kept_samples(windows)
-    random_max, _ = _random_search(DephasingChannel(spec), f, reduce, cfg["seed"], cfg["pairs"])
-    numeric = np.maximum(reduce(f), random_max).reshape(tauc_grid.size, -1)
-    at_tau_c = _kappa_abs(*_kappa_abs_factors(spec, tauc_grid), c, s)
-    floors = _delta_floors(spec, theta_grid)
+    optimal, random_max, _ = _backflows(family, windows, cfg["pairs"], cfg["seed"])
+    numeric = np.maximum(optimal, random_max).reshape(tauc_grid.size, -1)
+    closed = _closed_forms(spec, theta_grid, tauc_grid)[1]
     rows = []
-    for tau_c, (theta1, theta2), kappa, values in zip(tauc_grid, transitions, at_tau_c.T, numeric):
-        closed = _analytic_blp_over_thetas(spec, tau_c, kappa, floors)
-        rows += [(tau_c, theta, n, value, theta1, theta2) for theta, n, value in zip(theta_grid, closed, values)]
+    for tau_c, (theta1, theta2), ns, values in zip(tauc_grid, transitions, closed.T, numeric):
+        rows += [(tau_c, theta, n, value, theta1, theta2) for theta, n, value in zip(theta_grid, ns, values)]
     return ["tau_c", "theta", "N_analytic", "N_numeric", "theta1", "theta2"], rows
 
 
@@ -406,10 +398,8 @@ def run_fig3(cfg: dict, variant: str):
     tau_c = 1.5 * math.pi / dw if variant == "a" else 2.0 * math.pi / dw
     theta1, theta2 = transition_thetas(dw, cfg["sigma"], tau_c)
     theta_grid = np.linspace(theta1, theta2, cfg["theta_count"])
-    spec = _dephasing_spec(cfg, theta_grid[0])
-    at_tau_c = _kappa_abs_over_thetas(spec, theta_grid, [tau_c])[:, 0]
+    at_tau_c, measure = (a[:, 0] for a in _closed_forms(_dephasing_spec(cfg, theta_grid[0]), theta_grid, [tau_c]))
     fidelities = _preset_fidelities(DephasingChannel, at_tau_c)
-    measure = _analytic_blp_over_thetas(spec, tau_c, at_tau_c, _delta_floors(spec, theta_grid))
     rows = zip(theta_grid, measure, *fidelities.T)
     return ["theta", "N", "F1", "F2"], list(rows)
 

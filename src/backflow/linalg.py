@@ -24,6 +24,9 @@ __all__ = [
 
 # Tolerance for accepting a matrix as Hermitian before eigendecomposition.
 HERMITICITY_TOL = 1e-10
+# A density matrix's tolerances: its largest entry of M - M†, the distance
+# of its trace from 1, and the floor of its smallest eigenvalue.
+DENSITY_HERMITICITY_TOL, DENSITY_TRACE_TOL, DENSITY_EIGENVALUE_FLOOR = 1e-12, 1e-12, -1e-10
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -37,21 +40,21 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending.
 
     The input is symmetrized as (M + M†)/2 before decomposition to absorb
     roundoff; inputs whose max entrywise deviation from Hermiticity exceeds
-    ``tol`` are rejected.  When the largest real or imaginary part is
-    normal, subnormal parts are read as 0.
+    ``HERMITICITY_TOL`` are rejected.  When the largest real or imaginary
+    part is normal, subnormal parts are read as 0.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     deviation = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if deviation > tol:
+    if deviation > HERMITICITY_TOL:
         raise ValueError(
-            f"matrix is not Hermitian: max |M - M^dag| = {deviation:.3e} > {tol:.1e}"
+            f"matrix is not Hermitian: max |M - M^dag| = {deviation:.3e} > {HERMITICITY_TOL:.1e}"
         )
     h = hermitian_part(m)
     # Subnormal parts of a matrix whose largest part is normal lie far below
@@ -64,9 +67,9 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.nda
     return np.linalg.eigvalsh(h)
 
 
-def trace_norm(m: np.ndarray, tol: float = HERMITICITY_TOL) -> float:
+def trace_norm(m: np.ndarray) -> float:
     """Trace norm of a Hermitian matrix: sum of absolute eigenvalues."""
-    return float(np.sum(np.abs(hermitian_eigenvalues(m, tol=tol))))
+    return float(np.sum(np.abs(hermitian_eigenvalues(m))))
 
 
 def von_neumann_entropy(m: np.ndarray) -> float:
@@ -78,12 +81,7 @@ def von_neumann_entropy(m: np.ndarray) -> float:
     return float(-np.sum(w * np.log2(w)))
 
 
-def assert_density_matrix(
-    m: np.ndarray,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-12,
-    eig_floor: float = -1e-10,
-) -> np.ndarray:
+def assert_density_matrix(m: np.ndarray) -> np.ndarray:
     """Validate a density matrix and return it as a complex array.
 
     Raises ``ValueError`` naming the violated property.
@@ -92,12 +90,12 @@ def assert_density_matrix(
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > herm_tol:
+    if dev > DENSITY_HERMITICITY_TOL:
         raise ValueError(f"not Hermitian: max |M - M^dag| = {dev:.3e}")
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace {tr} deviates from 1 by more than {trace_tol:.1e}")
+    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
+        raise ValueError(f"trace {tr} deviates from 1 by more than {DENSITY_TRACE_TOL:.1e}")
     w_min = float(np.min(np.linalg.eigvalsh(hermitian_part(m))))
-    if w_min < eig_floor:
+    if w_min < DENSITY_EIGENVALUE_FLOOR:
         raise ValueError(f"not positive semidefinite: min eigenvalue {w_min:.3e}")
     return m

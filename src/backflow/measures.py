@@ -11,9 +11,13 @@ r + 1/2 and 4 - h((1 - r)/2) for dephasing, r^2 + 1/2 and
 
 All backflow integrals are sums of positive increments on a uniform grid,
 which is exact for piecewise-monotone series once every monotone segment is
-resolved; no derivative quadrature is used.  So the four measures refuse a
-grid whose step is not below half the period of |f| (``_HALF_PERIODS``),
-which could step over whole rises.
+resolved; no derivative quadrature is used.  Every grid, the measures' and
+fig1's, fig2's and fig4's, comes from ``_window_times``, and a grid whose
+step is not below half the period of |f| (``_HALF_PERIODS``), which could
+step over whole rises, is refused by ``_require_resolved``.  Every |f| but
+fig2's (finite wherever its transition angles are) comes from
+``_window_magnitude``, which also refuses a non-finite |f|.  Every pair
+search, the measure's and the figures', goes through ``_backflows``.
 
 Rising-stretch reduction: both channel families compose multiplicatively in
 their decoherence factor f (D(a)D(b) = D(ab), AD(x)AD(y) = AD(xy)), and the
@@ -539,11 +543,10 @@ def blp_integral(traj: Trajectory) -> float:
     return float(_positive_increments(traj.values))
 
 
-def _window_increments(values: np.ndarray, sizes: np.ndarray, cuts) -> np.ndarray:
+def _window_increments(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """``_positive_increments`` of each window's segment of ``values`` (the
     windows lie along the last axis, ``sizes`` samples each): one sum per
-    window, shape (..., W), or with ``cuts`` (one array per window) the
-    prefix sums at each window's cuts, concatenated window by window.
+    window, shape (..., W).
 
     The sums are one segmented sum: the positive steps with a 0 in place of
     the step into each window's first sample, reduced at the window starts.
@@ -553,9 +556,6 @@ def _window_increments(values: np.ndarray, sizes: np.ndarray, cuts) -> np.ndarra
     window gives 0.
     """
     bounds = np.cumsum(sizes)
-    if cuts is not None:
-        segments = np.split(values, bounds[:-1], axis=-1)
-        return np.concatenate([_positive_increments(seg, c) for seg, c in zip(segments, cuts)], axis=-1)
     filled = sizes > 0
     starts = (bounds - sizes)[filled]
     steps = np.clip(np.diff(values, axis=-1, prepend=0.0), 0.0, None)
@@ -577,11 +577,11 @@ def _kept_samples(windows, cut_indices=None):
     Each window is kept at its ``_turning_mask``, so the kept samples are |f|
     there, window by window.  The reduction sums the positive increments of
     each window's segment, shape (..., W) for W windows; a window where |f|
-    never rises has an empty segment, which gives 0.  With ``cut_indices``
-    (each >= 1; 1-D windows only) it gives each window's prefix sums over
-    [0, cut] instead: a cut reads the prefix sum at the last kept point at or
-    before it (from there to the cut |f| does not rise, so the series adds
-    nothing), or position 0, which is 0.
+    never rises has an empty segment, which gives 0.  ``cut_indices`` (each
+    >= 1) takes one 1-D window, fig1's and fig4's, and the reduction gives
+    its prefix sums over [0, cut] instead: a cut reads the prefix sum at the
+    last kept point at or before it (from there to the cut |f| does not
+    rise, so the series adds nothing), or position 0, which is 0.
 
     A window (without cuts) may hold |f| at only some columns of its grid,
     if they include both ends of every step where |f| rises: its kept
@@ -590,13 +590,15 @@ def _kept_samples(windows, cut_indices=None):
     |f| at the later one is at most |f| at the earlier one, and
     ``_turning_mask`` sees no rise there either.
     """
-    masks = [_turning_mask(w, cut_indices) for w in windows]
-    sizes = np.concatenate([np.count_nonzero(m, axis=-1).reshape(-1) for m in masks])
-    cuts = None
     if cut_indices is not None:
-        cuts = [np.maximum(np.searchsorted(np.flatnonzero(m), cut_indices, side="right") - 1, 0) for m in masks]
+        (window,) = windows
+        mask = _turning_mask(window, cut_indices)
+        cuts = np.maximum(np.searchsorted(np.flatnonzero(mask), cut_indices, side="right") - 1, 0)
+        return window[mask], partial(_positive_increments, cut_indices=cuts)
+    masks = [_turning_mask(w) for w in windows]
+    sizes = np.concatenate([np.count_nonzero(m, axis=-1).reshape(-1) for m in masks])
     f = np.concatenate([w[m] for w, m in zip(windows, masks)])
-    return f, partial(_window_increments, sizes=sizes, cuts=cuts)
+    return f, partial(_window_increments, sizes=sizes)
 
 
 def _random_backflows(family: ChannelFamily, f: np.ndarray, reduce, seed: int, lo: int, hi: int) -> np.ndarray:
@@ -713,12 +715,32 @@ def _random_search(family: ChannelFamily, f: np.ndarray, reduce, seed: int, n_pa
     return _fan_out(task, [min(step * (chunks * i // procs), n_pairs) for i in range(procs + 1)])
 
 
-def _window_times(window: tuple[float, float], grid_size: int) -> np.ndarray:
-    t0, t1 = float(window[0]), float(window[1])
-    if not t1 > t0 >= 0.0:
+def _backflows(family: ChannelFamily, windows, n_pairs: int, seed: int, workers: int = 1, cut_indices=None):
+    """The backflow integrals of every window of |f| in ``windows`` (see
+    ``_kept_samples``, which also takes ``cut_indices``): the optimal pairs'
+    value, the largest over the seeded random pairs 0..n_pairs-1, and the
+    earliest random pair that reaches it (``_random_search``), each one
+    array of one value per window or cut.
+
+    Every optimal pair evolves with trace distance |f| (``optimal_pair``;
+    arXiv 1310.1784), so their value is the sum of positive increments of
+    |f| itself (Breuer, Laine & Piilo, PRL 103, 210401 (2009)): no optimal
+    pair is evolved and no spectrum is taken for it.
+    """
+    f, reduce = _kept_samples(windows, cut_indices)
+    best, first_k = _random_search(family, f, reduce, seed, n_pairs, workers)
+    return reduce(f), best, first_k
+
+
+def _window_times(window, grid_size: int) -> np.ndarray:
+    """The window's grid of ``grid_size`` points, or, where its end is an
+    array, one grid per end along the last axis."""
+    t0, t1 = float(window[0]), np.asarray(window[1], dtype=float)
+    if not ((t1 > t0).all() and t0 >= 0.0):
         raise ValueError(f"invalid window {window}")
     _require({"grid_size": grid_size}, {"grid_size": 2})
-    return np.linspace(t0, t1, int(grid_size))
+    # The grid axis follows the ends' axes (axis=-1 would move even a 1-D grid).
+    return np.linspace(t0, t1, int(grid_size), axis=t1.ndim)
 
 
 # Half the period of |f| on each family's oscillating branch, from its spec;
@@ -729,15 +751,26 @@ _HALF_PERIODS = {
 }
 
 
+def _require_resolved(family: ChannelFamily, times: np.ndarray) -> None:
+    """Refuse, naming ``grid``, a grid (or a stack of grids along the last
+    axis) whose largest step is not below half the period of |f|: such a
+    step can step over whole rises, so the sum of positive increments would
+    alias."""
+    step = ((times[..., -1] - times[..., 0]) / (times.shape[-1] - 1)).max()
+    half_period = _HALF_PERIODS[type(family)](family.spec)
+    if not step < half_period:
+        raise ValueError(f"grid={times.shape[-1]} is too coarse: its step {step:.6g} is not below "
+                         f"{half_period:.6g}, half the period of |f|")
+
+
 def _window_magnitude(family: ChannelFamily, window, grid_size: int):
     """The window's grid and |f| on it (``family.magnitude``), once each
-    sample is finite and the grid resolves |f|'s oscillation.
+    sample is finite and the grid resolves |f|'s oscillation
+    (``_require_resolved``).
 
     Where a time overflows the phase (cos of inf is NaN), the kept-point mask
     would drop the sample and the measure would read 0: that time is named
-    instead of numpy's overflow warnings.  A step at or above half the period
-    of |f| can step over whole rises, so the sum of positive increments would
-    alias: ``grid`` is named instead.
+    instead of numpy's overflow warnings.
     """
     times = _window_times(window, grid_size)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -745,10 +778,7 @@ def _window_magnitude(family: ChannelFamily, window, grid_size: int):
     bad = ~np.isfinite(absf)
     if bad.any():
         raise ValueError(f"|f| is not finite at t={float(times[np.argmax(bad)])}")
-    step, half_period = (times[-1] - times[0]) / (times.size - 1), _HALF_PERIODS[type(family)](family.spec)
-    if not step < half_period:
-        raise ValueError(f"grid={int(grid_size)} is too coarse: its step {step:.6g} is not below {half_period:.6g}, "
-                         "half the period of |f|")
+    _require_resolved(family, times)
     return times, absf
 
 
@@ -757,11 +787,9 @@ def _entropy_bits(*probabilities: np.ndarray) -> np.ndarray:
     return -sum(p * np.log2(p, out=np.zeros_like(p), where=p > 0.0) for p in probabilities)
 
 
-# Each increment measure's score of r = |f| by (family type, kind), less its
-# constant term, which adds no increment; blp's is the optimal pairs' trace distance.
+# Each closed-form measure's score of r = |f| by (family type, kind), less
+# its constant term, which adds no increment.
 _SCORES = {
-    (DephasingChannel, "blp"): lambda r: r,
-    (AmplitudeDampingChannel, "blp"): lambda r: r,
     (DephasingChannel, "entanglement"): lambda r: r,
     (AmplitudeDampingChannel, "entanglement"): lambda r: r * r,
     (DephasingChannel, "mutual-info"): lambda r: -_entropy_bits(0.5 * (1.0 - r), 0.5 * (1.0 + r)),
@@ -771,10 +799,10 @@ _SCORES = {
 }
 
 
-def _scored(family: ChannelFamily, window, grid_size: int, kind: str):
-    """The window's ``_kept_samples`` |f| and reduce, and reduce of ``_SCORES`` at |f|."""
+def _scored(family: ChannelFamily, window, grid_size: int, kind: str) -> float:
+    """The backflow integral of the window's ``_SCORES`` series."""
     f, reduce = _kept_samples([_window_magnitude(family, window, grid_size)[1]])
-    return f, reduce, float(reduce(_SCORES[type(family), kind](f))[0])
+    return float(reduce(_SCORES[type(family), kind](f))[0])
 
 
 def blp_search(
@@ -795,11 +823,10 @@ def blp_search(
     the result is deterministic for a given seed.
     """
     _require({"n_pairs": n_pairs}, {"n_pairs": 0})
-    f, reduce, optimal = _scored(family, window, grid_size, "blp")
-    best, first_k = _random_search(family, f, reduce, seed, n_pairs)
-    if best[0] > optimal:
+    optimal, best, first_k = _backflows(family, [_window_magnitude(family, window, grid_size)[1]], n_pairs, seed)
+    if best[0] > optimal[0]:
         return MeasureReport(float(best[0]), "blp", int(grid_size), witness=sample_random_pair(seed, int(first_k[0])))
-    return MeasureReport(optimal, "blp", int(grid_size), witness=optimal_pair(1.0, 0.0, "zeta"))
+    return MeasureReport(float(optimal[0]), "blp", int(grid_size), witness=optimal_pair(1.0, 0.0, "zeta"))
 
 
 # Trace-norm excess of a step map, trace_norm(intermediate_choi(...)) - 1, in
@@ -845,7 +872,7 @@ def entanglement_measure(
 ) -> MeasureReport:
     """Sum of positive negativity increments of the evolved maximally
     entangled state (system = both qubits, dimension 4)."""
-    return MeasureReport(_scored(family, window, grid_size, "entanglement")[2], "entanglement", int(grid_size))
+    return MeasureReport(_scored(family, window, grid_size, "entanglement"), "entanglement", int(grid_size))
 
 
 def mutual_info_measure(
@@ -855,4 +882,4 @@ def mutual_info_measure(
 ) -> MeasureReport:
     """Sum of positive increments of the quantum mutual information of the
     evolved maximally entangled state (system = both qubits)."""
-    return MeasureReport(_scored(family, window, grid_size, "mutual-info")[2], "mutual-info", int(grid_size))
+    return MeasureReport(_scored(family, window, grid_size, "mutual-info"), "mutual-info", int(grid_size))

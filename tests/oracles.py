@@ -217,7 +217,7 @@ def turning_points_by_sign_change(absf: np.ndarray, cut_indices=None) -> np.ndar
 def stack_backflows(family, deltas: np.ndarray, windows, cut_indices=None) -> np.ndarray:
     """Backflow of each difference matrix in the stack ``deltas`` (P, 4, 4)
     over each window of |f| samples (``family.magnitude``): shape (P, W), or
-    (P, W C) with ``cut_indices``.
+    (P, C) with ``cut_indices``, which take one window.
 
     Not an independent reference: it runs the package's own kept samples,
     reduction and pure-pair kernel on an arbitrary stack (such as the

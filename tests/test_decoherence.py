@@ -17,7 +17,7 @@ from backflow import (
     transition_thetas,
 )
 
-from backflow.decoherence import _delta_floor, _kappa_abs_factors, _kappa_abs_over_thetas, _oscillates
+from backflow.decoherence import _closed_forms, _delta_floors, _kappa_abs_factors, _oscillates
 from backflow.decoherence import _rising_columns
 from backflow.measures import _window_times
 from oracles import bisect_root, kappa_by_quadrature
@@ -131,7 +131,7 @@ class TestKappa:
         thetas = [0.0, math.pi / 8, math.pi / 4, math.pi / 2, *rng.uniform(0.0, math.pi / 2, 40)]
         base = DephasingSpec(0.3, omega1=-1.5, omega2=8.5, sigma=0.7)
         for t in (np.linspace(0.0, 2 * math.pi / DW, 4001), rng.uniform(0.0, 3.0, 257), np.array([0.4]), [0.4]):
-            columns = _kappa_abs_over_thetas(base, thetas, t)
+            columns = _closed_forms(base, thetas, t)[0]
             assert columns.shape == (len(thetas), np.size(t))
             for theta, row in zip(thetas, columns):
                 expected = kappa_abs(DephasingSpec(theta, -1.5, 8.5, 0.7), np.asarray(t))
@@ -299,7 +299,7 @@ class TestAnalyticMeasure:
         # (pi sigma / dw)**2 overflows a float: the floor takes its limit 0.
         for sigma, dw in ((1e160, 1.0), (1.0, 1e-160), (1e308, 1e-10)):
             s = DephasingSpec(math.pi / 8, 0.0, dw, sigma)
-            assert _delta_floor(s, s.theta) == 0.0
+            assert _delta_floors(s, [s.theta]).tolist() == [0.0]
             assert analytic_blp_dephasing(s, 1.5 * math.pi / dw) == 0.0
 
     def test_rejects_control_time_outside_window(self):

@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import backflow
@@ -202,7 +202,7 @@ ABSENT = object()
 
 def subparsers() -> argparse._SubParsersAction:
     """The subcommands of the parser that ``cli.main`` builds once per process."""
-    return next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in cli._parsers()[0]._actions if isinstance(a, argparse._SubParsersAction))
 
 
 def figure_parsers() -> dict:
@@ -286,7 +286,7 @@ class TestConfigTable:
             cfg_file = Path(tmp) / "c.json"
             cfg_file.write_text(json.dumps(loaded))
             argv = [figure, "--config", str(cfg_file)] + ([] if flag is ABSENT else [f"{option}={flag}"])
-            args = cli._parser().parse_args(argv)
+            args = cli._parsers()[0].parse_args(argv)
             cfg = resolve_config(figure, args.config, cli._figure_overrides(args))
         expected = next(v for v in (flag, section, flat, default) if v is not ABSENT)
         assert cfg[key] == expected and (expected is None) == (cfg[key] is None)
@@ -314,7 +314,7 @@ class TestConfigTable:
             argv += data.draw(st.sampled_from([[f"{option}={value}"], [option, value]]))
         argv = cli._attach_dash_values(argv)
         outcomes = []
-        for parse in (cli._parse_args, cli._parser().parse_args):
+        for parse in (cli._parse_args, cli._parsers()[0].parse_args):
             with contextlib.redirect_stderr(io.StringIO()) as err:
                 try:
                     outcomes.append(parse(list(argv)))
@@ -666,7 +666,9 @@ class TestFig2OnePass:
         assert chunks == [3, 3, 2]
         assert np.array(rows).tobytes() == expected.tobytes()
 
-    @settings(max_examples=40, deadline=None)
+    # About a quarter of the drawn grids are 2 or 3, too coarse for the
+    # longest window: 55 examples bring ~40 to the comparison.
+    @settings(max_examples=55, deadline=None)
     @given(st.floats(1e-3, 3.0), st.floats(1.0, 40.0), st.floats(-5.0, 5.0),
            st.integers(1, 20), st.integers(1, 6), st.integers(2, 1001))
     def test_each_window_is_the_magnitude_of_its_row(self, sigma_over_dw, dw, omega1, theta_count, tauc_count, grid):
@@ -677,13 +679,21 @@ class TestFig2OnePass:
         cfg = resolve_config("fig2", None, {"sigma": sigma, "delta_omega": dw, "omega1": omega1,
                                             "theta_count": theta_count, "tauc_count": tauc_count, "grid": grid})
         calls = []
-        search = experiments._random_search
+        search = measures._random_search
 
         def recording(family, f, reduce, *args):
             calls.append((f, reduce))
             return search(family, f, reduce, *args)
 
-        with mock.patch.object(experiments, "_random_search", recording):
+        longest = np.linspace(1.2 * math.pi / dw, 2.0 * math.pi / dw, tauc_count)[-1]
+        family = DephasingChannel(DephasingSpec(0.0, omega1, omega1 + dw, sigma))
+        if longest / (grid - 1) >= measures._HALF_PERIODS[DephasingChannel](family.spec):
+            # The longest window's step is not below pi/dw: refused as blp_search refuses it.
+            for run in (lambda: run_figure("fig2", cfg), lambda: blp_search(family, (0.0, longest), 0, grid, 0)):
+                with pytest.raises(ValueError, match=f"^grid={grid} is too coarse"):
+                    run()
+            return
+        with mock.patch.object(measures, "_random_search", recording):
             rows = run_figure("fig2", cfg)[1]
         assert len(calls) == 1 and len(rows) == theta_count * tauc_count
         f, reduce = calls[0]
@@ -709,15 +719,17 @@ class TestFig2OnePass:
         assert 0 < sum(formed) <= (5 * 17 * 4001) // 2
 
     def test_a_default_run_forms_the_angle_free_factors_twice(self, monkeypatch):
-        # Once on the stack of every window's grid, once at every tau_c.
+        # Once on the stack of every window's grid, once at every tau_c
+        # (decoherence._closed_forms).
         shapes = []
-        factors = experiments._kappa_abs_factors
+        factors = decoherence._kappa_abs_factors
 
         def counting(spec, t):
             shapes.append(np.shape(t))
             return factors(spec, t)
 
-        monkeypatch.setattr(experiments, "_kappa_abs_factors", counting)
+        for module in (experiments, decoherence):
+            monkeypatch.setattr(module, "_kappa_abs_factors", counting)
         run_figure("fig2", resolve_config("fig2", None, {}))
         assert shapes == [(5, 4001), (5,)]
 
@@ -750,8 +762,7 @@ class TestRandomSearch:
             return searches[-1][1]
 
         monkeypatch.setattr(measures, "_random_differences", drawing)
-        for module in (measures, experiments):
-            monkeypatch.setattr(module, "_random_search", searching)
+        monkeypatch.setattr(measures, "_random_search", searching)
         return draws, searches
 
     def test_no_search_holds_more_than_one_chunk_of_pairs(self, monkeypatch):
@@ -764,7 +775,7 @@ class TestRandomSearch:
         assert sum(hi - lo for lo, hi in draws) == 1000 + 600
         windows = [[lorentz.magnitude(np.linspace(0.0, 30.0, 401))], list(TestFig2OnePass._windows(cfg))]
         for (args, (best, first_k)), samples in zip(searches, windows, strict=True):
-            family, _, _, seed, n_pairs = args
+            family, _, _, seed, n_pairs, _ = args
             one_stack = stack_backflows(family, _random_differences(seed, 0, n_pairs), samples)
             assert best.tobytes() == one_stack.max(axis=0).tobytes()
             assert first_k.tolist() == one_stack.argmax(axis=0).tolist()
@@ -1551,6 +1562,75 @@ class TestCli:
             assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("argv, line", [
+        # Before, fig1 printed 0.90471502618495891 on its last row, where grid
+        # 100001 gives 1.5320396175312363.
+        (("fig1", "--grid", "101", "--tauc-start", "3", "--tauc-stop", "30", "--pairs", "3", "--rows", "3"),
+         "error: grid=101 is too coarse: its step 0.333333 is not below 0.314159, half the period of |f|"),
+        # Before, 0.24674339232737252 on every row, against 0.7229502621235252 at grid 40001.
+        (("fig4", "--grid", "5", "--tc-start", "20", "--tc-stop", "36", "--pairs", "3", "--rows", "3"),
+         "error: grid=5 is too coarse: its step 9 is not below 7.20731, half the period of |f|"),
+        # Before, N_numeric 0 on all 85 rows; blp_search refuses each window.
+        (("fig2", "--grid", "2"),
+         "error: grid=2 is too coarse: its step 0.628319 is not below 0.314159, half the period of |f|"),
+        # Before, two numpy RuntimeWarnings and a table of zeros.
+        (("fig1", "--tauc-start", "1e308", "--tauc-stop", "1.5e308", "--pairs", "3", "--rows", "2"),
+         "error: |f| is not finite at t=3.595833333333333e+307"),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_a_figure_refuses_what_measure_refuses(self, argv, line, tmp_path, monkeypatch, capsys):
+        # A grid too coarse for |f|, or a non-finite |f|, writes neither a CSV
+        # nor a .meta.json.
+        self.test_overflowing_parameters_are_named(argv, line, tmp_path, monkeypatch, capsys)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(
+        st.builds(lambda theta, start, stop, grid, rows: ("fig1", {
+            "theta": theta, "tauc_start": start * stop, "tauc_stop": stop, "grid": grid, "rows": rows, "pairs": 2}),
+            st.floats(0.0, math.pi / 2), st.floats(0.6, 1.0), st.floats(0.05, 40.0), st.integers(2, 100),
+            st.integers(1, 5)),
+        st.builds(lambda ratio, start, stop, grid, rows: ("fig4", {
+            "width_ratio": ratio, "tc_start": start * stop, "tc_stop": stop, "grid": grid, "rows": rows, "pairs": 2}),
+            st.floats(0.01, 1.9), st.floats(0.6, 1.0), st.floats(1.0, 200.0), st.integers(2, 100),
+            st.integers(1, 5)),
+        st.builds(lambda sigma_over_dw, dw, tauc_count, grid: ("fig2", {
+            "sigma": sigma_over_dw * dw, "delta_omega": dw, "tauc_count": tauc_count, "theta_count": 3,
+            "grid": grid}),
+            st.floats(1e-3, 1.0), st.floats(1.0, 40.0), st.integers(1, 6), st.integers(2, 8)),
+    ))
+    # A step of exactly pi/dw (grid 3 over the longest window, 2 pi/dw) is refused; grid 4 runs.
+    @example(("fig2", {"tauc_count": 5, "theta_count": 3, "grid": 3}))
+    @example(("fig2", {"tauc_count": 5, "theta_count": 3, "grid": 4}))
+    def test_a_figure_is_refused_exactly_where_its_longest_step_is_too_coarse(self, case):
+        # Refused, naming grid and writing nothing, if and only if the step of
+        # its longest window is not below half the period of |f|; otherwise
+        # it writes its table.
+        figure, overrides = case
+        cfg = resolve_config(figure, None, overrides)
+        if figure == "fig4":
+            family = AmplitudeDampingChannel(LorentzSpec(cfg["gamma0"], cfg["width_ratio"] * cfg["gamma0"]))
+            longest = cfg["tc_stop"]
+        else:
+            family = DephasingChannel(DephasingSpec(0.0, cfg["omega1"], cfg["omega1"] + cfg["delta_omega"],
+                                                    cfg["sigma"]))
+            dw = cfg["delta_omega"]
+            longest = (cfg["tauc_stop"] / 0.9 if figure == "fig1"
+                       else np.linspace(1.2 * math.pi / dw, 2.0 * math.pi / dw, cfg["tauc_count"])[-1])
+        refused = not longest / (cfg["grid"] - 1) < measures._HALF_PERIODS[type(family)](family.spec)
+        event(f"{figure} refused" if refused else f"{figure} written")
+        with tempfile.TemporaryDirectory() as tmp:
+            out, err = io.StringIO(), io.StringIO()
+            argv = [figure, *(f"{cli._flags(k)[0]}={v}" for k, v in overrides.items()), "--out", f"{tmp}/f.csv"]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            if refused:
+                assert code == 1 and out.getvalue() == ""
+                assert err.getvalue().startswith(f"error: grid={cfg['grid']} is too coarse: ")
+                assert len(err.getvalue().splitlines()) == 1 and os.listdir(tmp) == []
+            else:
+                assert (code, err.getvalue()) == (0, "")
+                assert sorted(os.listdir(tmp)) == ["f.csv", "f.csv.meta.json"]
+
+    @pytest.mark.parametrize("argv, line", [
         (("fig4", "--gamma0", "1e-300"), "error: width=1e-301 and gamma0=1e-300 underflow width**2 - 2*gamma0*width"),
         (("fig5", "--gamma0", "1e-300"),
          "error: width=1.0000000000000001e-303 and gamma0=1e-300 underflow width**2 - 2*gamma0*width"),
@@ -1597,7 +1677,7 @@ class TestCli:
         assert exit_info.value.code == code
         out = capsys.readouterr()
         if line is None:
-            assert (out.out, out.err) == (cli._parser().format_help(), "")
+            assert (out.out, out.err) == (cli._parsers()[0].format_help(), "")
         else:
             assert out.out == "" and out.err.splitlines()[-1].startswith(line)
 
@@ -1655,7 +1735,7 @@ class TestCli:
         assert cli.main(["chi", "--gamma0", "1", "--width", "0.1", "--t", "0"]) == 0
         assert capsys.readouterr().out == "1\n"
         # main reuses one parser; build_parser still returns a new one.
-        assert cli._parser() is cli._parser()
+        assert cli._parsers()[0] is cli._parsers()[0]
         assert cli.build_parser() is not cli.build_parser()
 
     def test_fidelity_parse_errors_name_the_flag(self):

@@ -652,7 +652,7 @@ class TestWindowBackflows:
             values = np.round(values, 1)
         segments = np.split(values, np.cumsum(sizes)[:-1], axis=-1)
         expected = np.stack([_positive_increments(seg) for seg in segments], axis=-1)
-        got = measures._window_increments(values, np.array(sizes), None)
+        got = measures._window_increments(values, np.array(sizes))
         assert got.shape == leading + (len(sizes),)
         assert got.tobytes() == expected.tobytes()
 
