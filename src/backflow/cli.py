@@ -3,17 +3,15 @@
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
-import math
 import sys
 
 import numpy as np
 
 from .channels import AmplitudeDampingChannel, DephasingChannel
 from .decoherence import LorentzSpec, chi, kappa_abs, transition_thetas
-from .experiments import FIGURES, _dephasing_spec, _preset_fidelities, command_keys, resolve_config, run_figure
-from .experiments import write_csv, write_metadata
+from .experiments import FIGURES, _check, _dephasing_spec, _non_finite_row, _preset_fidelities, command_keys
+from .experiments import resolve_config, run_figure, write_csv, write_metadata
 from .measures import blp_search, divisibility_measure, entanglement_measure, mutual_info_measure
 
 
@@ -42,27 +40,24 @@ def _run_figure_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_kappa(args: argparse.Namespace) -> int:
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is named below
-        value = kappa_abs(_dephasing_spec(vars(args), args.theta), args.tau)
-    if not math.isfinite(value):
-        raise ValueError(f"|kappa| is not finite at tau={args.tau}")
-    print(_fmt(value))
-    return 0
+# Each handler below returns the values its command prints, and the time of
+# a divergence (``measure`` alone), whose value is then the one allowed
+# infinity.
 
 
-def _run_chi(args: argparse.Namespace) -> int:
-    print(_fmt(chi(LorentzSpec(gamma0=args.gamma0, width=args.width), args.t)))
-    return 0
+def _run_kappa(args: argparse.Namespace):
+    return (kappa_abs(_dephasing_spec(vars(args), args.theta), args.tau),), None
 
 
-def _run_transition(args: argparse.Namespace) -> int:
-    theta1, theta2 = transition_thetas(args.delta_omega, args.sigma, args.tauc)
-    print(f"{_fmt(theta1)} {_fmt(theta2)}")
-    return 0
+def _run_chi(args: argparse.Namespace):
+    return (chi(LorentzSpec(gamma0=args.gamma0, width=args.width), args.t),), None
 
 
-def _run_fidelity(args: argparse.Namespace) -> int:
+def _run_transition(args: argparse.Namespace):
+    return transition_thetas(args.delta_omega, args.sigma, args.tauc), None
+
+
+def _run_fidelity(args: argparse.Namespace):
     try:
         c = tuple(float(x) for x in args.c.split(","))
     except ValueError:
@@ -73,13 +68,11 @@ def _run_fidelity(args: argparse.Namespace) -> int:
         kappa = complex(args.kappa)
     except ValueError:
         raise ValueError(f"--kappa expects a real or complex number, got {args.kappa!r}") from None
-    if not cmath.isfinite(kappa):
-        raise ValueError("--kappa must be a finite number")
-    print(_fmt(_preset_fidelities(DephasingChannel, abs(kappa), (c,))[0]))
-    return 0
+    _check("kappa", kappa, "for fidelity", command_keys("fidelity"))
+    return (_preset_fidelities(DephasingChannel, abs(kappa), (c,))[0],), None
 
 
-def _run_measure(args: argparse.Namespace) -> int:
+def _run_measure(args: argparse.Namespace):
     if args.family == "dephasing":
         family = DephasingChannel(_dephasing_spec(vars(args), args.theta))
     else:
@@ -93,19 +86,19 @@ def _run_measure(args: argparse.Namespace) -> int:
         report = entanglement_measure(family, window, args.grid)
     else:
         report = mutual_info_measure(family, window, args.grid)
-    print(_fmt(report.value) if report.singularity is None else "inf")
-    if report.singularity is not None:
-        print(f"divergent at t={_fmt(report.singularity)}", file=sys.stderr)
-    return 0
+    return (report.value,), report.singularity
 
 
-# Each other command's handler and one-line help.
+# Each other command's handler, one-line help, and the line that names a
+# non-finite value it would print.
 _COMMANDS = {
-    "kappa": (_run_kappa, "print |kappa(tau)| for a dephasing spec"),
-    "chi": (_run_chi, "print chi(t) for a Lorentzian spec"),
-    "transition": (_run_transition, "print the two transition angles theta1 theta2"),
-    "fidelity": (_run_fidelity, "RSP fidelity of a dephased Bell-diagonal state"),
-    "measure": (_run_measure, "evaluate one backflow measure on a window"),
+    "kappa": (_run_kappa, "print |kappa(tau)| for a dephasing spec", "|kappa| is not finite at tau={tau}"),
+    "chi": (_run_chi, "print chi(t) for a Lorentzian spec", "chi is not finite at t={t}"),
+    "transition": (_run_transition, "print the two transition angles theta1 theta2",
+                   "the transition angles are not finite at tauc={tauc}"),
+    "fidelity": (_run_fidelity, "RSP fidelity of a dephased Bell-diagonal state",
+                 "the fidelity is not finite at kappa={kappa}"),
+    "measure": (_run_measure, "evaluate one backflow measure on a window", "the measure is not finite at t1={t1}"),
 }
 
 
@@ -172,15 +165,6 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _require_finite(args: argparse.Namespace) -> None:
-    """Reject a non-finite float flag of a non-figure command by name (the
-    figure configs are checked by ``resolve_config``)."""
-    for key in command_keys(args.command):
-        value = getattr(args, key)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{_flags(key)[0]} must be a finite number")
-
-
 # One parser per process: parse_args keeps no state between calls, and
 # building the 11 subparsers costs more than a short command's own work.
 _parsers = functools.cache(_build_parsers)
@@ -205,8 +189,20 @@ def main(argv=None) -> int:
     try:
         if args.command in FIGURES:
             return _run_figure_command(args)
-        _require_finite(args)
-        return _COMMANDS[args.command][0](args)
+        # A figure's values pass the same key check in resolve_config, and
+        # its rows the same finite check in run_figure.
+        known = command_keys(args.command)
+        for key in known:
+            _check(key, getattr(args, key), f"for {args.command}", known)
+        handler, _, non_finite = _COMMANDS[args.command]
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is named below
+            values, divergence = handler(args)
+        if divergence is None and _non_finite_row([values]) is not None:
+            raise ValueError(non_finite.format(**vars(args)))
+        print(" ".join(map(_fmt, values)))
+        if divergence is not None:
+            print(f"divergent at t={_fmt(divergence)}", file=sys.stderr)
+        return 0
     except Exception as exc:  # single-line diagnostic, nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1

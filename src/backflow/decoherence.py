@@ -15,8 +15,9 @@ parameterized by the real factor
 
 with eps = sqrt(|Gamma^2 - 2 gamma0 Gamma|).  For Gamma > 2 gamma0 the
 trigonometric functions are continued as cosh/sinh (the standard overdamped
-solution); at Gamma = 2 gamma0 the analytic limit exp(-Gamma t/2)(1 + Gamma t/2)
-is used.
+solution), evaluated as the sum of its two decaying modes so that it neither
+overflows nor underflows before the value does; at Gamma = 2 gamma0 the
+analytic limit exp(-Gamma t/2)(1 + Gamma t/2) is used.
 """
 
 from __future__ import annotations
@@ -203,17 +204,20 @@ def chi(spec: LorentzSpec, t):
     analytic critical limit in between.  Accepts a scalar or an array.
     """
     tt = np.asarray(t, dtype=float)
-    g = spec.width
-    envelope = np.exp(-0.5 * g * tt)
+    g, eps = spec.width, spec.epsilon
     if _critical(spec):
-        value = envelope * (1.0 + 0.5 * g * tt)
-    else:
-        eps = spec.epsilon
+        value = np.exp(-0.5 * g * tt) * (1.0 + 0.5 * g * tt)
+    elif g < 2.0 * spec.gamma0:
         half = 0.5 * eps * tt
-        if g < 2.0 * spec.gamma0:
-            value = envelope * (np.cos(half) + (g / eps) * np.sin(half))
-        else:
-            value = envelope * (np.cosh(half) + (g / eps) * np.sinh(half))
+        value = np.exp(-0.5 * g * tt) * (np.cos(half) + (g / eps) * np.sin(half))
+    else:
+        # The modes 1/2 (1 + g/eps) e^{-(g - eps) t/2} + 1/2 (1 - g/eps)
+        # e^{-(g + eps) t/2} with the slow one factored out.  Its rate
+        # (g - eps)/2 = gamma0 g/(g + eps) cancels nothing, no factor
+        # overflows, and the rest adds two terms >= 0 where the two weights
+        # would cancel near critical damping.
+        slow = spec.gamma0 * g / (g + eps)
+        value = np.exp(-slow * tt) * (1.0 - slow / eps * np.expm1(-eps * tt))
     if np.ndim(t) == 0:
         return float(value)
     return value
@@ -313,14 +317,11 @@ def transition_thetas(delta_omega: float, sigma: float, tau_c: float) -> tuple[f
     # A finite radicand leaves u, v, u*v and so p and q finite.
     if not math.isfinite(radicand):
         raise ValueError(f"sigma={sigma} and tau_c={tau_c} overflow the transition-angle equation")
-    if u <= v:
-        raise NoTransitionError(f"u={u:.6g} <= v={v:.6g}: no real transition angle")
-    p = (u + v * c) / (u - v)
-    if radicand < 0.0:
-        raise NoTransitionError("negative discriminant: no real transition angle")
-    q = math.sqrt(radicand) / (u - v)
-    if p - q < 0.0:
-        raise NoTransitionError(f"p - q = {p - q:.6g} < 0: no real transition angle")
-    theta1 = math.atan(math.sqrt(p - q))
-    theta2 = math.atan(math.sqrt(p + q))
-    return (theta1, theta2) if theta1 <= theta2 else (theta2, theta1)
+    # The roots tan^2(theta) = p -+ q need u > v (sigma tau_c > pi sigma/dw
+    # after rounding), a real q and p - q >= 0.
+    if u > v and radicand >= 0.0:
+        p, q = (u + v * c) / (u - v), math.sqrt(radicand) / (u - v)
+        if p - q >= 0.0:
+            theta1, theta2 = math.atan(math.sqrt(p - q)), math.atan(math.sqrt(p + q))
+            return (theta1, theta2) if theta1 <= theta2 else (theta2, theta1)
+    raise NoTransitionError(f"delta_omega={delta_omega}, sigma={sigma} and tau_c={tau_c} give no real transition angle")

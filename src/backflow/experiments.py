@@ -25,6 +25,7 @@ at r = |f| (``_preset_fidelities``).
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import os
@@ -161,22 +162,27 @@ def default_config(figure: str) -> dict:
 
 _KEY_DEFAULTS = {key: value for figure in FIGURES for key, value in default_config(figure).items()}
 # Per value type: the JSON types it accepts and its name in an error.
-_ACCEPTS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
+_ACCEPTS = {
+    int: (int, "an integer"), float: ((int, float), "a number"), complex: (complex, "a number"), str: (str, "a string"),
+}
 
 
 def _check(key: str, value, where: str, known) -> None:
-    # Values are stored as given, so each must already have its key's type:
-    # an int key takes no float or bool, a float key also takes an int but no
-    # NaN or infinity (Python's json parses both), and only a key whose
-    # default is None takes null.
+    # The one check of every command's values: a config file's, a figure's
+    # flags and the other commands' flags.  Values are stored as given, so
+    # each must already have its key's type: an int key takes no float or
+    # bool, a float key also takes an int but no NaN or infinity (Python's
+    # json parses both), and only a key whose default is None takes null.  A
+    # key that no figure reads arrives parsed (by argparse, or fidelity's
+    # kappa as a complex number), so its value's type is its own.
     if key not in known:
         raise ValueError(f"unknown option {key!r} {where}")
-    default = _KEY_DEFAULTS[key]
+    default = _KEY_DEFAULTS.get(key, value)
     accepted, name = _ACCEPTS[_value_type(default)]
     if isinstance(value, bool) or not (isinstance(value, accepted) or (value is None and default is None)):
         name += " or null" if default is None else ""
         raise ValueError(f"{key}={json.dumps(value, default=str)} {where} must be {name}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if isinstance(value, (float, complex)) and not cmath.isfinite(value):
         raise ValueError(f"{key}={value} {where} must be a finite number")
 
 
@@ -215,14 +221,37 @@ def _dephasing_spec(cfg: dict, theta) -> DephasingSpec:
     return DephasingSpec(float(theta), cfg["omega1"], cfg["omega1"] + cfg["delta_omega"], cfg["sigma"])
 
 
+def _derived(value: float, formula: str, **inputs) -> float:
+    """``value``, formed by ``formula`` from ``inputs``, once it is a positive
+    finite number; else the keys it came from are named, so that a value
+    that overflowed, underflowed or came out negative is not passed on."""
+    if not 0.0 < value < math.inf:
+        given = " and ".join(f"{key}={v}" for key, v in inputs.items())
+        raise ValueError(f"{formula} = {value} is not a positive finite number (from {given})")
+    return value
+
+
+def _control_time(cfg: dict, multiple: float) -> float:
+    """The control time ``multiple`` pi/delta_omega (``_derived``); at
+    delta_omega = 0, where the division raises, its IEEE-754 value."""
+    dw = cfg["delta_omega"]
+    value = multiple * math.pi / dw if dw else math.copysign(math.inf, dw)
+    return _derived(value, f"{multiple} pi/delta_omega", delta_omega=dw)
+
+
+def _lorentz_spec(gamma0: float, ratio: float, ratio_key: str) -> LorentzSpec:
+    """The Lorentzian spec of width ``ratio`` * ``gamma0``; a width that is
+    not a positive finite number names ``ratio_key`` and gamma0."""
+    width = _derived(ratio * gamma0, f"{ratio_key}*gamma0", **{ratio_key: ratio}, gamma0=gamma0)
+    return LorentzSpec(gamma0=gamma0, width=width)
+
+
 def _lorentz_family(cfg: dict) -> AmplitudeDampingChannel:
     # eps = 0 at ratio 2 and the dynamics has no revival beyond it, so the
     # revival time 2 pi/eps that places fig4's rows exists only inside (0, 2).
     if not 0.0 < cfg["width_ratio"] < 2.0:
         raise ValueError(f"width_ratio={cfg['width_ratio']} must lie strictly inside (0, 2)")
-    return AmplitudeDampingChannel(
-        LorentzSpec(gamma0=cfg["gamma0"], width=cfg["width_ratio"] * cfg["gamma0"])
-    )
+    return AmplitudeDampingChannel(_lorentz_spec(cfg["gamma0"], cfg["width_ratio"], "width_ratio"))
 
 
 def _integral_sweep(
@@ -270,12 +299,11 @@ def run_fig1(cfg: dict):
     """
     _require(cfg, {"rows": 1, "grid": 2, "pairs": 1, "workers": 1})
     family = DephasingChannel(_dephasing_spec(cfg, cfg["theta"]))
-    dw = cfg["delta_omega"]
-    start = cfg["tauc_start"] if cfg["tauc_start"] is not None else 1.2 * math.pi / dw
-    stop = cfg["tauc_stop"] if cfg["tauc_stop"] is not None else 3.6 * math.pi / dw
+    start = cfg["tauc_start"] if cfg["tauc_start"] is not None else _control_time(cfg, 1.2)
+    stop = cfg["tauc_stop"] if cfg["tauc_stop"] is not None else _control_time(cfg, 3.6)
     if not 0.0 < start <= stop:
         raise ValueError(f"need 0 < tauc_start <= tauc_stop, got ({start}, {stop})")
-    window_end = stop / 0.9  # keep headroom past the last row
+    window_end = _derived(stop / 0.9, "tauc_stop/0.9", tauc_stop=stop)  # keep headroom past the last row
     fractions = np.linspace(start / window_end, 0.9, cfg["rows"])
     tau_c, optimal, random_max = _integral_sweep(
         family, window_end, cfg["grid"], fractions, cfg["pairs"], cfg["seed"], cfg["workers"]
@@ -335,7 +363,7 @@ def run_fig2(cfg: dict):
     """
     _require(cfg, {"theta_count": 1, "tauc_count": 1, "grid": 2, "pairs": 0})
     dw, grid = cfg["delta_omega"], cfg["grid"]
-    tauc_grid = np.linspace(1.2 * math.pi / dw, 2.0 * math.pi / dw, cfg["tauc_count"])
+    tauc_grid = np.linspace(_control_time(cfg, 1.2), _control_time(cfg, 2.0), cfg["tauc_count"])
     theta_grid = np.linspace(0.0, math.pi / 2, cfg["theta_count"])
     spec = _dephasing_spec(cfg, theta_grid[0])
     family = DephasingChannel(spec)
@@ -394,9 +422,8 @@ def run_fig3(cfg: dict, variant: str):
     which is exactly zero at the window edges theta1, theta2.
     """
     _require(cfg, {"theta_count": 1})
-    dw = cfg["delta_omega"]
-    tau_c = 1.5 * math.pi / dw if variant == "a" else 2.0 * math.pi / dw
-    theta1, theta2 = transition_thetas(dw, cfg["sigma"], tau_c)
+    tau_c = _control_time(cfg, 1.5 if variant == "a" else 2.0)
+    theta1, theta2 = transition_thetas(cfg["delta_omega"], cfg["sigma"], tau_c)
     theta_grid = np.linspace(theta1, theta2, cfg["theta_count"])
     at_tau_c, measure = (a[:, 0] for a in _closed_forms(_dephasing_spec(cfg, theta_grid[0]), theta_grid, [tau_c]))
     fidelities = _preset_fidelities(DephasingChannel, at_tau_c)
@@ -417,7 +444,7 @@ def run_fig5(cfg: dict):
     ratios = np.linspace(cfg["ratio_min"], cfg["ratio_max"], cfg["ratio_count"])
     if ratios.min() <= 0.0 or ratios.max() >= 2.0:
         raise ValueError("ratio grid must stay strictly inside (0, 2)")
-    specs = [LorentzSpec(gamma0=gamma0, width=float(ratio) * gamma0) for ratio in ratios]
+    specs = [_lorentz_spec(gamma0, float(ratio), "ratio") for ratio in ratios]
     n_values = [math.exp(-math.pi * spec.width / spec.epsilon) for spec in specs]
     chi_tc = [chi(spec, 2.0 * math.pi / spec.epsilon) for spec in specs]
     fidelities = _preset_fidelities(AmplitudeDampingChannel, np.abs(chi_tc))
@@ -434,13 +461,20 @@ _RUNNERS = {
 }
 
 
+def _non_finite_row(rows):
+    """The first of ``rows`` that holds a non-finite value, or None: the one
+    check of what a command prints or writes."""
+    finite = np.isfinite(np.array(rows, dtype=float)).all(axis=-1)
+    return None if finite.all() else rows[np.argmin(finite)]
+
+
 def run_figure(figure: str, cfg: dict):
     """The figure's header and rows, once every value is finite; else the
     first row holding a non-finite value is named."""
     header, rows = _RUNNERS[figure](cfg)
-    finite = np.isfinite(np.array(rows, dtype=float))
-    if not finite.all():
-        raise ValueError(f"non-finite value in {figure} row {rows[np.argmin(finite.all(axis=-1))]}")
+    bad = _non_finite_row(rows)
+    if bad is not None:
+        raise ValueError(f"non-finite value in {figure} row {bad}")
     return header, rows
 
 

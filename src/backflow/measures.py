@@ -737,7 +737,7 @@ def _window_times(window, grid_size: int) -> np.ndarray:
     array, one grid per end along the last axis."""
     t0, t1 = float(window[0]), np.asarray(window[1], dtype=float)
     if not ((t1 > t0).all() and t0 >= 0.0):
-        raise ValueError(f"invalid window {window}")
+        raise ValueError(f"invalid window t0={window[0]}, t1={window[1]}: need 0 <= t0 < t1")
     _require({"grid_size": grid_size}, {"grid_size": 2})
     # The grid axis follows the ends' axes (axis=-1 would move even a 1-D grid).
     return np.linspace(t0, t1, int(grid_size), axis=t1.ndim)

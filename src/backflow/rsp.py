@@ -39,7 +39,7 @@ def _bell_triple(c) -> tuple[float, float, float]:
     c1, c2, c3 = (float(x) for x in c)
     for x, name in ((c1, "c1"), (c2, "c2"), (c3, "c3")):
         if not -1.0 <= x <= 1.0:
-            raise ValueError(f"{name}={x} outside [-1, 1]")
+            raise ValueError(f"c=({c1}, {c2}, {c3}) has {name}={x} outside [-1, 1]")
     # The four eigenvalues of the state are these combinations divided by 4.
     combos = {
         "1 - c1 - c2 - c3": 1.0 - c1 - c2 - c3,
@@ -50,7 +50,7 @@ def _bell_triple(c) -> tuple[float, float, float]:
     for name, value in combos.items():
         if value < -_PSD_SLACK:
             raise ValueError(
-                f"({c1}, {c2}, {c3}) gives a negative eigenvalue: {name} = {value:.6g} < 0"
+                f"c=({c1}, {c2}, {c3}) gives a negative eigenvalue: {name} = {value:.6g} < 0"
             )
     return c1, c2, c3
 

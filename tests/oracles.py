@@ -15,6 +15,7 @@ package's own pair kernel on stacks that no search draws.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 
@@ -165,6 +166,22 @@ def dephasing_kappa_modulus(theta: float, delta_omega: float, sigma: float, t: f
         math.cos(delta_omega * t), math.sin(delta_omega * t)
     )
     return math.exp(-0.5 * (sigma * t) ** 2) * abs(peaks)
+
+
+def overdamped_chi_log(gamma0: float, width: float, t: float) -> float:
+    """log chi(t) of the overdamped Lorentz model (width > 2 gamma0, t >= 0)
+    in decimal arithmetic: -width t/2 + eps t/2 + log(1/2 (1 + r) + 1/2 (1 - r)
+    e^{-eps t}) with r = width/eps, the log of e^{-width t/2} (cosh(eps t/2)
+    + r sinh(eps t/2)).  The rate width - eps is a plain difference, so the
+    precision grows with log10(width/gamma0), the digits it cancels; decimal's
+    exponent range holds every factor that a float would overflow.
+    """
+    g0, g, tt = (decimal.Decimal(x) for x in (gamma0, width, t))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60 + max(0, (g / g0).adjusted())
+        eps = (g * g - 2 * g0 * g).sqrt()
+        r = g / eps
+        return float((eps - g) * tt / 2 + ((1 + r) / 2 + (1 - r) / 2 * (-eps * tt).exp()).ln())
 
 
 def dephasing_extremes(theta: float, delta_omega: float, sigma: float) -> tuple[float, float]:

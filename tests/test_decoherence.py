@@ -17,10 +17,10 @@ from backflow import (
     transition_thetas,
 )
 
-from backflow.decoherence import _closed_forms, _delta_floors, _kappa_abs_factors, _oscillates
+from backflow.decoherence import _closed_forms, _critical, _delta_floors, _kappa_abs_factors, _oscillates
 from backflow.decoherence import _rising_columns
 from backflow.measures import _window_times
-from oracles import bisect_root, kappa_by_quadrature
+from oracles import bisect_root, kappa_by_quadrature, overdamped_chi_log
 
 DW, SIGMA = 10.0, 1.0
 
@@ -281,6 +281,44 @@ class TestChi:
         assert np.all(np.diff(vals) < 0)
         assert np.all(vals <= 1.0 + 1e-12)
         assert np.all(vals > 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-100.0, 100.0), st.floats(-11.0, 4.0), st.floats(0.0, 200.0))
+    @pytest.mark.filterwarnings("error")
+    def test_overdamped_branch_matches_the_cosh_form(self, log_gamma0, log_excess, width_t):
+        # width = 2 gamma0 (1 + 10**log_excess), down to the critical band.
+        # Up to width t = 200 both exponentials of the cosh form are far from
+        # overflow and underflow, and its own rounding, ~width t 2**-53,
+        # stays below 1e-13.
+        gamma0 = 10.0**log_gamma0
+        s = LorentzSpec(gamma0, 2.0 * gamma0 * (1.0 + 10.0**log_excess))
+        if _critical(s):
+            return
+        t = width_t / s.width
+        half = 0.5 * s.epsilon * t
+        cosh_form = math.exp(-0.5 * s.width * t) * (math.cosh(half) + s.width / s.epsilon * math.sinh(half))
+        assert chi(s, t) == pytest.approx(cosh_form, rel=1e-13)
+        assert chi(s, np.array([t]))[0] == chi(s, t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-100.0, 100.0), st.floats(math.log10(2.5), 6.0), st.floats(2.0, 6.0))
+    @example(0.0, math.log10(3.0), 3.0)  # chi --gamma0 1 --width 3 --t 1000 printed nan
+    @example(0.0, math.log10(3.0), math.log10(500.0))  # and --t 500 printed 0
+    @pytest.mark.filterwarnings("error")
+    def test_overdamped_branch_beyond_the_cosh_form_matches_a_log_space_oracle(self, log_gamma0, log_ratio,
+                                                                               log_gamma0_t):
+        # Past gamma0 t ~ 100 a factor of the cosh form overflows or
+        # underflows (exp(-width t/2) at width t/2 ~ 745, cosh at eps t/2 ~
+        # 710), yet chi is a normal float down to gamma0 t ~ 700 and decays
+        # at the slow rate, about gamma0 there.  width >= 2.5 gamma0 keeps
+        # epsilon, whose width**2 - 2 gamma0 width cancels near the critical
+        # point, to a few ulps.
+        gamma0 = 10.0**log_gamma0
+        s = LorentzSpec(gamma0, 10.0**log_ratio * gamma0)
+        t = 10.0**log_gamma0_t / gamma0
+        value = chi(s, t)
+        assert value == pytest.approx(math.exp(overdamped_chi_log(s.gamma0, s.width, t)), rel=1e-12, abs=1e-300)
+        assert 0.0 <= value <= 1.0
 
 
 class TestAnalyticMeasure:

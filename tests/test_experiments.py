@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -30,6 +31,7 @@ from backflow import channels, cli, decoherence, experiments, measures
 from backflow.experiments import (
     FIGURES,
     _preset_fidelities,
+    command_keys,
     default_config,
     figure_keys,
     resolve_config,
@@ -38,7 +40,7 @@ from backflow.experiments import (
     write_metadata,
 )
 from backflow.measures import _kept_samples, _random_differences
-from oracles import optimal_candidate_stack, pair_backflows, stack_backflows
+from oracles import optimal_candidate_stack, overdamped_chi_log, pair_backflows, stack_backflows
 
 TINY_FIG1 = {"pairs": 40, "grid": 801, "rows": 8}
 TINY_FIG4 = {"pairs": 40, "grid": 801, "rows": 10}
@@ -1312,7 +1314,7 @@ class TestCli:
         # -inf now reaches the finiteness check instead of argparse.
         out = run_cli("measure", "--measure", "blp", "--family", "dephasing", "--t1", "1", "--t0", "-inf")
         assert out.returncode == 1
-        assert out.stderr.splitlines() == ["error: --t0 must be a finite number"]
+        assert out.stderr.splitlines() == ["error: t0=-inf for measure must be a finite number"]
 
     def test_measure_divergence_prints_inf(self):
         out = run_cli(
@@ -1700,6 +1702,12 @@ class TestCli:
             assert out.stderr.splitlines() == [f"error: seed={seed} must be at least 0"]
             assert not (tmp_path / "f.csv").exists()
 
+    # Each flag's error, in the figures' form: the key, its value and the command.
+    NON_FINITE_NAMED = {
+        "--tau": "tau=nan for kappa", "--t": "t=inf for chi", "--sigma": "sigma=nan for transition",
+        "--width": "width=inf for measure", "--kappa": "kappa=(nan+1j) for fidelity", "--dw": "delta_omega=nan for kappa",
+    }
+
     @pytest.mark.parametrize("argv, flag", [
         (("kappa", "--theta", "0.3", "--dw", "10", "--sigma", "1", "--tau", "nan"), "--tau"),
         (("chi", "--gamma0", "1", "--width", "0.1", "--t", "inf"), "--t"),
@@ -1713,7 +1721,7 @@ class TestCli:
         out = run_cli(*argv)
         assert out.returncode == 1
         assert out.stdout == ""
-        assert out.stderr.splitlines() == [f"error: {flag} must be a finite number"]
+        assert out.stderr.splitlines() == [f"error: {self.NON_FINITE_NAMED[flag]} must be a finite number"]
 
     def test_no_state_carries_between_main_calls(self, tmp_path, capsys):
         out_path = tmp_path / "f.csv"
@@ -1754,6 +1762,116 @@ class TestCli:
         assert out.returncode == 0
         _, arr = read_table(out_path)
         assert arr.shape == (3, 4)
+
+
+# The exit contract's floats: magnitudes log-uniform over 1e-310..1e308, the
+# range where the defaults live, and the values that break a formula.
+CONTRACT_FLOATS = (st.floats(math.log(1e-310), math.log(1e308)).map(math.exp) | st.floats(0.0, 2.0)
+                   | st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 1e-310, -1.0, math.nan, math.inf, -math.inf]))
+# Upper bounds of the integer keys; every other one is at most 4.
+CONTRACT_INTS = {"grid": 401, "pairs": 3, "seed": 5, "workers": 2}
+
+
+@st.composite
+def contract_argvs(draw):
+    """A command and a value for each of its keys, as ``command_keys`` types
+    them, with no --out: the test writes under a temporary directory."""
+    command = draw(st.sampled_from([*FIGURES, *cli._COMMANDS]))
+    argv = [command]
+    for key, entry in command_keys(command).items():
+        kind = str if isinstance(entry, tuple) else entry if isinstance(entry, type) else type(entry)
+        required = command not in FIGURES and isinstance(entry, (type, tuple))
+        # Integer keys are sizes and seeds: always given, so the sizes stay small.
+        if key == "out" or (kind is not int and not required and draw(st.booleans())):
+            continue
+        if isinstance(entry, tuple):
+            value = draw(st.sampled_from(entry))
+        elif key == "c":
+            value = ",".join(repr(draw(CONTRACT_FLOATS)) for _ in range(3))
+        elif key == "kappa" and command == "fidelity":
+            value = repr(draw(CONTRACT_FLOATS | st.builds(complex, CONTRACT_FLOATS, CONTRACT_FLOATS)))
+        elif kind is int:
+            value = draw(st.integers(-1, CONTRACT_INTS.get(key, 4)))
+        else:
+            value = repr(draw(CONTRACT_FLOATS))
+        argv += [cli._flags(key)[0], str(value)]
+    return argv
+
+
+def names(line: str, key: str) -> bool:
+    """Whether the error ``line`` names ``key``: as a word, as a part of an
+    identifier such as ``n_pairs`` or ``grid_size``, or without its
+    underscores (``transition``'s key ``tauc`` is the library's ``tau_c``)."""
+    words = set()
+    for word in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", line):
+        words |= {word, word.replace("_", ""), *word.split("_")}
+    return key in words or key.replace("_", "") in words
+
+
+class TestExitContract:
+    """Every command exits 0 with finite output (or ``measure``'s divergent
+    ``inf``), or exits 1 with exactly one ``error:`` line that names a key of
+    the command (or ``t=`` or ``grid``) and writes no file; no numpy warning
+    reaches stderr.  An example's ``expect`` pins more: the value printed,
+    or the keys the error names."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(argv=contract_argvs(), expect=st.none())
+    @example(argv=["chi", "--gamma0", "1", "--width", "3", "--t", "1000"],
+             expect=math.exp(overdamped_chi_log(1.0, 3.0, 1000.0)))
+    @example(argv=["chi", "--gamma0", "1", "--width", "3", "--t", "500"],
+             expect=math.exp(overdamped_chi_log(1.0, 3.0, 500.0)))
+    @example(argv=["measure", "--measure", "blp", "--family", "lorentz", "--width", "3", "--t1", "1000",
+                   "--grid", "11"], expect=0.0)
+    @example(argv=["fig1", "--tauc-start", "1e308", "--tauc-stop", "1.7e308", "--pairs", "3", "--rows", "2"],
+             expect=("tauc_stop",))
+    @example(argv=["fig1", "--dw", "5e-324", "--sigma", "1e-320", "--pairs", "3", "--grid", "401"],
+             expect=("delta_omega",))
+    @example(argv=["fig3a", "--dw", "0"], expect=("delta_omega",))
+    @example(argv=["fig3b", "--dw", "0"], expect=("delta_omega",))
+    @example(argv=["fig2", "--dw", "0"], expect=("delta_omega",))
+    @example(argv=["fig2", "--dw", "-0.0"], expect=("delta_omega",))
+    @example(argv=["fig2", "--dw", "1e-320", "--tauc-count", "2", "--grid", "401"], expect=("delta_omega",))
+    @example(argv=["fig4", "--gamma0", "1e-295", "--ratio", "1e-30"], expect=("width_ratio", "gamma0"))
+    @example(argv=["fig3a", "--sigma", "1e-44"], expect=("sigma", "delta_omega"))
+    @example(argv=["transition", "--dw", "10", "--sigma", "1e-44", "--tauc", "0.4"],
+             expect=("sigma", "delta_omega", "tauc"))
+    def test_every_command_answers_or_names_its_input(self, argv, expect):
+        command = argv[0]
+        with tempfile.TemporaryDirectory() as tmp:
+            out_path = Path(tmp) / "f.csv"
+            if command in FIGURES:
+                argv = [*argv, "--out", str(out_path)]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            # Recorded, not raised: under tier-1's error::RuntimeWarning a
+            # warning would become an ordinary error line.
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                code = cli.main(argv)
+            assert [str(w.message) for w in caught] == []
+            lines = stderr.getvalue().splitlines()
+            if code == 1:
+                assert stdout.getvalue() == "" and len(lines) == 1 and lines[0].startswith("error: "), lines
+                assert any(names(lines[0], key) for key in [*command_keys(command), "t", "grid"]), lines[0]
+                assert all(names(lines[0], key) for key in expect or ()), lines[0]
+                assert list(Path(tmp).iterdir()) == []
+                assert not isinstance(expect, float)
+                return
+            assert code == 0 and not isinstance(expect, tuple), lines
+            if command in FIGURES:
+                assert (stdout.getvalue(), lines) == (f"{out_path}\n", [])
+                assert np.isfinite(read_table(out_path)[1]).all()
+                assert (Path(tmp) / "f.csv.meta.json").exists()
+                return
+            values = [float(x) for x in stdout.getvalue().split()]
+            if lines:  # the one non-finite output: a divergent measure
+                assert (command, values, len(lines)) == ("measure", [math.inf], 1)
+                assert lines[0].startswith("divergent at t=") and math.isfinite(float(lines[0][15:]))
+            else:
+                assert values and np.isfinite(values).all()
+            if expect is not None:
+                assert values == pytest.approx([expect], rel=1e-12, abs=0.0)
 
 
 class TestPackage:
