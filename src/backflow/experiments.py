@@ -12,7 +12,7 @@ being the stream ``default_rng(SeedSequence(seed, spawn_key=(b,)))``
 (``measures._random_kets``); row order follows grid order.  Every
 pair search (fig1, fig4 and fig2) goes through ``measures._backflows``.
 ``workers`` caps its processes, the parent included; its fan-out only splits
-the chunks of the pair loop into contiguous shares, one per process (no more
+the pairs into contiguous shares at block edges, one per process (no more
 than the CPUs available, and none for fewer than
 ``measures._PAIRS_PER_PROCESS`` pairs), folded in pair order, so serial and
 parallel runs emit identical bytes.
@@ -274,8 +274,9 @@ def _integral_sweep(
     for |f| that ``measure`` refuses.  Returns the row times, the optimal
     pairs' integrals (the sum of positive increments of |f| itself) and the
     row-wise maximum over the ``n_pairs`` seeded random pairs, searched in
-    chunks of at most 256 pairs by at most ``workers`` processes, the parent
-    included, each on a share of the chunks (``measures._backflows``).
+    chunks of whole 256-pair blocks, up to ``measures._CHUNK_POINTS``
+    (pair, kept sample) points each, by at most ``workers`` processes, the
+    parent included, each on a share of the blocks (``measures._backflows``).
     """
     cuts = np.round(row_fractions * (grid - 1)).astype(int)
     if cuts[0] < 1:

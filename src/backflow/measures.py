@@ -229,8 +229,8 @@ def _require(values: dict, minima: dict) -> None:
 # Random pairs are drawn in blocks of this many: block b is the stream
 # default_rng(SeedSequence(seed, spawn_key=(b,))), and pair k is row
 # k % _STREAM_PAIRS of that block's standard_normal((rows, 16)).  A search
-# chunk is at most this many pairs: where _CHUNK_POINTS does not cut it
-# shorter, each chunk is one whole block, so no block is drawn twice.
+# chunk is as many whole blocks as _CHUNK_POINTS allows, so no block is drawn
+# twice; only where one block would exceed it is a chunk shorter than a block.
 _STREAM_PAIRS = 256
 
 
@@ -466,15 +466,17 @@ def _eigen_trace_distances(family: ChannelFamily, deltas: np.ndarray, f: np.ndar
 _PURITY_TOL = 64 * np.finfo(float).eps
 
 # Pairs and samples are evolved in chunks of at most this many (pair, sample)
-# points, and random pairs are drawn in chunks of at most _STREAM_PAIRS pairs.
-# The trace-norm kernel holds a few dozen float arrays of one value per point
-# of a chunk, and drops them before the next chunk.
+# points, or of one pair where one pair has more samples; a random search
+# rounds its chunk down to whole blocks of _STREAM_PAIRS pairs where it holds
+# one.  The trace-norm kernel holds a few dozen float arrays of one value per
+# point of a chunk, and drops them before the next chunk.
 _CHUNK_POINTS = 125_000
 
 # A random search starts at most one process per this many pairs
 # (_random_search).  A fork costs ~5-10 ms; on a 2-core x86 host, fig1 and
-# fig4 at two workers first beat one worker at 1,000-2,000 pairs in all
-# (500-1,000 per process), so this leaves a margin over that crossover.
+# fig4 with two processes lose to one at 1,000-3,000 pairs in all, tie at
+# 4,000 (2,000 per process, the fewest at which this lets two start) and win
+# from 5,000 on (~13 -> ~11.5 ms; 10,000 pairs ~29.5 -> ~19.5 ms).
 _PAIRS_PER_PROCESS = 2_000
 
 
@@ -688,15 +690,17 @@ def _random_search(family: ChannelFamily, f: np.ndarray, reduce, seed: int, n_pa
     kept (|f| never rises), every pair's sums are 0, so the answer is 0 and
     pair 0, found without drawing a pair.
 
-    Each chunk of pairs (at most ``_STREAM_PAIRS`` pairs and, past one pair,
-    ``_CHUNK_POINTS`` points) is drawn, evolved and reduced, then folded into
-    the running result and dropped; a later chunk replaces a column's index
-    only where it is strictly larger.  ``workers`` caps the processes, this
-    one included: the chunks split into contiguous shares in pair order, one
-    per process (``_fan_out``), but no more shares than the CPUs available,
-    the chunks, or n_pairs // ``_PAIRS_PER_PROCESS``.  The shares fold in
-    pair order the same way, so the result does not depend on the worker
-    count.
+    Each chunk of pairs (at most ``_CHUNK_POINTS`` points, or one pair) is
+    drawn, evolved and reduced, then folded into the running result and
+    dropped; a later chunk replaces a column's index only where it is
+    strictly larger.  Where a chunk holds at least one block of
+    ``_STREAM_PAIRS`` pairs it holds whole blocks and starts on a block edge,
+    so no block is drawn twice.  ``workers`` caps the processes, this one
+    included: the pairs split into contiguous shares in pair order, one per
+    process (``_fan_out``), at multiples of one block (or of the shorter
+    chunk), and no more shares than the CPUs available, those units, or
+    n_pairs // ``_PAIRS_PER_PROCESS``.  The shares fold in pair order the
+    same way, so the result does not depend on the worker count.
     """
     n_pairs = int(n_pairs)
     _require({"seed": seed}, {"seed": 0})
@@ -705,14 +709,16 @@ def _random_search(family: ChannelFamily, f: np.ndarray, reduce, seed: int, n_pa
     if f.size == 0 and n_pairs:
         best = reduce(np.zeros((1, 0)))[0]
         return best, np.zeros(best.shape, dtype=int)
-    step = max(1, min(_STREAM_PAIRS, _CHUNK_POINTS // max(f.size, 1)))
-    chunks = -(-n_pairs // step)
+    pairs = max(1, _CHUNK_POINTS // max(f.size, 1))
+    unit = min(pairs, _STREAM_PAIRS)
+    step = pairs - pairs % unit  # whole blocks, or one short chunk below one block
+    units = -(-n_pairs // unit)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    procs = max(1, min(workers, cpus, chunks, n_pairs // _PAIRS_PER_PROCESS))
+    procs = max(1, min(workers, cpus, units, n_pairs // _PAIRS_PER_PROCESS))
     task = (family, f, reduce, seed, step)
     if procs == 1:
         return _share_best(*task, 0, n_pairs)
-    return _fan_out(task, [min(step * (chunks * i // procs), n_pairs) for i in range(procs + 1)])
+    return _fan_out(task, [min(unit * (units * i // procs), n_pairs) for i in range(procs + 1)])
 
 
 def _backflows(family: ChannelFamily, windows, n_pairs: int, seed: int, workers: int = 1, cut_indices=None):
@@ -734,13 +740,24 @@ def _backflows(family: ChannelFamily, windows, n_pairs: int, seed: int, workers:
 
 def _window_times(window, grid_size: int) -> np.ndarray:
     """The window's grid of ``grid_size`` points, or, where its end is an
-    array, one grid per end along the last axis."""
+    array, one grid per end along the last axis, in row-major order.
+
+    Each grid holds np.linspace(t0, end, grid_size)'s values: k * step + t0,
+    or (k / (grid_size - 1)) * (end - t0) + t0 where the step underflows to
+    0, and the end last.  np.linspace would stack the grids along its first
+    axis, so a row of them would be strided.
+    """
     t0, t1 = float(window[0]), np.asarray(window[1], dtype=float)
     if not ((t1 > t0).all() and t0 >= 0.0):
         raise ValueError(f"invalid window t0={window[0]}, t1={window[1]}: need 0 <= t0 < t1")
-    _require({"grid_size": grid_size}, {"grid_size": 2})
-    # The grid axis follows the ends' axes (axis=-1 would move even a 1-D grid).
-    return np.linspace(t0, t1, int(grid_size), axis=t1.ndim)
+    _require({"grid": grid_size}, {"grid": 2})  # the commands' key
+    div = int(grid_size) - 1
+    k, delta = np.arange(div + 1, dtype=float), (t1 - t0)[..., None]
+    step = delta / div
+    times = k * step if step.all() else np.where(step > 0.0, k * step, k / div * delta)
+    times += t0
+    times[..., -1] = t1
+    return times
 
 
 # Half the period of |f| on each family's oscillating branch, from its spec;
@@ -822,7 +839,7 @@ def blp_search(
     when its backflow is strictly larger (the earliest such k on a tie), so
     the result is deterministic for a given seed.
     """
-    _require({"n_pairs": n_pairs}, {"n_pairs": 0})
+    _require({"pairs": n_pairs}, {"pairs": 0})  # the measure command's key
     optimal, best, first_k = _backflows(family, [_window_magnitude(family, window, grid_size)[1]], n_pairs, seed)
     if best[0] > optimal[0]:
         return MeasureReport(float(best[0]), "blp", int(grid_size), witness=sample_random_pair(seed, int(first_k[0])))

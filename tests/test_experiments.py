@@ -39,7 +39,7 @@ from backflow.experiments import (
     write_csv,
     write_metadata,
 )
-from backflow.measures import _kept_samples, _random_differences
+from backflow.measures import _CHUNK_POINTS, _kept_samples, _random_differences
 from oracles import optimal_candidate_stack, overdamped_chi_log, pair_backflows, stack_backflows
 
 TINY_FIG1 = {"pairs": 40, "grid": 801, "rows": 8}
@@ -532,10 +532,11 @@ class TestFig1:
         assert outputs[0] == outputs[1]
 
     def test_fan_out_starts_processes_only_where_they_pay(self, tmp_path, monkeypatch):
-        # 400 pairs make two chunks, of 256 and 144.  At fewer than _PAIRS_PER_PROCESS
+        # 400 pairs are one chunk, but shares split at block edges: two
+        # blocks, of 256 and 144 pairs.  At fewer than _PAIRS_PER_PROCESS
         # pairs per process no worker count starts a process; with the
         # constant at 1, two workers start one child (given two CPUs) and
-        # eight start at most one per CPU and chunk, the parent included.
+        # eight start at most one per CPU and block, the parent included.
         # The fake context records each process and runs it in this one.
         fork = RecordingFork(monkeypatch, start_processes=False)
         cpus = len(os.sched_getaffinity(0))
@@ -746,12 +747,16 @@ class TestFig2OnePass:
 
 
 class TestRandomSearch:
-    """Every pair search draws, evolves and reduces one chunk of at most 256
-    random pairs at a time, each starting at a block edge of the pair streams,
-    with the same values as one stack of them."""
+    """Every pair search draws, evolves and reduces one chunk of random pairs
+    at a time: as many whole blocks of the pair streams as fit in
+    ``_CHUNK_POINTS`` (pair, sample) points, each chunk starting at a block
+    edge, or a shorter chunk where one block does not fit; with the same
+    values as one stack of them."""
 
     @staticmethod
     def recording(monkeypatch):
+        """Lists of the pairs [lo, hi) of each draw, and of each search's
+        arguments, result and draws."""
         draws, searches = [], []
         draw, search = measures._random_differences, measures._random_search
 
@@ -760,27 +765,88 @@ class TestRandomSearch:
             return draw(seed, lo, hi)
 
         def searching(*args, **kwargs):
-            searches.append((args, search(*args, **kwargs)))
-            return searches[-1][1]
+            first = len(draws)
+            result = search(*args, **kwargs)
+            searches.append((args, result, draws[first:]))
+            return result
 
         monkeypatch.setattr(measures, "_random_differences", drawing)
         monkeypatch.setattr(measures, "_random_search", searching)
         return draws, searches
 
     def test_no_search_holds_more_than_one_chunk_of_pairs(self, monkeypatch):
+        # The Lorentz search runs once at the default budget (one chunk) and
+        # once at a budget of 600 of its pairs (two chunks, of 512 and 488).
         draws, searches = self.recording(monkeypatch)
         lorentz = AmplitudeDampingChannel(LorentzSpec(1.0, 0.1))
+        window = [lorentz.magnitude(np.linspace(0.0, 30.0, 401))]
+        small = 600 * _kept_samples(window)[0].size
         blp_search(lorentz, (0.0, 30.0), 1000, 401, 5)
+        with mock.patch.object(measures, "_CHUNK_POINTS", small):
+            blp_search(lorentz, (0.0, 30.0), 1000, 401, 5)
         cfg = resolve_config("fig2", None, {"pairs": 600, "grid": 401})
         run_figure("fig2", cfg)
-        assert draws and all(lo % 256 == 0 and hi - lo <= 256 for lo, hi in draws)
-        assert sum(hi - lo for lo, hi in draws) == 1000 + 600
-        windows = [[lorentz.magnitude(np.linspace(0.0, 30.0, 401))], list(TestFig2OnePass._windows(cfg))]
-        for (args, (best, first_k)), samples in zip(searches, windows, strict=True):
-            family, _, _, seed, n_pairs, _ = args
+        assert [drawn for *_, drawn in searches] == [[(0, 1000)], [(0, 512), (512, 1000)], [(0, 600)]]
+        for (args, (best, first_k), drawn), samples, budget in zip(
+                searches, [window, window, list(TestFig2OnePass._windows(cfg))],
+                [_CHUNK_POINTS, small, _CHUNK_POINTS], strict=True):
+            family, f, _, seed, n_pairs, _ = args
+            assert all(lo % 256 == 0 and (hi - lo) * f.size <= budget for lo, hi in drawn)
+            # The draws cover each pair once, in pair order.
+            assert [lo for lo, _ in drawn] == [0] + [hi for _, hi in drawn[:-1]] and drawn[-1][1] == n_pairs
             one_stack = stack_backflows(family, _random_differences(seed, 0, n_pairs), samples)
             assert best.tobytes() == one_stack.max(axis=0).tobytes()
             assert first_k.tolist() == one_stack.argmax(axis=0).tolist()
+
+    @pytest.mark.parametrize("figure, overrides, chunks", [
+        ("fig1", {}, [(0, 6912), (6912, 10_000)]),
+        ("fig4", {}, [(0, 10_000)]),
+        ("fig1", {"grid": 4001, "rows": 25, "pairs": 400}, [(0, 400)]),
+        ("fig4", {"grid": 4001, "rows": 25, "pairs": 400}, [(0, 400)]),
+    ])
+    def test_default_and_benchmark_sized_searches_make_few_chunks(self, monkeypatch, figure, overrides, chunks):
+        # Default fig1 keeps 18 samples (6,944 pairs fit, 27 whole blocks of
+        # them are a chunk) and default fig4 keeps 12 (10,416 fit); a
+        # 400-pair search of either is one chunk.
+        draws, _ = self.recording(monkeypatch)
+        run_figure(figure, resolve_config(figure, None, overrides))
+        assert draws == chunks
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.one_of(
+            st.floats(0.05, math.pi / 2).map(lambda theta: DephasingChannel(DephasingSpec(theta))),
+            st.floats(0.01, 1.9).map(lambda ratio: AmplitudeDampingChannel(LorentzSpec(1.0, ratio))),
+        ),
+        st.sampled_from(["cuts", "windows"]),
+        st.floats(0.3, 1.0),
+        st.integers(0, 700),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_any_chunk_budget_gives_the_same_bytes(self, family, shape, fraction, n_pairs, seed, data):
+        # fig1/fig4's prefix cuts of one window, or fig2's stack of windows
+        # on one grid plus 1-D windows of other lengths.
+        t1 = fraction * (4.0 * math.pi / 10.0 if isinstance(family, DephasingChannel) else 30.0)
+        grid = data.draw(st.integers(101, 801))
+        times = np.linspace(0.0, t1, grid)
+        if shape == "cuts":
+            cuts = sorted(data.draw(st.lists(st.integers(1, grid - 1), min_size=1, max_size=6)))
+            f, reduce = _kept_samples([family.magnitude(times)], cuts)
+        else:
+            ends = data.draw(st.lists(st.floats(0.2, 1.0), min_size=1, max_size=3))
+            stack = family.magnitude(measures._window_times((0.0, t1 * np.array(ends)), grid))
+            f, reduce = _kept_samples([stack, family.magnitude(times[: grid // 2])])
+        # One pair, under one block, one block, several blocks and a part of
+        # one more (rounded down to whole blocks), and the default.
+        k = max(f.size, 1)
+        budgets = [1, k * data.draw(st.integers(1, 255)), k * 256, k * data.draw(st.integers(257, 900)), 125_000]
+        results = []
+        for budget in budgets:
+            with mock.patch.object(measures, "_CHUNK_POINTS", budget):
+                best, first_k = measures._random_search(family, f, reduce, seed, n_pairs)
+            results.append((best.tobytes(), first_k.tobytes()))
+        assert len(set(results)) == 1
 
     def test_pair_counts_past_2_to_the_64_are_rejected_before_any_draw(self, monkeypatch):
         def draw(*args):
@@ -831,8 +897,8 @@ class RecordingFork:
 
 
 class TestFanOut:
-    """The parent searches the first share of the chunks, and each forked
-    child one later share.  With _PAIRS_PER_PROCESS at 1 and two CPUs, a
+    """The parent searches the first share of the pairs, and each forked
+    child one later share; shares split at block edges.  With _PAIRS_PER_PROCESS at 1 and two CPUs, a
     two-worker search of 300 pairs keeps [0, 256) in the parent and starts
     one real child for [256, 300)."""
 
@@ -910,7 +976,7 @@ class TestFanOut:
 
     def test_processes_are_capped_by_the_cpus_available(self, monkeypatch):
         # --workers 100000 --pairs 100000000 starts one process per CPU,
-        # the parent included, each on a contiguous share of whole chunks.
+        # the parent included, each on a contiguous share of whole blocks.
         # The fake context starts none, and no pair is evolved.
         fork = RecordingFork(monkeypatch, start_processes=False)
         monkeypatch.setattr(measures, "_share_best", lambda *task: (np.zeros(1), np.array([task[-2]])))
@@ -1391,13 +1457,13 @@ class TestCli:
                       "--t1", "0.6283185307179586", "--pairs", "-1")
         assert out.returncode == 1
         assert out.stdout == ""
-        assert out.stderr.splitlines() == ["error: n_pairs=-1 must be at least 0"]
+        assert out.stderr.splitlines() == ["error: pairs=-1 must be at least 0"]
         for measure in ("blp", "divisibility", "entanglement", "mutual-info"):
             out = run_cli("measure", "--measure", measure, "--family", "dephasing",
                           "--t1", "0.6283185307179586", "--grid", "1")
             assert out.returncode == 1
             assert out.stdout == ""
-            assert out.stderr.splitlines() == ["error: grid_size=1 must be at least 2"]
+            assert out.stderr.splitlines() == ["error: grid=1 must be at least 2"]
 
     def test_fig4_rejects_width_ratio_outside_the_revival_regime(self, tmp_path):
         for ratio in ("0", "-0.1", "2.0", "2.5"):
@@ -1799,12 +1865,11 @@ def contract_argvs(draw):
 
 
 def names(line: str, key: str) -> bool:
-    """Whether the error ``line`` names ``key``: as a word, as a part of an
-    identifier such as ``n_pairs`` or ``grid_size``, or without its
+    """Whether the error ``line`` names ``key``: as a word, or without its
     underscores (``transition``'s key ``tauc`` is the library's ``tau_c``)."""
     words = set()
     for word in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", line):
-        words |= {word, word.replace("_", ""), *word.split("_")}
+        words |= {word, word.replace("_", "")}
     return key in words or key.replace("_", "") in words
 
 
@@ -1836,6 +1901,10 @@ class TestExitContract:
     @example(argv=["fig3a", "--sigma", "1e-44"], expect=("sigma", "delta_omega"))
     @example(argv=["transition", "--dw", "10", "--sigma", "1e-44", "--tauc", "0.4"],
              expect=("sigma", "delta_omega", "tauc"))
+    @example(argv=["measure", "--measure", "blp", "--family", "dephasing", "--t1", "0.6", "--pairs", "-1"],
+             expect=("pairs",))
+    @example(argv=["measure", "--measure", "divisibility", "--family", "dephasing", "--t1", "0.6", "--grid", "1"],
+             expect=("grid",))
     def test_every_command_answers_or_names_its_input(self, argv, expect):
         command = argv[0]
         with tempfile.TemporaryDirectory() as tmp:

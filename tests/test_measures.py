@@ -499,12 +499,12 @@ class TestBlpSearch:
         assert evolved == [] and spectra == []
 
     def test_degenerate_sizes_are_rejected(self):
-        with pytest.raises(ValueError, match="^n_pairs=-1 must be at least 0$"):
+        with pytest.raises(ValueError, match="^pairs=-1 must be at least 0$"):
             blp_search(DEPHASING, self.WINDOW, -1, 101, 1)
-        with pytest.raises(ValueError, match="grid_size=1"):
+        with pytest.raises(ValueError, match="^grid=1 must be at least 2$"):
             blp_search(DEPHASING, self.WINDOW, 0, 1, 1)
         for measure in (divisibility_measure, entanglement_measure, mutual_info_measure):
-            with pytest.raises(ValueError, match="grid_size=1"):
+            with pytest.raises(ValueError, match="^grid=1 must be at least 2$"):
                 measure(DEPHASING, self.WINDOW, 1)
 
     @pytest.mark.parametrize("measure, time", [
@@ -533,10 +533,11 @@ class TestCandidateStacks:
             assert np.array_equal(report.witness.rho2, zeta.rho2)
         # Random pair k wins only when strictly larger: a one-hot random
         # column above the optimal value names its own pair, one equal to it
-        # or below it leaves the optimal witness.  Pairs come in chunks of
-        # 256: pair 260 of 300 wins from the second chunk, and of two equal
-        # maxima at pairs 10 and 260 the earlier wins.
+        # or below it leaves the optimal witness.  With one pair per chunk,
+        # pair 260 of 300 wins from a later chunk, and of two equal maxima at
+        # pairs 10 and 260 the earlier wins.
         optimal = blp_search(DEPHASING, self.WINDOW, 0, 101, 9).value
+        monkeypatch.setattr(measures, "_CHUNK_POINTS", 1)
         assert optimal > 0.0
         cases = [(3, {index: value}, winner) for index in range(3)
                  for value, winner in ((1.0, sample_random_pair(9, index)), (optimal, zeta), (0.5 * optimal, zeta))]
@@ -603,6 +604,21 @@ class TestPairBackflows:
 
 class TestWindowBackflows:
     DELTAS = np.concatenate([optimal_candidate_stack(2, 3), _random_differences(8, 0, 5)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(0.0, 1e3) | st.sampled_from([0.0, 5e-324, 1e-310]),
+           st.lists(st.floats(5e-324, 1e3) | st.sampled_from([5e-324, 1e-320]), min_size=1, max_size=5),
+           st.integers(2, 3000))
+    @example(0.0, [5e-324, 2.0], 401)  # a step that underflows to 0 beside one that does not
+    def test_a_stack_of_grids_is_row_major_and_each_row_is_linspace(self, t0, spans, grid):
+        ends = np.array([t0 + span for span in spans])
+        if not (ends > t0).all():
+            return
+        times = measures._window_times((t0, ends), grid)
+        assert times.shape == (len(ends), grid) and times.flags.c_contiguous
+        for row, end in zip(times, ends):
+            assert row.tobytes() == np.linspace(t0, end, grid).tobytes()
+        assert measures._window_times((t0, ends[0]), grid).tobytes() == times[0].tobytes()
 
     def test_one_window_equals_pair_backflows(self):
         for family, t1, grid in ((DEPHASING, 2.5 * REVIVAL, 4001), (LORENTZ, 30.0, 2001),
