@@ -6,13 +6,8 @@ import argparse
 import functools
 import sys
 
-import numpy as np
-
-from .channels import AmplitudeDampingChannel, DephasingChannel
-from .decoherence import LorentzSpec, chi, kappa_abs, transition_thetas
-from .experiments import FIGURES, _check, _dephasing_spec, _non_finite_row, _preset_fidelities, command_keys
-from .experiments import resolve_config, run_figure, write_csv, write_metadata
-from .measures import blp_search, divisibility_measure, entanglement_measure, mutual_info_measure
+from .experiments import FIGURES, _COMMANDS, command_keys, resolve_config, run_command, run_figure, write_csv
+from .experiments import write_metadata
 
 
 def _fmt(x: float) -> str:
@@ -40,74 +35,12 @@ def _run_figure_command(args: argparse.Namespace) -> int:
     return 0
 
 
-# Each handler below returns the values its command prints, and the time of
-# a divergence (``measure`` alone), whose value is then the one allowed
-# infinity.
-
-
-def _run_kappa(args: argparse.Namespace):
-    return (kappa_abs(_dephasing_spec(vars(args), args.theta), args.tau),), None
-
-
-def _run_chi(args: argparse.Namespace):
-    return (chi(LorentzSpec(gamma0=args.gamma0, width=args.width), args.t),), None
-
-
-def _run_transition(args: argparse.Namespace):
-    return transition_thetas(args.delta_omega, args.sigma, args.tauc), None
-
-
-def _run_fidelity(args: argparse.Namespace):
-    try:
-        c = tuple(float(x) for x in args.c.split(","))
-    except ValueError:
-        c = ()
-    if len(c) != 3:
-        raise ValueError(f"--c expects three comma-separated numbers, e.g. 1,-1,1, got {args.c!r}")
-    try:
-        kappa = complex(args.kappa)
-    except ValueError:
-        raise ValueError(f"--kappa expects a real or complex number, got {args.kappa!r}") from None
-    _check("kappa", kappa, "for fidelity", command_keys("fidelity"))
-    return (_preset_fidelities(DephasingChannel, abs(kappa), (c,))[0],), None
-
-
-def _run_measure(args: argparse.Namespace):
-    if args.family == "dephasing":
-        family = DephasingChannel(_dephasing_spec(vars(args), args.theta))
-    else:
-        family = AmplitudeDampingChannel(LorentzSpec(gamma0=args.gamma0, width=args.width))
-    window = (args.t0, args.t1)
-    if args.measure == "blp":
-        report = blp_search(family, window, n_pairs=args.pairs, grid_size=args.grid, seed=args.seed)
-    elif args.measure == "divisibility":
-        report = divisibility_measure(family, window, args.grid)
-    elif args.measure == "entanglement":
-        report = entanglement_measure(family, window, args.grid)
-    else:
-        report = mutual_info_measure(family, window, args.grid)
-    return (report.value,), report.singularity
-
-
-# Each other command's handler, one-line help, and the line that names a
-# non-finite value it would print.
-_COMMANDS = {
-    "kappa": (_run_kappa, "print |kappa(tau)| for a dephasing spec", "|kappa| is not finite at tau={tau}"),
-    "chi": (_run_chi, "print chi(t) for a Lorentzian spec", "chi is not finite at t={t}"),
-    "transition": (_run_transition, "print the two transition angles theta1 theta2",
-                   "the transition angles are not finite at tauc={tauc}"),
-    "fidelity": (_run_fidelity, "RSP fidelity of a dephased Bell-diagonal state",
-                 "the fidelity is not finite at kappa={kappa}"),
-    "measure": (_run_measure, "evaluate one backflow measure on a window", "the measure is not finite at t1={t1}"),
-}
-
-
 def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
     """The ``backflow`` parser and its subparsers by command name: one per
-    figure and per other command, each with one flag per key of
-    ``command_keys``.  A tuple of choices is a required choice, a type is a
-    required flag (a figure's value then comes from ``resolve_config``), and
-    any other value is the flag's default."""
+    figure and per scalar command (``experiments._COMMANDS``), each with one
+    flag per key of ``command_keys``.  A tuple of choices is a required
+    choice, a type is a required flag (a figure's value then comes from
+    ``resolve_config``), and any other value is the flag's default."""
     parser = argparse.ArgumentParser(
         prog="backflow",
         description="Two-qubit open-system simulations: decoherence, backflow measures, RSP fidelity.",
@@ -118,7 +51,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
         # Figure flags are matched in full: with abbreviations, a flag that is
         # gone (such as fig2's --theta) would be taken as a prefix of another
         # (--theta-count).
-        summary = f"write the {name} data table as CSV" if figure else _COMMANDS[name][1]
+        summary = f"write the {name} data table as CSV" if figure else _COMMANDS[name][2]
         p = sub.add_parser(name, help=summary, allow_abbrev=not figure)
         if figure:
             p.add_argument("--config", help="JSON config file (flag > config > default)")
@@ -189,16 +122,7 @@ def main(argv=None) -> int:
     try:
         if args.command in FIGURES:
             return _run_figure_command(args)
-        # A figure's values pass the same key check in resolve_config, and
-        # its rows the same finite check in run_figure.
-        known = command_keys(args.command)
-        for key in known:
-            _check(key, getattr(args, key), f"for {args.command}", known)
-        handler, _, non_finite = _COMMANDS[args.command]
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is named below
-            values, divergence = handler(args)
-        if divergence is None and _non_finite_row([values]) is not None:
-            raise ValueError(non_finite.format(**vars(args)))
+        values, divergence = run_command(args.command, vars(args))
         print(" ".join(map(_fmt, values)))
         if divergence is not None:
             print(f"divergent at t={_fmt(divergence)}", file=sys.stderr)

@@ -4,8 +4,11 @@ Each runner resolves its configuration from built-in defaults, an optional
 JSON config file and CLI overrides (flag > config > default), computes a
 rectangular table of finite values, and writes CSV plus an adjacent
 ``<out>.meta.json`` recording the resolved configuration, seed and library
-version.  The same table lists the keys of the CLI's other commands, with
-their defaults (``command_keys``), so every flag is built from it.
+version.  The same module holds one entry per scalar command (``kappa``,
+``chi``, ``transition``, ``fidelity``, ``measure``): its keys with their
+defaults (``command_keys``), its handler, its help and its non-finite
+message, so every flag and every command's evaluation come from it
+(``run_command``).
 
 Determinism: random pair k is row k % 256 of block k // 256, a block b
 being the stream ``default_rng(SeedSequence(seed, spawn_key=(b,)))``
@@ -35,10 +38,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import AmplitudeDampingChannel, ChannelFamily, DephasingChannel, _require_contraction
-from .decoherence import DephasingSpec, LorentzSpec, chi, transition_thetas
+from .channels import AmplitudeDampingChannel, DephasingChannel, _require_contraction
+from .decoherence import DephasingSpec, LorentzSpec, chi, kappa_abs, transition_thetas
 from .decoherence import _closed_forms, _kappa_abs, _kappa_abs_factors, _rising_columns, _weights_over_thetas
-from .measures import _backflows, _require, _require_resolved, _window_magnitude, _window_times
+from .measures import _MEASURES, _backflows, _require, _require_resolved, _window_magnitude, _window_times
 from .rsp import _bell_triple
 # Not called here: perfbench/tracer.py wraps them at these names.
 from .decoherence import analytic_blp_dephasing, kappa_complex  # noqa: F401
@@ -51,6 +54,7 @@ __all__ = [
     "default_config",
     "figure_keys",
     "resolve_config",
+    "run_command",
     "run_figure",
     "write_csv",
     "write_metadata",
@@ -113,25 +117,6 @@ _FIGURE_DEFAULTS = {
 
 FIGURES = tuple(_FIGURE_DEFAULTS)
 
-# The keys of the other commands, which take no config file: a type marks a
-# required key of that type, a tuple a required choice among its strings, and
-# any other value is the key's default.  Family keys and the seed default as
-# they do for the figures.
-_DEPHASING = _FAMILY_DEFAULTS["dephasing"]
-_COMMAND_KEYS = {
-    "kappa": {"theta": float, "delta_omega": float, "sigma": float, "tau": float, "omega1": _DEPHASING["omega1"]},
-    "chi": {"gamma0": float, "width": float, "t": float},
-    "transition": {"delta_omega": float, "sigma": float, "tauc": float},
-    # Parsed by the command itself: a Bell-diagonal triple and a complex literal.
-    "fidelity": {"c": str, "kappa": str},
-    "measure": {
-        "measure": ("blp", "divisibility", "entanglement", "mutual-info"), "family": tuple(_FAMILY_DEFAULTS),
-        "theta": math.pi / 4, **{key: _DEPHASING[key] for key in ("delta_omega", "sigma", "omega1")},
-        **_FAMILY_DEFAULTS["lorentz"], "width": 0.1, "t0": 0.0, "t1": float, "grid": 4001, "pairs": 0,
-        "seed": _SHARED_DEFAULTS["seed"],
-    },
-}
-
 
 def _value_type(default) -> type:
     # An optional bound (default None) takes a float.
@@ -139,17 +124,17 @@ def _value_type(default) -> type:
 
 
 def figure_keys(figure: str) -> dict:
-    """The keys ``figure`` reads, each with the type of its value."""
+    """The keys ``figure`` takes, each with the type of its value."""
     family, shared, own = _FIGURE_DEFAULTS[figure]
     keys = {**{key: _SHARED_DEFAULTS[key] for key in shared}, **_FAMILY_DEFAULTS[family], **own}
     return {key: _value_type(d) for key, d in keys.items()}
 
 
 def command_keys(command: str) -> dict:
-    """The keys ``command`` reads: a figure's as ``figure_keys`` types them
-    (``resolve_config`` supplies their values), another command's as
-    ``_COMMAND_KEYS`` gives them (a type, a tuple of choices or a default)."""
-    return figure_keys(command) if command in _FIGURE_DEFAULTS else dict(_COMMAND_KEYS[command])
+    """The keys ``command`` takes: a figure's as ``figure_keys`` types them
+    (``resolve_config`` supplies their values), a scalar command's as its
+    ``_COMMANDS`` entry gives them (a type, a tuple of choices or a default)."""
+    return figure_keys(command) if command in _FIGURE_DEFAULTS else dict(_COMMANDS[command][0])
 
 
 def default_config(figure: str) -> dict:
@@ -168,8 +153,10 @@ _ACCEPTS = {
 
 
 def _check(key: str, value, where: str, known) -> None:
-    # The one check of every command's values: a config file's, a figure's
-    # flags and the other commands' flags.  Values are stored as given, so
+    # The check of each value's type and finiteness, for every command: a
+    # config file's values, a figure's flags and the scalar commands' flags.
+    # Size minima are checked where they are read, by the runners and by
+    # ``measures`` (``_require``).  Values are stored as given, so
     # each must already have its key's type: an int key takes no float or
     # bool, a float key also takes an int but no NaN or infinity (Python's
     # json parses both), and only a key whose default is None takes null.  A
@@ -218,7 +205,11 @@ def resolve_config(figure: str, config_path: str | None = None, overrides: dict 
 
 
 def _dephasing_spec(cfg: dict, theta) -> DephasingSpec:
-    return DephasingSpec(float(theta), cfg["omega1"], cfg["omega1"] + cfg["delta_omega"], cfg["sigma"])
+    # Every command reads |kappa| alone, which depends on delta_omega, sigma
+    # and theta but not on omega1.  So omega1 is 0 and omega2 is delta_omega
+    # itself: omega1 + delta_omega would round delta_omega (10 to 16 at
+    # omega1 = 1e17).
+    return DephasingSpec(float(theta), 0.0, cfg["delta_omega"], cfg["sigma"])
 
 
 def _derived(value: float, formula: str, **inputs) -> float:
@@ -254,36 +245,46 @@ def _lorentz_family(cfg: dict) -> AmplitudeDampingChannel:
     return AmplitudeDampingChannel(_lorentz_spec(cfg["gamma0"], cfg["width_ratio"], "width_ratio"))
 
 
-def _integral_sweep(
-    family: ChannelFamily,
-    window_end: float,
-    grid: int,
-    row_fractions: np.ndarray,
-    n_pairs: int,
-    seed: int,
-    workers: int,
-):
-    """Shared machinery of the two pair-search figures.
+def _control_time_rows(cfg: dict, time: str, last: float, family_of, default, multiples) -> list:
+    """The rows of a pair-search figure against control time, fig1
+    (``time`` 'tauc', dephasing) or fig4 ('tc', damping): each of the
+    ``rows`` control times with the optimal pairs' backflow integral and the
+    largest over the ``pairs`` seeded random pairs.
 
-    One master grid spans [0, window_end]; each row's control time is a grid
-    point (index = fraction * (grid-1)), and each row's integral is a prefix
-    sum of positive trace-distance increments up to that point, so every row
-    comes from one pass over the window.  The grid and |f| on it come from
-    ``measures._window_magnitude``, after the row positions are checked, so
-    a figure refuses, and names, the non-finite |f| or the grid too coarse
-    for |f| that ``measure`` refuses.  Returns the row times, the optimal
-    pairs' integrals (the sum of positive increments of |f| itself) and the
-    row-wise maximum over the ``n_pairs`` seeded random pairs, searched in
-    chunks of whole 256-pair blocks, up to ``measures._CHUNK_POINTS``
-    (pair, kept sample) points each, by at most ``workers`` processes, the
-    parent included, each on a share of the blocks (``measures._backflows``).
+    The sizes are checked first, so that a bad size is named before a bad
+    family key, then the family ``family_of()`` is built.
+    ``<time>_start`` and ``<time>_stop`` default to ``default(family, m)``
+    at their multiples m in ``multiples``.  One master grid spans [0,
+    stop/last] (``last`` < 1 keeps headroom past the last row); the rows lie
+    evenly from start to the fraction ``last`` of it, each at its nearest
+    grid point (index = fraction * (grid-1)), and each row's integral is a
+    prefix sum of positive trace-distance increments up to that point, so
+    every row comes from one pass over the window.  The grid and |f| on it
+    come from ``measures._window_magnitude``, after the row positions are
+    checked, so a figure refuses, and names, the non-finite |f| or the grid
+    too coarse for |f| that ``measure`` refuses.  The optimal pairs'
+    integrals are the sum of positive increments of |f| itself, and the
+    random pairs are searched in chunks of whole 256-pair blocks, up to
+    ``measures._CHUNK_POINTS`` (pair, kept sample) points each, by at most
+    ``workers`` processes, the parent included, each on a share of the
+    blocks (``measures._backflows``).
     """
-    cuts = np.round(row_fractions * (grid - 1)).astype(int)
+    _require(cfg, {"rows": 1, "grid": 2, "pairs": 1, "workers": 1})
+    family = family_of()
+    start_key, stop_key = f"{time}_start", f"{time}_stop"
+    start, stop = (default(family, m) if cfg[key] is None else cfg[key]
+                   for key, m in zip((start_key, stop_key), multiples))
+    if not 0.0 < start <= stop:
+        raise ValueError(f"need 0 < {start_key} <= {stop_key}, got ({start}, {stop})")
+    window_end = _derived(stop / last, f"{stop_key}/{last}", **{stop_key: stop})
+    grid = cfg["grid"]
+    cuts = np.round(np.linspace(start / window_end, last, cfg["rows"]) * (grid - 1)).astype(int)
     if cuts[0] < 1:
-        raise ValueError("row positions must be at least one grid step into the window")
+        raise ValueError(f"{start_key}={start} must be at least one grid step into the window: at grid={grid} "
+                         f"the step is {window_end / (grid - 1):.6g}")
     times, absf = _window_magnitude(family, (0.0, window_end), grid)
-    optimal, random_max, _ = _backflows(family, [absf], n_pairs, seed, workers, cuts)
-    return times[cuts], optimal, random_max
+    optimal, random_max, _ = _backflows(family, [absf], cfg["pairs"], cfg["seed"], cfg["workers"], cuts)
+    return list(zip(times[cuts], optimal, random_max))
 
 
 def run_fig1(cfg: dict):
@@ -296,21 +297,11 @@ def run_fig1(cfg: dict):
     override the range; row times snap to the master grid.
 
     ``integral_optimal`` sums the positive increments of |kappa| itself, the
-    optimal pairs' trace distance (see ``_integral_sweep``).
+    optimal pairs' trace distance (see ``_control_time_rows``).
     """
-    _require(cfg, {"rows": 1, "grid": 2, "pairs": 1, "workers": 1})
-    family = DephasingChannel(_dephasing_spec(cfg, cfg["theta"]))
-    start = cfg["tauc_start"] if cfg["tauc_start"] is not None else _control_time(cfg, 1.2)
-    stop = cfg["tauc_stop"] if cfg["tauc_stop"] is not None else _control_time(cfg, 3.6)
-    if not 0.0 < start <= stop:
-        raise ValueError(f"need 0 < tauc_start <= tauc_stop, got ({start}, {stop})")
-    window_end = _derived(stop / 0.9, "tauc_stop/0.9", tauc_stop=stop)  # keep headroom past the last row
-    fractions = np.linspace(start / window_end, 0.9, cfg["rows"])
-    tau_c, optimal, random_max = _integral_sweep(
-        family, window_end, cfg["grid"], fractions, cfg["pairs"], cfg["seed"], cfg["workers"]
-    )
-    header = ["tau_c", "integral_optimal", "integral_random_max"]
-    return header, list(zip(tau_c, optimal, random_max))
+    rows = _control_time_rows(cfg, "tauc", 0.9, lambda: DephasingChannel(_dephasing_spec(cfg, cfg["theta"])),
+                              lambda family, m: _control_time(cfg, m), (1.2, 3.6))
+    return ["tau_c", "integral_optimal", "integral_random_max"], rows
 
 
 def run_fig4(cfg: dict):
@@ -322,21 +313,11 @@ def run_fig4(cfg: dict):
     override the range; row times snap to the master grid.
 
     ``integral_optimal`` sums the positive increments of |chi| itself, the
-    optimal pairs' trace distance (see ``_integral_sweep``).
+    optimal pairs' trace distance (see ``_control_time_rows``).
     """
-    _require(cfg, {"rows": 1, "grid": 2, "pairs": 1, "workers": 1})
-    family = _lorentz_family(cfg)
-    revival = 2.0 * math.pi / family.spec.epsilon
-    start = cfg["tc_start"] if cfg["tc_start"] is not None else 0.1 * revival
-    stop = cfg["tc_stop"] if cfg["tc_stop"] is not None else 2.5 * revival
-    if not 0.0 < start <= stop:
-        raise ValueError(f"need 0 < tc_start <= tc_stop, got ({start}, {stop})")
-    fractions = np.linspace(start / stop, 1.0, cfg["rows"])
-    t_c, optimal, random_max = _integral_sweep(
-        family, stop, cfg["grid"], fractions, cfg["pairs"], cfg["seed"], cfg["workers"]
-    )
-    header = ["t_c", "integral_optimal", "integral_random_max"]
-    return header, list(zip(t_c, optimal, random_max))
+    rows = _control_time_rows(cfg, "tc", 1.0, lambda: _lorentz_family(cfg),
+                              lambda family, m: m * (2.0 * math.pi / family.spec.epsilon), (0.1, 2.5))
+    return ["t_c", "integral_optimal", "integral_random_max"], rows
 
 
 def run_fig2(cfg: dict):
@@ -477,6 +458,79 @@ def run_figure(figure: str, cfg: dict):
     if bad is not None:
         raise ValueError(f"non-finite value in {figure} row {bad}")
     return header, rows
+
+
+# Each scalar command's handler takes the command's values and returns the
+# values it prints, and the time of a divergence (``measure`` alone), whose
+# value is then the one allowed infinity.
+
+def _run_fidelity(values: dict):
+    try:
+        c = tuple(float(x) for x in values["c"].split(","))
+    except ValueError:
+        c = ()
+    if len(c) != 3:
+        raise ValueError(f"--c expects three comma-separated numbers, e.g. 1,-1,1, got {values['c']!r}")
+    try:
+        kappa = complex(values["kappa"])
+    except ValueError:
+        raise ValueError(f"--kappa expects a real or complex number, got {values['kappa']!r}") from None
+    _check("kappa", kappa, "for fidelity", command_keys("fidelity"))
+    return (_preset_fidelities(DephasingChannel, abs(kappa), (c,))[0],), None
+
+
+def _run_measure(values: dict):
+    if values["family"] == "dephasing":
+        family = DephasingChannel(_dephasing_spec(values, values["theta"]))
+    else:
+        family = AmplitudeDampingChannel(LorentzSpec(gamma0=values["gamma0"], width=values["width"]))
+    measure = _MEASURES[values["measure"]]
+    report = measure(family, (values["t0"], values["t1"]), values["grid"], values["pairs"], values["seed"])
+    return (report.value,), report.singularity
+
+
+# The scalar commands, which take no config file.  Each entry holds the
+# command's keys (a type marks a required key of that type, a tuple a
+# required choice among its strings, and any other value is the key's
+# default; family keys and the seed default as they do for the figures),
+# its handler, its one-line help and the line that names a non-finite
+# value it would print.
+_DEPHASING = _FAMILY_DEFAULTS["dephasing"]
+_COMMANDS = {
+    "kappa": ({"theta": float, "delta_omega": float, "sigma": float, "tau": float, "omega1": _DEPHASING["omega1"]},
+              lambda v: ((kappa_abs(_dephasing_spec(v, v["theta"]), v["tau"]),), None),
+              "print |kappa(tau)| for a dephasing spec", "|kappa| is not finite at tau={tau}"),
+    "chi": ({"gamma0": float, "width": float, "t": float},
+            lambda v: ((chi(LorentzSpec(gamma0=v["gamma0"], width=v["width"]), v["t"]),), None),
+            "print chi(t) for a Lorentzian spec", "chi is not finite at t={t}"),
+    "transition": ({"delta_omega": float, "sigma": float, "tauc": float},
+                   lambda v: (transition_thetas(v["delta_omega"], v["sigma"], v["tauc"]), None),
+                   "print the two transition angles theta1 theta2",
+                   "the transition angles are not finite at tauc={tauc}"),
+    # Parsed by the handler: a Bell-diagonal triple and a complex literal.
+    "fidelity": ({"c": str, "kappa": str}, _run_fidelity, "RSP fidelity of a dephased Bell-diagonal state",
+                 "the fidelity is not finite at kappa={kappa}"),
+    "measure": ({"measure": tuple(_MEASURES), "family": tuple(_FAMILY_DEFAULTS), "theta": math.pi / 4,
+                 **{key: _DEPHASING[key] for key in ("delta_omega", "sigma", "omega1")}, **_FAMILY_DEFAULTS["lorentz"],
+                 "width": 0.1, "t0": 0.0, "t1": float, "grid": 4001, "pairs": 0, "seed": _SHARED_DEFAULTS["seed"]},
+                _run_measure, "evaluate one backflow measure on a window", "the measure is not finite at t1={t1}"),
+}
+
+
+def run_command(command: str, values: dict):
+    """The values the scalar ``command`` prints and the time of a divergence
+    (or None), once each of its keys' ``values`` passes ``_check`` and each
+    printed value is finite; a divergent measure's value is the one allowed
+    infinity.  Under ``np.errstate`` no numpy warning is raised: a non-finite
+    value is named instead."""
+    keys, handler, _, non_finite = _COMMANDS[command]
+    for key in keys:
+        _check(key, values[key], f"for {command}", keys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        printed, divergence = handler(values)
+    if divergence is None and _non_finite_row([printed]) is not None:
+        raise ValueError(non_finite.format(**values))
+    return printed, divergence
 
 
 # O_BINARY (Windows only) keeps "\n" from becoming "\r\n".

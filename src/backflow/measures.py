@@ -900,3 +900,13 @@ def mutual_info_measure(
     """Sum of positive increments of the quantum mutual information of the
     evolved maximally entangled state (system = both qubits)."""
     return MeasureReport(_scored(family, window, grid_size, "mutual-info"), "mutual-info", int(grid_size))
+
+
+# The four measures by name, each called as (family, window, grid_size,
+# n_pairs, seed); only blp searches pairs, so the others take neither.
+_MEASURES = {
+    "blp": lambda family, window, grid_size, n_pairs, seed: blp_search(family, window, n_pairs, grid_size, seed),
+    "divisibility": lambda family, window, grid_size, *_: divisibility_measure(family, window, grid_size),
+    "entanglement": lambda family, window, grid_size, *_: entanglement_measure(family, window, grid_size),
+    "mutual-info": lambda family, window, grid_size, *_: mutual_info_measure(family, window, grid_size),
+}

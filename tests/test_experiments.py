@@ -262,8 +262,9 @@ class TestConfigTable:
             dests = Counter(a.dest for a in key_actions(parser))
             assert cfg.read and all(dests[key] == 1 for key in cfg.read), (figure, cfg.read)
             # ... and every action is read by the runner, except --out, which
-            # the CLI reads to write the table.
-            assert set(dests) - {"out"} == cfg.read, figure
+            # the CLI reads to write the table, and the dephasing figures'
+            # --omega1, which is only checked: |kappa| does not depend on it.
+            assert set(dests) - {"out", "omega1"} == cfg.read, figure
             # The actions are the table's keys, each typed by its default.
             assert dests == dict.fromkeys(figure_keys(figure), 1), figure
             assert {a.dest: a.type for a in key_actions(parser)} == figure_keys(figure)
@@ -420,9 +421,29 @@ class TestOptimalColumn:
     path."""
 
     @staticmethod
-    def candidate_sweep(family, window_end, grid, row_fractions, n_pairs, seed, workers):
+    def recorded_sweep(figure, cfg):
+        """The figure's table, and the family, window end, grid, row cuts,
+        pair count and seed of its one pair search."""
+        grids, searches = [], []
+        magnitude, backflows = experiments._window_magnitude, experiments._backflows
+
+        def recording_magnitude(family, window, grid):
+            grids.append((family, window[1], grid))
+            return magnitude(family, window, grid)
+
+        def recording_backflows(family, windows, n_pairs, seed, workers, cuts):
+            searches.append((cuts, n_pairs, seed))
+            return backflows(family, windows, n_pairs, seed, workers, cuts)
+
+        with mock.patch.object(experiments, "_window_magnitude", recording_magnitude), \
+                mock.patch.object(experiments, "_backflows", recording_backflows):
+            table = np.array(run_figure(figure, cfg)[1])
+        (grid,), (search,) = grids, searches
+        return table, (*grid, *search)
+
+    @staticmethod
+    def candidate_sweep(family, window_end, grid, cuts, n_pairs, seed):
         times = np.linspace(0.0, window_end, grid)
-        cuts = np.round(row_fractions * (grid - 1)).astype(int)
         optimal = pair_backflows(family, optimal_candidate_stack(), times, cuts).max(axis=0)
         random_max = np.maximum.reduce([
             pair_backflows(family, _random_differences(seed, lo, min(lo + 256, n_pairs)), times, cuts).max(axis=0)
@@ -433,13 +454,10 @@ class TestOptimalColumn:
     @settings(max_examples=25, deadline=None)
     @given(_SWEEPS)
     def test_equals_the_candidate_path(self, sweep):
-        figure, cfg = sweep
-        calls = []
-        sweep = experiments._integral_sweep
-        with mock.patch.object(experiments, "_integral_sweep", lambda *a: calls.append(a) or sweep(*a)):
-            _, rows_out = run_figure(figure, cfg)
-        optimal, random_max = self.candidate_sweep(*calls[0])
-        table = np.array(rows_out)
+        table, search = self.recorded_sweep(*sweep)
+        optimal, random_max = self.candidate_sweep(*search)
+        _, window_end, grid, cuts, *_ = search
+        assert table[:, 0].tobytes() == np.linspace(0.0, window_end, grid)[cuts].tobytes()
         assert np.all(np.abs(table[:, 1] - optimal) <= 4e-15)
         assert table[:, 2].tobytes() == random_max.tobytes()
 
@@ -479,15 +497,11 @@ class TestOptimalColumn:
         # difference on the noisy qubit, scaled by kappa, so each prefix
         # backflow is at most |B|_1 times the increment sum of |kappa|
         # (reverse triangle inequality; |B|_1 <= 1).
-        figure, cfg = sweep
-        calls = []
-        sweep = experiments._integral_sweep
-        with mock.patch.object(experiments, "_integral_sweep", lambda *a: calls.append(a) or sweep(*a)):
-            optimal = np.array(run_figure(figure, cfg)[1])[:, 1]
-        family, window_end, grid, fractions, n_pairs, seed, _ = calls[0]
+        table, (family, window_end, grid, cuts, n_pairs, seed) = self.recorded_sweep(*sweep)
+        optimal = table[:, 1]
         times = np.linspace(0.0, window_end, grid)
         deltas = _random_differences(seed, 0, n_pairs)
-        backflows = pair_backflows(family, deltas, times, np.round(fractions * (grid - 1)).astype(int))
+        backflows = pair_backflows(family, deltas, times, cuts)
         bound = np.linalg.svd(deltas[:, :2, 2:], compute_uv=False).sum(axis=-1)
         assert np.all(bound <= 1.0 + 1e-12)
         assert np.all(backflows <= bound[:, None] * optimal * (1.0 + 1e-12) + 1e-14)
@@ -678,6 +692,7 @@ class TestFig2OnePass:
         # fig2 forms |kappa| only on the columns where it can rise; the kept
         # samples it searches, and each row's number of them, are those of
         # kappa_abs of each row's (tau_c, theta) on its full grid, bit for bit.
+        # omega1 is drawn but not read: every spec has omega2 = dw exactly.
         sigma = sigma_over_dw * dw
         cfg = resolve_config("fig2", None, {"sigma": sigma, "delta_omega": dw, "omega1": omega1,
                                             "theta_count": theta_count, "tauc_count": tauc_count, "grid": grid})
@@ -689,7 +704,7 @@ class TestFig2OnePass:
             return search(family, f, reduce, *args)
 
         longest = np.linspace(1.2 * math.pi / dw, 2.0 * math.pi / dw, tauc_count)[-1]
-        family = DephasingChannel(DephasingSpec(0.0, omega1, omega1 + dw, sigma))
+        family = DephasingChannel(DephasingSpec(0.0, 0.0, dw, sigma))
         if longest / (grid - 1) >= measures._HALF_PERIODS[DephasingChannel](family.spec):
             # The longest window's step is not below pi/dw: refused as blp_search refuses it.
             for run in (lambda: run_figure("fig2", cfg), lambda: blp_search(family, (0.0, longest), 0, grid, 0)):
@@ -700,7 +715,7 @@ class TestFig2OnePass:
             rows = run_figure("fig2", cfg)[1]
         assert len(calls) == 1 and len(rows) == theta_count * tauc_count
         f, reduce = calls[0]
-        windows = [DephasingChannel(DephasingSpec(float(theta), omega1, omega1 + dw, sigma)).magnitude(
+        windows = [DephasingChannel(DephasingSpec(float(theta), 0.0, dw, sigma)).magnitude(
             np.linspace(0.0, tau_c, grid)) for tau_c, theta, *_ in rows]
         want_f, want_reduce = _kept_samples(windows)
         assert f.tobytes() == want_f.tobytes()
@@ -1083,7 +1098,8 @@ class TestStackedFidelityFigures:
             rows = run_figure(variant, resolve_config(variant, None, cfg))[1]
             assert len(rows) == theta_count
             for theta, n_value, *fidelities in rows:
-                spec = DephasingSpec(float(theta), omega1, omega1 + delta_omega, sigma)
+                # omega1 is not read: |kappa| depends on delta_omega alone.
+                spec = DephasingSpec(float(theta), 0.0, delta_omega, sigma)
                 assert n_value == analytic_blp_dephasing(spec, tau_c)
                 kappa = kappa_abs(spec, tau_c)
                 assert fidelities == _preset_fidelities(DephasingChannel, kappa).tolist()
@@ -1571,14 +1587,18 @@ class TestCli:
         (("transition", "--dw", "10", "--sigma", "50", "--tauc", "0.5"),
          "error: sigma=50.0 and tau_c=0.5 overflow the transition-angle equation"),
         (("fig3a", "--sigma", "100"), f"error: sigma=100.0 and tau_c={1.5 * math.pi / 10} overflow the transition-angle equation"),
-        # Before, these printed nan or 0, or fig1 wrote a CSV of zeros.
-        (("kappa", "--theta", "0.3", "--omega1", "1e308", "--dw", "1e308", "--sigma", "1", "--tau", "0.5"),
-         "error: omega1=1e+308 and omega2=inf must be finite and a finite distance apart"),
-        (("fig1", "--omega1", "1e308", "--dw", "1e308", "--pairs", "3", "--grid", "101", "--rows", "2"),
-         "error: omega1=1e+308 and omega2=inf must be finite and a finite distance apart"),
+        # No spec is formed from omega1 + dw, which overflowed here; so a huge
+        # dw reaches the values it breaks, and those are named.
+        (("kappa", "--theta", "0.3", "--omega1", "1e308", "--dw", "1e308", "--sigma", "1", "--tau", "1e308"),
+         "error: |kappa| is not finite at tau=1e+308"),
+        (("fig1", "--omega1", "1e308", "--dw", "1e308", "--tauc-stop", "1", "--pairs", "3", "--grid", "101",
+          "--rows", "2"),
+         f"error: tauc_start={1.2 * math.pi / 1e308} must be at least one grid step into the window: "
+         "at grid=101 the step is 0.0111111"),
         (("measure", "--measure", "blp", "--family", "dephasing", "--omega1", "1e308", "--dw", "1e308",
           "--t1", "1", "--grid", "11"),
-         "error: omega1=1e+308 and omega2=inf must be finite and a finite distance apart"),
+         "error: grid=11 is too coarse: its step 0.1 is not below 3.14159e-308, half the period of |f|"),
+        # Before, these printed nan or 0.
         (("kappa", "--theta", "0.3", "--dw", "10", "--sigma", "1", "--tau", "1e308"),
          "error: |kappa| is not finite at tau=1e+308"),
         *((("measure", "--measure", measure, "--family", "dephasing", "--t1", "1e308", "--grid", "11"),
@@ -1601,6 +1621,25 @@ class TestCli:
         assert out.out == ""
         assert out.err.splitlines() == [line]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("kappa", "--theta", "0.7", "--dw", "0.3", "--sigma", "0.1", "--tau", "7"),
+        ("measure", "--measure", "entanglement", "--family", "dephasing", "--dw", "0.3", "--sigma", "0.1",
+         "--t1", "40"),
+        ("fig1", "--dw", "0.3", "--sigma", "0.1", "--pairs", "3", "--grid", "401", "--rows", "3"),
+        ("fig2", "--dw", "0.3", "--sigma", "0.1", "--grid", "401", "--theta-count", "3", "--tauc-count", "2"),
+        ("fig3a", "--dw", "0.3", "--sigma", "0.1"),
+    ])
+    def test_omega1_changes_no_output(self, argv, tmp_path, monkeypatch, capsys):
+        # |kappa| depends on dw, sigma and theta, not on omega1; forming
+        # omega2 = omega1 + dw would round dw (0.3 to 0.25 at omega1 = 1e15).
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for omega1 in ((), ("--omega1", "1e15")):
+            assert cli.main([*argv, *omega1]) == 0
+            csv = tmp_path / f"{argv[0]}.csv"
+            outputs.append((capsys.readouterr(), csv.read_bytes() if csv.exists() else None))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("measure", ["blp", "divisibility", "entanglement", "mutual-info"])
     def test_a_grid_too_coarse_for_the_oscillation_is_named(self, measure, tmp_path, monkeypatch, capsys):
@@ -1842,7 +1881,7 @@ CONTRACT_INTS = {"grid": 401, "pairs": 3, "seed": 5, "workers": 2}
 def contract_argvs(draw):
     """A command and a value for each of its keys, as ``command_keys`` types
     them, with no --out: the test writes under a temporary directory."""
-    command = draw(st.sampled_from([*FIGURES, *cli._COMMANDS]))
+    command = draw(st.sampled_from([*FIGURES, *experiments._COMMANDS]))
     argv = [command]
     for key, entry in command_keys(command).items():
         kind = str if isinstance(entry, tuple) else entry if isinstance(entry, type) else type(entry)
@@ -1905,6 +1944,13 @@ class TestExitContract:
              expect=("pairs",))
     @example(argv=["measure", "--measure", "divisibility", "--family", "dephasing", "--t1", "0.6", "--grid", "1"],
              expect=("grid",))
+    @example(argv=["fig1", "--tauc-start", "1e-9", "--tauc-stop", "1", "--grid", "401", "--pairs", "3"],
+             expect=("tauc_start", "grid"))
+    @example(argv=["fig4", "--tc-start", "1e-9", "--tc-stop", "1", "--grid", "401", "--pairs", "3"],
+             expect=("tc_start", "grid"))
+    # |kappa| depends on dw, not on omega1; omega1 + dw would round dw to 16.
+    @example(argv=["kappa", "--theta", "0.7", "--dw", "10", "--sigma", "1", "--tau", "0.3", "--omega1", "1e17"],
+             expect=0.17562282310010688)
     def test_every_command_answers_or_names_its_input(self, argv, expect):
         command = argv[0]
         with tempfile.TemporaryDirectory() as tmp:
