@@ -141,7 +141,8 @@ class MeasureReport:
     ``value`` is non-negative and may be ``math.inf`` for the divisibility
     measure; ``singularity`` then records the time of the offending zero.
     ``witness`` carries the best pair of ``blp_search``: ``optimal_pair(1.0,
-    0.0, "zeta")`` unless a random pair's backflow is strictly larger.
+    0.0, "zeta")`` unless a damping x-z Bloch pair's (``_bloch_pair``) or a
+    random pair's backflow is strictly larger.
     """
 
     value: float
@@ -295,16 +296,17 @@ def _half_trace_norms(p2: np.ndarray, e3: np.ndarray, e4: np.ndarray) -> np.ndar
     where a zero of the decoherence factor makes it a double root.  Steps
     y = phi(y) then polish it.  p2 = 0 (a zero matrix) gives 0.
     """
-    h = 0.5 * p2
+    h, q, c = 0.5 * p2, e3 * e3, 4.0 * e4
     with np.errstate(divide="ignore", invalid="ignore"):
-        y = h + np.sqrt(e3 * e3 / h + 4.0 * e4)
+        y = h + np.sqrt(q / h + c)
         for _ in range(_NEWTON_STEPS):
             u = y - h
-            g = y * u * u - 4.0 * e4 * y - e3 * e3
-            slope = u * u + 2.0 * y * u - 4.0 * e4
+            yu = y * u  # normal or 0 on the scaled invariants, so 2 yu = (2 y) u exactly
+            g = yu * u - c * y - q
+            slope = u * u + 2.0 * yu - c
             y -= np.divide(g, slope, out=np.zeros_like(g), where=slope > 0.0)
         for _ in range(_FIXED_POINT_STEPS):
-            y = h + np.sqrt(e3 * e3 / y + 4.0 * e4)
+            y = h + np.sqrt(q / y + c)
     return np.where(p2 > 0.0, np.sqrt(y), 0.0)
 
 
@@ -323,7 +325,10 @@ def _scaled(*blocks: np.ndarray):
     """The 2x2 ``blocks`` (each ..., 2, 2) scaled by one power of two per
     leading index, so that their largest real or imaginary part lies in
     [1/2, 1), and that power's exponent."""
-    e = _exponents(np.max([np.maximum(abs(b.real), abs(b.imag)).max(axis=(-2, -1)) for b in blocks], axis=0))
+    # The largest part per leading index is a maximum across the entries' views:
+    # numpy reduces two trailing axes of length 2 several times as slowly.
+    parts = [np.maximum(abs(b.real), abs(b.imag)) for b in blocks]
+    e = _exponents(np.max([p[..., i, j] for p in parts for i in (0, 1) for j in (0, 1)], axis=0))
     s = -e[..., None, None]
     return [np.ldexp(b.real, s) + 1j * np.ldexp(b.imag, s) for b in blocks], e
 
@@ -341,16 +346,12 @@ def _gram(b: np.ndarray):
     return sq[..., 0, 0] + sq[..., 0, 1], sq[..., 1, 0] + sq[..., 1, 1], z.real, z.imag
 
 
-# Tr H^2, Tr H^3, Tr H K and det H of Hermitian 2x2 blocks given as
+# (Tr H^2, Tr H^3), Tr H K and det H of Hermitian 2x2 blocks given as
 # ``_hermitian`` parts.
-def _tr2(h) -> np.ndarray:
+def _power_traces(h):
     p, q, x, y = h
-    return p * p + q * q + 2.0 * (x * x + y * y)
-
-
-def _tr3(h) -> np.ndarray:
-    p, q, x, y = h
-    return p * p * p + q * q * q + 3.0 * (x * x + y * y) * (p + q)
+    pp, qq, xy = p * p, q * q, x * x + y * y
+    return pp + qq + 2.0 * xy, pp * p + qq * q + 3.0 * xy * (p + q)
 
 
 def _tr_product(h, k) -> np.ndarray:
@@ -379,16 +380,18 @@ def _dephasing_invariants(deltas: np.ndarray, kappa: np.ndarray):
     det X = (1 - x)^2 det A det C.  A and C share one scale, since dephasing
     leaves both as they are.
     """
-    (a, c), ed = _scaled(deltas[..., :2, :2], deltas[..., 2:, 2:])
-    (b,), eb = _scaled(deltas[..., :2, 2:])
+    (a, c), ed = _scaled(np.ascontiguousarray(deltas[..., :2, :2]), np.ascontiguousarray(deltas[..., 2:, 2:]))
+    (b,), eb = _scaled(np.ascontiguousarray(deltas[..., :2, 2:]))
     a, c = _hermitian(a), _hermitian(c)
     bb, bhb = _gram(b), _gram(b.conj().swapaxes(-1, -2))
-    d2, d3 = _tr2(a) + _tr2(c), (_tr3(a) + _tr3(c)) / 3.0
+    (a2, a3), (c2, c3) = _power_traces(a), _power_traces(c)
+    d2, d3 = a2 + c2, (a3 + c3) / 3.0
     b2, ab = 2.0 * (bb[0] + bb[1]), _tr_product(a, bb) + _tr_product(c, bhb)
     dets = np.maximum(_det(a) * _det(c), 0.0)
     r, rn, ef = _magnitudes(kappa)
-    e = np.maximum(ed, ef + eb)
-    rd, k = np.ldexp(1.0, ed - e), np.ldexp(rn, ef + eb - e)
+    efb = ef + eb
+    e = np.maximum(ed, efb)
+    rd, k = np.ldexp(1.0, ed - e), np.ldexp(rn, efb - e)
     k2, rd2 = k * k, rd * rd
     p2 = rd2 * d2 + k2 * b2
     e3 = rd * (rd2 * d3 + k2 * ab)
@@ -407,19 +410,22 @@ def _damping_invariants(deltas: np.ndarray, chi: np.ndarray):
     sample, from its four real parts, so that Tr G^2 stays a sum of squares.
     """
     a, c = _hermitian(deltas[..., :2, :2]), _hermitian(deltas[..., 2:, 2:])
-    (b,), eb = _scaled(deltas[..., :2, 2:])
-    (cn,), ec = _scaled(deltas[..., 2:, 2:])
+    (b,), eb = _scaled(np.ascontiguousarray(deltas[..., :2, 2:]))
+    (cn,), ec = _scaled(np.ascontiguousarray(deltas[..., 2:, 2:]))
     cn, bb = _hermitian(cn), _gram(b)
-    b2, c2, c3 = 2.0 * (bb[0] + bb[1]), _tr2(cn), _tr3(cn) / 3.0
+    b2, (c2, c3) = 2.0 * (bb[0] + bb[1]), _power_traces(cn)
     bhbc, dc = _tr_product(_gram(b.conj().swapaxes(-1, -2)), cn), _det(cn)
     r, rn, ef = _magnitudes(chi)
     w = (1.0 - r) * (1.0 + r)
     g = [x + w * y for x, y in zip(a, c)]
-    e = np.maximum(np.maximum(_exponents(np.maximum.reduce([abs(x) for x in g])), ef + eb), 2 * ef + ec)
-    g = [np.ldexp(x, -e) for x in g]
-    k2, d = np.ldexp(rn, ef + eb - e) ** 2, np.ldexp(rn * rn, 2 * ef + ec - e)
-    p2 = _tr2(g) + k2 * b2 + d * d * c2
-    e3 = _tr3(g) / 3.0 + d * d * d * c3 + k2 * (_tr_product(g, bb) + d * bhbc)
+    efb, efc = ef + eb, 2 * ef + ec
+    e = np.maximum(np.maximum(_exponents(np.maximum.reduce([abs(x) for x in g])), efb), efc)
+    minus_e = -e
+    g = [np.ldexp(x, minus_e) for x in g]
+    k2, d = np.ldexp(rn, efb - e) ** 2, np.ldexp(rn * rn, efc - e)
+    g2, g3 = _power_traces(g)
+    p2 = g2 + k2 * b2 + d * d * c2
+    e3 = g3 / 3.0 + d * d * d * (c3 / 3.0) + k2 * (_tr_product(g, bb) + d * bhbc)
     e4 = (np.ldexp(rn * rn * dc, 2 * (ef + ec - e)) * w) ** 2
     return p2, e3, e4, e
 
@@ -822,6 +828,49 @@ def _scored(family: ChannelFamily, window, grid_size: int, kind: str) -> float:
     return float(reduce(_SCORES[type(family), kind](f))[0])
 
 
+# The angles of the damping pairs (_damping_optimum): a first grid of this many
+# over [0, pi/2], then this many zooms, each a grid of _ZOOM_ANGLES over the
+# two steps beside the best angle so far, so a quarter as wide as the last.
+_FIRST_ANGLES, _ZOOMS, _ZOOM_ANGLES = 129, 14, 9
+
+
+def _bloch_pair(alpha: float) -> StatePair:
+    """The antipodal pair of Bloch vectors +-(sin alpha, 0, cos alpha) on the
+    noisy qubit, each with the other qubit in |0>."""
+    c, s = math.cos(alpha / 2.0), math.sin(alpha / 2.0)
+    k1, k2 = np.array([c, 0.0, s, 0.0]), np.array([s, 0.0, -c, 0.0])
+    return StatePair(np.outer(k1, k1).astype(complex), np.outer(k2, k2).astype(complex))
+
+
+def _damping_optimum(f: np.ndarray) -> tuple[float, float]:
+    """The largest gain of the damped ``_bloch_pair(alpha)`` over alpha in
+    [0, pi/2] on the equatorial pair's backflow, the increment sum of |chi|
+    at its kept samples ``f``, and that alpha.
+
+    Amplitude damping maps the pair's Bloch difference 2 (sin a, 0, cos a)
+    to 2 (g sin a, 0, g^2 cos a) with g = |chi|, so its trace distance is
+    D_a(g) = g sqrt(1 - c (1 - g^2)) with c = cos^2 a: the equatorial pair
+    (a = pi/2) has D = g and the population pair (a = 0) D = g^2, which gains
+    more on a rise from g1 to g2 whenever g1 + g2 > 1.  D_a rises with g, so
+    it rises on the steps where |chi| does, and its increment sum is |chi|'s
+    plus the increments over those steps of D_a(g) - g =
+    -c g (1 - g^2) / (1 + sqrt(1 - c (1 - g^2))), a form without
+    cancellation: the sign of the gain is that of the sum.  Both ends are on
+    the first grid of angles.  No pair is evolved.
+    """
+    rises, w = np.diff(f) > 0.0, (1.0 - f) * (1.0 + f)
+    lo, hi, count, fw = 0.0, math.pi / 2.0, _FIRST_ANGLES, f * w
+    best = (-math.inf, 0.0)
+    for _ in range(_ZOOMS + 1):
+        alphas = np.linspace(lo, hi, count)
+        gains = [float(np.diff(-c * fw / (1.0 + np.sqrt(1.0 - c * w)))[rises].sum())
+                 for c in np.cos(alphas) ** 2]
+        k = int(np.argmax(gains))
+        best = max(best, (gains[k], float(alphas[k])))
+        lo, hi, count = alphas[max(k - 1, 0)], alphas[min(k + 1, count - 1)], _ZOOM_ANGLES
+    return best
+
+
 def blp_search(
     family: ChannelFamily,
     window: tuple[float, float],
@@ -834,16 +883,26 @@ def blp_search(
 
     Every optimal pair evolves with trace distance |f|, so the optimal value
     is the sum of positive increments of |f| itself and no optimal pair is
-    evolved.  A tie goes to the optimal pairs, whose witness is
-    ``optimal_pair(1.0, 0.0, "zeta")``; random pair k is the witness only
-    when its backflow is strictly larger (the earliest such k on a tie), so
-    the result is deterministic for a given seed.
+    evolved.  Under damping a window that starts inside a rise of |chi| can
+    give more to a pair off the equator, so there the optimal value is the
+    largest over the x-z Bloch pairs (``_damping_optimum``), each a closed
+    form of |chi|.  A tie goes to the optimal pairs, whose witness is
+    ``optimal_pair(1.0, 0.0, "zeta")``, or ``_bloch_pair(alpha)`` where an
+    angle's value is strictly larger; random pair k is the witness only when
+    its backflow is strictly larger (the earliest such k on a tie), so the
+    result is deterministic for a given seed.
     """
     _require({"pairs": n_pairs}, {"pairs": 0})  # the measure command's key
-    optimal, best, first_k = _backflows(family, [_window_magnitude(family, window, grid_size)[1]], n_pairs, seed)
-    if best[0] > optimal[0]:
-        return MeasureReport(float(best[0]), "blp", int(grid_size), witness=sample_random_pair(seed, int(first_k[0])))
-    return MeasureReport(float(optimal[0]), "blp", int(grid_size), witness=optimal_pair(1.0, 0.0, "zeta"))
+    absf = _window_magnitude(family, window, grid_size)[1]
+    optimal, best, first_k = _backflows(family, [absf], n_pairs, seed)
+    value, witness = float(optimal[0]), partial(optimal_pair, 1.0, 0.0, "zeta")
+    if isinstance(family, AmplitudeDampingChannel):
+        gain, alpha = _damping_optimum(_kept_samples([absf])[0])
+        if gain > 0.0:
+            value, witness = value + gain, partial(_bloch_pair, alpha)
+    if best[0] > value:
+        value, witness = float(best[0]), partial(sample_random_pair, seed, int(first_k[0]))
+    return MeasureReport(value, "blp", int(grid_size), witness=witness())
 
 
 # Trace-norm excess of a step map, trace_norm(intermediate_choi(...)) - 1, in

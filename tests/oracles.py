@@ -9,8 +9,9 @@ reshapes, pinned against the index loops by a test.  The exceptions are the
 helpers that read the package's own trace norm or entropy
 (``trace_distance``, ``negativity``, ``mutual_information``, the 16x16
 route that the closed-form scores of ``backflow.measures`` replaced) and
-the stack helpers (``stack_backflows``, ``pair_backflows``), which run the
-package's own pair kernel on stacks that no search draws.
+the stack helpers (``stack_backflows``, ``pair_backflows``,
+``climbed_backflow``), which run the package's own pair kernel on stacks
+that no search draws.
 """
 
 from __future__ import annotations
@@ -254,6 +255,75 @@ def pair_backflows(family, deltas: np.ndarray, times: np.ndarray, cut_indices=No
     (P, len(cut_indices)) of prefix integrals over [times[0], times[cut]]."""
     values = stack_backflows(family, deltas, [family.magnitude(times)], cut_indices)
     return values[:, 0] if cut_indices is None else values
+
+
+def half_trace_norms_reference(p2: np.ndarray, e3: np.ndarray, e4: np.ndarray) -> np.ndarray:
+    """``backflow.measures._half_trace_norms`` as first written, each cubic
+    expression formed where it is used: the reference that the kernel's
+    bits are pinned to."""
+    from backflow.measures import _FIXED_POINT_STEPS, _NEWTON_STEPS
+
+    h = 0.5 * p2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = h + np.sqrt(e3 * e3 / h + 4.0 * e4)
+        for _ in range(_NEWTON_STEPS):
+            u = y - h
+            g = y * u * u - 4.0 * e4 * y - e3 * e3
+            slope = u * u + 2.0 * y * u - 4.0 * e4
+            y -= np.divide(g, slope, out=np.zeros_like(g), where=slope > 0.0)
+        for _ in range(_FIXED_POINT_STEPS):
+            y = h + np.sqrt(e3 * e3 / y + 4.0 * e4)
+    return np.where(p2 > 0.0, np.sqrt(y), 0.0)
+
+
+def _pure_pair_differences(x: np.ndarray) -> np.ndarray:
+    """rho1 - rho2 of the pure pairs whose two unnormalized kets are the 16
+    real parameters of each row of ``x`` (P, 16): the real then imaginary
+    parts of the first ket, then of the second."""
+    z = np.asarray(x, dtype=float).reshape(-1, 2, 2, 4)
+    kets = z[:, :, 0] + 1j * z[:, :, 1]
+    kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
+    rho = kets[..., :, None] * kets.conj()[..., None, :]
+    return rho[:, 0] - rho[:, 1]
+
+
+def climbed_backflow(family, absf: np.ndarray, starts: np.ndarray, rng: np.random.Generator,
+                     proposals: int = 16, steps: int = 300) -> float:
+    """The largest backflow over the window of |f| samples ``absf`` that a
+    local climb over pairs of pure two-qubit states reaches, a lower bound on
+    the maximum over all pure pairs.
+
+    From each row of ``starts`` (the 16 real parameters of a pair, as
+    ``_pure_pair_differences`` reads them) the climb moves to the best of
+    ``proposals`` Gaussian steps while that improves, doubling the step
+    size, and halves it when none does.  Each pair's backflow comes from the
+    package's kept samples, reduction and pair kernel, as in
+    ``stack_backflows``.
+    """
+    from backflow.measures import _kept_samples, _trace_distances
+
+    f, reduce = _kept_samples([absf])
+    if f.size == 0:  # |f| never rises: every pair's backflow is 0
+        return 0.0
+
+    def backflows(x):
+        return reduce(_trace_distances(family, _pure_pair_differences(x)[:, None], f))[:, 0]
+
+    best = 0.0
+    for x in np.atleast_2d(starts):
+        value, scale = backflows(x)[0], 0.1
+        for _ in range(steps):
+            trial = x + scale * rng.standard_normal((proposals, 16))
+            values = backflows(trial)
+            k = int(np.argmax(values))
+            if values[k] > value:
+                x, value, scale = trial[k], values[k], 2.0 * scale
+            elif scale < 1e-9:
+                break
+            else:
+                scale *= 0.5
+        best = max(best, float(value))
+    return best
 
 
 def mutual_information(rho16: np.ndarray, rank: int | None = None) -> float:

@@ -471,15 +471,23 @@ class TestOptimalColumn:
         st.floats(0.05, 60.0),
         st.integers(2, 2001),
     )
+    @example(AmplitudeDampingChannel(LorentzSpec(1.0, 0.01)), 0.785, 44.5403, 4001)
     def test_blp_search_equals_the_candidate_path(self, family, start_fraction, t1, grid):
         # A grid whose step is not below half the period of |f| is refused.
+        # A damping window that starts inside a rise of |chi| can give more
+        # to an x-z Bloch pair off the equator than to the candidates, so
+        # there the value is at least theirs; from t = 0 it is theirs.
         times = np.linspace(start_fraction * t1, t1, grid)
         if (times[-1] - times[0]) / (grid - 1) >= measures._HALF_PERIODS[type(family)](family.spec):
             with pytest.raises(ValueError, match=f"^grid={grid} is too coarse"):
                 blp_search(family, (times[0], t1), 0, grid, 1)
             return
         expected = pair_backflows(family, optimal_candidate_stack(), times).max()
-        assert abs(blp_search(family, (times[0], t1), 0, grid, 1).value - expected) <= 4e-15
+        value = blp_search(family, (times[0], t1), 0, grid, 1).value
+        if isinstance(family, AmplitudeDampingChannel) and times[0] > 0.0:
+            assert value >= expected - 4e-15
+        else:
+            assert abs(value - expected) <= 4e-15
 
     @settings(max_examples=40, deadline=None)
     @given(_SWEEPS)

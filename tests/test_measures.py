@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import re
 
@@ -29,7 +31,7 @@ from backflow import (
     trace_norm,
 )
 
-from backflow import channels, decoherence, experiments, measures
+from backflow import channels, cli, decoherence, experiments, measures
 from backflow.measures import (
     _CHUNK_POINTS,
     _STEP_EXCESS,
@@ -40,7 +42,8 @@ from backflow.measures import (
     _trace_distances,
 )
 from backflow.experiments import resolve_config, run_figure
-from oracles import binary_entropy, bisect_root, golden_max, mutual_information, negativity, optimal_candidate_stack
+from oracles import binary_entropy, bisect_root, golden_max, half_trace_norms_reference, mutual_information, negativity
+from oracles import climbed_backflow, optimal_candidate_stack
 from oracles import pair_backflows, random_density_matrix, stack_backflows, trace_distance, turning_points_by_sign_change
 
 DEPHASING = DephasingChannel(DephasingSpec(math.pi / 4))
@@ -277,6 +280,8 @@ class TestTrajectory:
 # Decoherence magnitudes: 0 and 1 exactly, any value in [0, 1], and values
 # below 1e-154, whose squares underflow.
 _MAGNITUDES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0) | st.floats(1e-300, 1e-154)
+# The same with 1e-154 itself and subnormals.
+_KERNEL_MAGNITUDES = _MAGNITUDES | st.just(1e-154) | st.floats(0.0, 2.2250738585072014e-308)
 
 
 def _gate(got, want):
@@ -340,6 +345,36 @@ class TestTraceNormWithoutEigensolve:
         for family, f in self.samples_around_the_zeros_of_f():
             got = _trace_distances(family, deltas[:, None], f)
             assert _gate(got, _eigen_trace_distances(family, deltas[:, None], f))
+
+    @staticmethod
+    def assert_reference_bits(family, deltas, f):
+        invariants = measures._PAIR_INVARIANTS[type(family)](deltas[:, None], f)
+        got, want = measures._half_trace_norms(*invariants[:3]), half_trace_norms_reference(*invariants[:3])
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["dephasing", "lorentz"]),
+        st.integers(0, 2**32 - 1),
+        _ALPHAS,
+        st.lists(st.tuples(_KERNEL_MAGNITUDES, st.floats(0.0, 2 * math.pi)), min_size=1, max_size=30),
+    )
+    @example("dephasing", 0, 1.0, [(0.0, 0.0), (5e-324, 1.0), (1e-154, 2.0), (0.5, 3.0), (1.0, 4.0)])
+    @example("lorentz", 1, 0.0, [(0.0, 0.0), (2.2e-308, 4.0), (1e-154, 1.0), (0.5, 4.0), (1.0, 0.0)])
+    def test_kernel_bits_equal_the_reference(self, kind, seed, alpha, samples):
+        # The cubic's expressions are formed once each; every bit must be
+        # the reference's, on random and optimal pairs, at |f| = 0,
+        # subnormal, 1e-154, in (0, 1) and 1.
+        r, angle = np.array(samples).T
+        family, f = (DEPHASING, r * np.exp(1j * angle)) if kind == "dephasing" else (LORENTZ, np.where(angle < math.pi, r, -r))
+        deltas = np.concatenate([_random_differences(seed, 0, 6), optimal_pair(alpha, 1.0, "eta").difference()[None]])
+        self.assert_reference_bits(family, deltas, f)
+
+    def test_kernel_bits_equal_the_reference_through_the_zeros_of_f(self):
+        # At a zero of f the largest root of the cubic is double.
+        deltas = np.concatenate([_random_differences(9, 0, 100), optimal_candidate_stack(5, 4)])
+        for family, f in self.samples_around_the_zeros_of_f():
+            self.assert_reference_bits(family, deltas, f)
 
     def test_closed_form_invariants_match_the_evolved_matrix(self):
         # p2, Tr X^3 and det X from each pair's blocks against the einsum
@@ -497,6 +532,59 @@ class TestBlpSearch:
         spectra.clear()
         run_figure("fig2", resolve_config("fig2"))
         assert evolved == [] and spectra == []
+
+    def test_a_damping_window_inside_a_rise_takes_the_population_pair(self, monkeypatch):
+        # From t0 the window's |chi| rises from 0.618 to 0.800, and the
+        # population pair gains g2^2 - g1^2 there, more than the equatorial
+        # pair's g2 - g1 (0.18208669022142732): the value is the angle
+        # maximum, found without a spectrum or an evolved pair, and its
+        # witness rebuilds it.
+        argv = ["measure", "--measure", "blp", "--family", "lorentz", "--gamma0", "1", "--width", "0.01",
+                "--t0", "34.9702", "--t1", "44.5403", "--pairs", "0"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        assert float(out.getvalue()) >= 0.25831
+        family, window = AmplitudeDampingChannel(LorentzSpec(1.0, 0.01)), (34.9702, 44.5403)
+        evolved, spectra = [], []
+        eigvalsh = np.linalg.eigvalsh
+        with monkeypatch.context() as patch:
+            patch.setattr(measures, "_trace_distances", lambda *args: evolved.append(args))
+            patch.setattr(np.linalg, "eigvalsh", lambda a, *args: spectra.append(np.shape(a)) or eigvalsh(a, *args))
+            report = blp_search(family, window, 0, 4001, 1)
+        assert evolved == [] and spectra == [(4, 4), (4, 4)]
+        assert report.value == float(out.getvalue())
+        population = StatePair(np.diag([1.0, 0, 0, 0]).astype(complex), np.diag([0, 0, 1.0, 0]).astype(complex))
+        times = np.linspace(*window, 4001)
+        for pair in (report.witness, population):
+            assert blp_integral(trace_distance_trajectory(family, pair, times)) == pytest.approx(report.value, abs=1e-12)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.floats(0.005, 0.3), st.floats(0.5, 60.0), st.floats(0.5, 40.0), st.integers(101, 2001),
+           st.integers(0, 2**32 - 1))
+    @example(0.01, 34.9702, 9.5701, 4001, 1)
+    @example(0.0118, 34.85, 28.8, 3221, 2)  # the best angle lies inside (0, pi/2)
+    def test_no_pure_pair_beats_the_damping_optimum(self, ratio, t0, length, grid, seed):
+        # On damping windows that start at t0 > 0, neither seeded random
+        # pairs (no witness among 300 is strictly larger) nor a local climb
+        # over two-qubit pure pairs (from a random pair and from the witness)
+        # exceeds the optimal value, which the witness rebuilds and which is
+        # at least the increment sum of |chi|.
+        family, window = AmplitudeDampingChannel(LorentzSpec(1.0, ratio)), (t0, t0 + length)
+        times, absf = measures._window_magnitude(family, window, grid)
+        report = blp_search(family, window, 0, grid, seed)
+        assert blp_search(family, window, 300, grid, seed).value == report.value
+        assert report.value >= pair_backflows(family, optimal_candidate_stack(), times).max() - 4e-15
+        rebuilt = blp_integral(trace_distance_trajectory(family, report.witness, times))
+        assert rebuilt == pytest.approx(report.value, abs=1e-12)
+
+        def params(pair):
+            kets = [np.linalg.eigh(rho)[1][:, -1] for rho in (pair.rho1, pair.rho2)]
+            return np.concatenate([part for k in kets for part in (k.real, k.imag)])
+
+        rng = np.random.default_rng(seed)
+        climbed = climbed_backflow(family, absf, np.stack([rng.standard_normal(16), params(report.witness)]), rng)
+        assert climbed <= report.value * (1.0 + 1e-12) + 1e-14
 
     def test_degenerate_sizes_are_rejected(self):
         with pytest.raises(ValueError, match="^pairs=-1 must be at least 0$"):
