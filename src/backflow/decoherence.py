@@ -155,7 +155,7 @@ def _rising_columns(envelope: np.ndarray, osc: np.ndarray) -> np.ndarray:
     at any angle and in floating point, and every rising step of |kappa|
     has both ends among these columns.
     """
-    rises = (np.diff(envelope, axis=-1) > 0.0) | (np.diff(osc, axis=-1) > 0.0)
+    rises = (envelope[..., 1:] > envelope[..., :-1]) | (osc[..., 1:] > osc[..., :-1])
     ends = np.zeros(envelope.shape, dtype=bool)
     ends[..., :-1] |= rises
     ends[..., 1:] |= rises

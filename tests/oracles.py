@@ -276,6 +276,104 @@ def half_trace_norms_reference(p2: np.ndarray, e3: np.ndarray, e4: np.ndarray) -
     return np.where(p2 > 0.0, np.sqrt(y), 0.0)
 
 
+# ``backflow.measures._PAIR_INVARIANTS`` as first written, with the helpers it
+# called, verbatim: each 2x2-block formula runs once per block, pairs-major or
+# samples-major alike.  The reference that the invariants' bits are pinned to.
+_ZERO_EXPONENT = -4096
+
+
+def _exponents(m):
+    return np.where(m > 0.0, np.frexp(m)[1], _ZERO_EXPONENT)
+
+
+def _scaled(*blocks):
+    parts = [np.maximum(abs(b.real), abs(b.imag)) for b in blocks]
+    e = _exponents(np.max([p[..., i, j] for p in parts for i in (0, 1) for j in (0, 1)], axis=0))
+    s = -e[..., None, None]
+    return [np.ldexp(b.real, s) + 1j * np.ldexp(b.imag, s) for b in blocks], e
+
+
+def _hermitian(m):
+    return m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1].real, m[..., 0, 1].imag
+
+
+def _gram(b):
+    sq = b.real * b.real + b.imag * b.imag
+    z = b[..., 0, 0] * b[..., 1, 0].conj() + b[..., 0, 1] * b[..., 1, 1].conj()
+    return sq[..., 0, 0] + sq[..., 0, 1], sq[..., 1, 0] + sq[..., 1, 1], z.real, z.imag
+
+
+def _power_traces(h):
+    p, q, x, y = h
+    pp, qq, xy = p * p, q * q, x * x + y * y
+    return pp + qq + 2.0 * xy, pp * p + qq * q + 3.0 * xy * (p + q)
+
+
+def _tr_product(h, k):
+    return h[0] * k[0] + h[1] * k[1] + 2.0 * (h[2] * k[2] + h[3] * k[3])
+
+
+def _det(h):
+    p, q, x, y = h
+    return p * q - (x * x + y * y)
+
+
+def _magnitudes(f):
+    r = np.abs(f)
+    e = _exponents(r)
+    return r, np.ldexp(r, -e), e
+
+
+def _dephasing_invariants(deltas, kappa):
+    (a, c), ed = _scaled(np.ascontiguousarray(deltas[..., :2, :2]), np.ascontiguousarray(deltas[..., 2:, 2:]))
+    (b,), eb = _scaled(np.ascontiguousarray(deltas[..., :2, 2:]))
+    a, c = _hermitian(a), _hermitian(c)
+    bb, bhb = _gram(b), _gram(b.conj().swapaxes(-1, -2))
+    (a2, a3), (c2, c3) = _power_traces(a), _power_traces(c)
+    d2, d3 = a2 + c2, (a3 + c3) / 3.0
+    b2, ab = 2.0 * (bb[0] + bb[1]), _tr_product(a, bb) + _tr_product(c, bhb)
+    dets = np.maximum(_det(a) * _det(c), 0.0)
+    r, rn, ef = _magnitudes(kappa)
+    efb = ef + eb
+    e = np.maximum(ed, efb)
+    rd, k = np.ldexp(1.0, ed - e), np.ldexp(rn, efb - e)
+    k2, rd2 = k * k, rd * rd
+    p2 = rd2 * d2 + k2 * b2
+    e3 = rd * (rd2 * d3 + k2 * ab)
+    e4 = (rd2 * ((1.0 - r) * (1.0 + r))) ** 2 * dets
+    return p2, e3, e4, e
+
+
+def _damping_invariants(deltas, chi):
+    a, c = _hermitian(deltas[..., :2, :2]), _hermitian(deltas[..., 2:, 2:])
+    (b,), eb = _scaled(np.ascontiguousarray(deltas[..., :2, 2:]))
+    (cn,), ec = _scaled(np.ascontiguousarray(deltas[..., 2:, 2:]))
+    cn, bb = _hermitian(cn), _gram(b)
+    b2, (c2, c3) = 2.0 * (bb[0] + bb[1]), _power_traces(cn)
+    bhbc, dc = _tr_product(_gram(b.conj().swapaxes(-1, -2)), cn), _det(cn)
+    r, rn, ef = _magnitudes(chi)
+    w = (1.0 - r) * (1.0 + r)
+    g = [x + w * y for x, y in zip(a, c)]
+    efb, efc = ef + eb, 2 * ef + ec
+    e = np.maximum(np.maximum(_exponents(np.maximum.reduce([abs(x) for x in g])), efb), efc)
+    minus_e = -e
+    g = [np.ldexp(x, minus_e) for x in g]
+    k2, d = np.ldexp(rn, efb - e) ** 2, np.ldexp(rn * rn, efc - e)
+    g2, g3 = _power_traces(g)
+    p2 = g2 + k2 * b2 + d * d * c2
+    e3 = g3 / 3.0 + d * d * d * (c3 / 3.0) + k2 * (_tr_product(g, bb) + d * bhbc)
+    e4 = (np.ldexp(rn * rn * dc, 2 * (ef + ec - e)) * w) ** 2
+    return p2, e3, e4, e
+
+
+def pair_invariants_reference(family, deltas: np.ndarray, f: np.ndarray):
+    """(p2, e3, e4, e) of ``backflow.measures._PAIR_INVARIANTS`` for the
+    family's type, from the reference above."""
+    from backflow.channels import DephasingChannel
+
+    return (_dephasing_invariants if isinstance(family, DephasingChannel) else _damping_invariants)(deltas, f)
+
+
 def _pure_pair_differences(x: np.ndarray) -> np.ndarray:
     """rho1 - rho2 of the pure pairs whose two unnormalized kets are the 16
     real parameters of each row of ``x`` (P, 16): the real then imaginary

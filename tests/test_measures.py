@@ -43,6 +43,7 @@ from backflow.measures import (
 )
 from backflow.experiments import resolve_config, run_figure
 from oracles import binary_entropy, bisect_root, golden_max, half_trace_norms_reference, mutual_information, negativity
+from oracles import pair_invariants_reference
 from oracles import climbed_backflow, optimal_candidate_stack
 from oracles import pair_backflows, random_density_matrix, stack_backflows, trace_distance, turning_points_by_sign_change
 
@@ -202,6 +203,9 @@ class TestTrajectory:
             Trajectory(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 1.0]), np.array([1.0, np.nan]))
+        # inf - inf leaks no RuntimeWarning before the ValueError.
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Trajectory(np.array([0.0, np.inf, np.inf]), np.zeros(3))
 
     def test_identical_pair_gives_zero_series(self):
         rho = sample_random_pair(3, 5).rho1
@@ -292,6 +296,11 @@ def _close(got, want):
     return np.all(np.abs(got - want) <= 1e-13 * np.abs(want) + 1e-14)
 
 
+def _assert_same_bits(got, want):
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
 class TestTraceNormWithoutEigensolve:
     """``_trace_distances`` takes the trace norm of evolved pure-pair
     differences from a cubic in Tr X^2, Tr X^3 and det X; it must match the
@@ -348,9 +357,23 @@ class TestTraceNormWithoutEigensolve:
 
     @staticmethod
     def assert_reference_bits(family, deltas, f):
-        invariants = measures._PAIR_INVARIANTS[type(family)](deltas[:, None], f)
-        got, want = measures._half_trace_norms(*invariants[:3]), half_trace_norms_reference(*invariants[:3])
-        assert got.tobytes() == want.tobytes()
+        # The differences of (|00>, |11>) and of two equal kets ride along:
+        # their Newton steps meet slope = 0 (y0 = p2/2), and they read 1
+        # (exactly, under dephasing) and 0.  Each check runs pairs-major, as
+        # the stacks call the kernel, and samples-major, as the search does.
+        deltas = np.concatenate([deltas, np.diag([1.0, 0.0, 0.0, -1.0])[None], np.zeros((1, 4, 4))]).astype(complex)
+        for pairs, samples in ((deltas[:, None], f), (deltas, f[:, None])):
+            invariants = measures._PAIR_INVARIANTS[type(family)](pairs, samples)
+            for got, want in zip(invariants, pair_invariants_reference(family, pairs, samples), strict=True):
+                _assert_same_bits(got, want)
+            _assert_same_bits(measures._half_trace_norms(*invariants[:3]), half_trace_norms_reference(*invariants[:3]))
+        distances = _trace_distances(family, deltas[:, None], f)
+        _assert_same_bits(distances, _trace_distances(family, deltas, f[:, None]).T)
+        # One difference and one sample, each without a stack axis.
+        assert np.asarray(_trace_distances(family, deltas[0], f[0])).tobytes() == distances[0, 0].tobytes()
+        assert np.all(distances[-1] == 0.0) and _close(distances[-2], 1.0)
+        if family is DEPHASING:
+            assert np.all(distances[-2] == 1.0)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -362,9 +385,9 @@ class TestTraceNormWithoutEigensolve:
     @example("dephasing", 0, 1.0, [(0.0, 0.0), (5e-324, 1.0), (1e-154, 2.0), (0.5, 3.0), (1.0, 4.0)])
     @example("lorentz", 1, 0.0, [(0.0, 0.0), (2.2e-308, 4.0), (1e-154, 1.0), (0.5, 4.0), (1.0, 0.0)])
     def test_kernel_bits_equal_the_reference(self, kind, seed, alpha, samples):
-        # The cubic's expressions are formed once each; every bit must be
-        # the reference's, on random and optimal pairs, at |f| = 0,
-        # subnormal, 1e-154, in (0, 1) and 1.
+        # The invariants and the cubic are formed once per stacked operand
+        # and in place; every bit must be the reference's, on random and
+        # optimal pairs, at |f| = 0, subnormal, 1e-154, in (0, 1) and 1.
         r, angle = np.array(samples).T
         family, f = (DEPHASING, r * np.exp(1j * angle)) if kind == "dephasing" else (LORENTZ, np.where(angle < math.pi, r, -r))
         deltas = np.concatenate([_random_differences(seed, 0, 6), optimal_pair(alpha, 1.0, "eta").difference()[None]])
@@ -800,6 +823,12 @@ def _series_and_cuts(draw):
     return series, draw(st.none() | st.lists(st.integers(1, len(series) - 1), max_size=6))
 
 
+# Floats with many equal neighbours: +-0, the smallest subnormal and normal,
+# +-1, the largest finite, +-inf and NaN, or any float.
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1.7976931348623157e308, math.inf,
+                                -math.inf, math.nan]) | st.floats()
+
+
 class TestTurningPointReduction:
     """The increment measures take spectra only where |f| turns; they must
     agree with the same reduction over every grid point, which rests on the
@@ -923,6 +952,21 @@ class TestTurningPointReduction:
         kept = np.flatnonzero(measures._turning_mask(absf, cuts))
         assert kept.dtype.kind == "i"
         assert kept.tolist() == turning_points_by_sign_change(absf, cuts).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_EDGE_FLOATS, _EDGE_FLOATS), min_size=1, max_size=30))
+    @example([(0.0, 1.0), (-0.0, 1.0), (0.0, math.inf), (5e-324, math.inf), (5e-324, -math.inf), (1.7e308, 0.0), (-1.7e308, 0.0)])
+    def test_rises_by_comparison_equal_the_difference_reference(self, pairs):
+        # A step rises where b > a: the same booleans as b - a > 0 for any
+        # two floats, through equal neighbours, +-0, subnormals, overflow, inf
+        # and NaN (inf - inf is NaN, which is not > 0).
+        x, y = np.array(pairs).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            rises_x, rises_y = np.diff(x) > 0.0, np.diff(y) > 0.0
+        edges = np.concatenate([[False], rises_x, [False]])
+        assert measures._turning_mask(x).tolist() == (edges[1:] != edges[:-1]).tolist()
+        either = np.concatenate([rises_x | rises_y, [False]])
+        assert decoherence._rising_columns(x, y).tolist() == np.flatnonzero(either | np.roll(either, 1)).tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(_series_and_cuts(), st.lists(st.booleans(), max_size=40))
